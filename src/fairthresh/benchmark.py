@@ -358,38 +358,12 @@ def run_unlabeled_sweep(
                 perm = np.random.default_rng([config.seed, r, 917]).permutation(rest.n)
                 n_unl = int(round(frac * ds.n))
                 if n_unl > 0:
-                    unl_rows = perm[:n_unl]
-                    unl = UnlabeledDataset(rest.features[unl_rows], rest.sensitive[unl_rows])
+                    unl = UnlabeledDataset(rest.features[perm[:n_unl]], rest.sensitive[perm[:n_unl]])
                     eval_part = rest.take(perm[n_unl:])
                 else:
-                    unl = None
-                    eval_part = rest
+                    unl, eval_part = "reuse", rest
                 cfg = replace(config, unlabeled="reuse")
-                grid = cfg.grid()
-                if len(grid) == 1:
-                    chosen, cv_rows = 0, ()
-                else:
-                    cv_rows = cross_validate(sp.train, cfg, method, [config.seed, r])
-                    chosen = select_hyperparameters(cv_rows, cfg.shortlist_fraction)
-                    cv_rows = tuple(cv_rows)
-                label, est_cfg = grid[chosen]
-                report, clf = _fit_and_evaluate(
-                    sp.train, eval_part, est_cfg, cfg.mode, method,
-                    unl if unl is not None else "reuse",
-                    np.random.default_rng([config.seed, r, 918]),
-                )
-                rows.append(
-                    RepeatOutcome(
-                        repeat=r,
-                        method=method,
-                        param=label,
-                        acc=report.accuracy,
-                        deo=report.deo,
-                        theta_hat=clf.theta_hat,
-                        flags=tuple(report.flags),
-                        cv_table=cv_rows,
-                    )
-                )
+                rows.append(_run_one(sp.train, eval_part, cfg, method, r, [config.seed, r], unl))
             summary = _summarize(method, rows, with_std=True)
             points.append(
                 SweepPoint(

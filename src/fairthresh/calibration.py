@@ -56,7 +56,10 @@ class GroupStatistics:
 
     @staticmethod
     def from_json(obj: dict) -> "GroupStatistics":
-        return GroupStatistics(tuple(obj["p"]), tuple(obj["mean_score"]), tuple(obj["joint"]))
+        vectors = [tuple(float(v) for v in obj[key]) for key in ("p", "mean_score", "joint")]
+        if any(len(v) != 2 for v in vectors):
+            raise SchemaError("stats p, mean_score and joint need one value per group")
+        return GroupStatistics(*vectors)
 
 
 def group_statistics(scores: np.ndarray, sensitive: np.ndarray) -> GroupStatistics:
@@ -357,12 +360,24 @@ class FairClassifier:
 
     @staticmethod
     def from_json(obj: dict) -> "FairClassifier":
+        """Inverse of to_json; SchemaError when mode, theta_hat or the statistics are invalid."""
+        mode, theta = obj["mode"], float(obj["theta_hat"])
+        if mode not in ("aware", "blind"):
+            raise SchemaError(f"model mode must be 'aware' or 'blind', got {mode!r}")
+        if not np.isfinite(theta):
+            raise SchemaError(f"theta_hat must be finite, got {theta!r}")
+        stats = GroupStatistics.from_json(obj["stats"]) if obj.get("stats") else None
+        means = tuple(float(v) for v in obj["blind_means"]) if obj.get("blind_means") else None
+        if mode == "aware" and stats is None:
+            raise SchemaError("aware model needs stats")
+        if mode == "blind" and (means is None or len(means) != 2):
+            raise SchemaError("blind model needs two blind_means")
         return FairClassifier(
             model=ScoreModel.from_json(obj["model"]) if obj.get("model") else None,
-            theta_hat=float(obj["theta_hat"]),
-            stats=GroupStatistics.from_json(obj["stats"]) if obj.get("stats") else None,
-            mode=obj["mode"],
-            blind_means=tuple(obj["blind_means"]) if obj.get("blind_means") else None,
+            theta_hat=theta,
+            stats=stats,
+            mode=mode,
+            blind_means=means,
         )
 
 

@@ -5,6 +5,11 @@ consistency.  Every command is deterministic given its flags and seed,
 prints an aligned human-readable summary to stdout, and writes machine
 output (JSON, or CSV for tabular results) to the requested paths.
 
+Input CSV files are read only through ``fairthresh.data`` (``load_csv`` for
+labeled data, ``load_features`` for calibration and prediction files, which
+drop the label column, and ``load_scores`` for score files), so every input
+obeys the same rules; this module parses no input file itself.
+
 Exit codes: 0 ok, 2 schema error, 3 group-coverage error, 4 numeric error,
 5 config error.
 """
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import benchmark as bench
 from . import calibration, estimators, metrics, oracle
-from .data import UnlabeledDataset, load_csv
+from .data import UnlabeledDataset, load_csv, load_features, load_scores
 from .errors import ConfigError, FairthreshError, SchemaError
 
 
@@ -51,53 +56,6 @@ def _num(x, digits=6):
     return f"{x:.{digits}f}"
 
 
-def _load_score_file(path, need_marginal: bool):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty score file") from None
-        rows = list(reader)
-    for col in ("score_s0", "score_s1"):
-        if col not in header:
-            raise SchemaError(f"{path}: missing column {col!r}")
-    if need_marginal and "score_marginal" not in header:
-        raise SchemaError(f"{path}: blind mode needs a score_marginal column")
-
-    def col(name):
-        if name not in header:
-            return None
-        i = header.index(name)
-        try:
-            return np.asarray([float(r[i]) for r in rows])
-        except (ValueError, IndexError) as exc:
-            raise SchemaError(f"{path}: bad value in column {name!r}: {exc}") from exc
-
-    return col("score_s0"), col("score_s1"), col("score_marginal")
-
-
-def _load_feature_matrix(path, sensitive_col=None, label_col=None):
-    """Feature columns (everything except the named ones) plus S when present."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        rows = list(reader)
-    keep = [i for i, h in enumerate(header) if h not in (sensitive_col, label_col)]
-    try:
-        X = np.asarray([[float(r[i]) for i in keep] for r in rows])
-    except (ValueError, IndexError) as exc:
-        raise SchemaError(f"{path}: cannot parse features: {exc}") from exc
-    S = None
-    if sensitive_col in header:
-        i = header.index(sensitive_col)
-        S = np.asarray([int(float(r[i])) for r in rows])
-    return X, S
-
-
 def _aligned(path, n_rows, n_expected):
     if n_rows != n_expected:
         raise SchemaError(f"{path}: {n_rows} rows, expected {n_expected} (row-aligned input required)")
@@ -107,17 +65,13 @@ def cmd_calibrate(args) -> int:
     train = load_csv(args.train, args.sensitive_col, args.label_col)
     unlabeled = None
     if args.unlabeled:
-        try:
-            unlabeled = load_csv(args.unlabeled, args.sensitive_col)
-        except SchemaError:
-            if args.mode != "blind":
-                raise
-            X, _ = _load_feature_matrix(args.unlabeled, args.sensitive_col, args.label_col)
-            unlabeled = UnlabeledDataset(X)
+        unlabeled = UnlabeledDataset(*load_features(args.unlabeled, args.sensitive_col, args.label_col))
+        if args.mode == "aware" and unlabeled.sensitive is None:
+            raise SchemaError(f"{args.unlabeled}: group-aware calibration needs column {args.sensitive_col!r}")
 
     if args.scores:
         cal_n = unlabeled.n if unlabeled is not None else train.n
-        s0, s1, marg = _load_score_file(args.scores, need_marginal=args.mode == "blind")
+        s0, s1, marg = load_scores(args.scores, need_marginal=args.mode == "blind")
         _aligned(args.scores, len(s0), cal_n)
         sens = unlabeled.sensitive if unlabeled is not None else train.sensitive
         clf = calibration.calibrate_scores(
@@ -176,30 +130,21 @@ def _load_model(path) -> calibration.FairClassifier:
     try:
         with open(path, encoding="utf-8") as fh:
             return calibration.FairClassifier.from_json(json.load(fh))
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
         raise SchemaError(f"{path}: not a valid model file: {exc}") from exc
 
 
 def cmd_predict(args) -> int:
     clf = _load_model(args.model)
+    X, S = load_features(args.data, args.sensitive_col, args.label_col)
+    if clf.mode == "aware" and S is None:
+        raise SchemaError(f"{args.data}: group-aware prediction needs column {args.sensitive_col!r}")
     if args.scores:
-        s0, s1, marg = _load_score_file(args.scores, need_marginal=clf.mode == "blind")
-        if clf.mode == "aware":
-            X, S = _load_feature_matrix(args.data, args.sensitive_col, args.label_col)
-            if S is None:
-                raise SchemaError(f"{args.data}: group-aware prediction needs column {args.sensitive_col!r}")
-            _aligned(args.scores, len(s0), X.shape[0])
-            pred = clf.predict_from_scores(scores_s0=s0, scores_s1=s1, sensitive=S)
-        else:
-            pred = clf.predict_from_scores(scores_s0=s0, scores_s1=s1, marginal=marg)
+        s0, s1, marg = load_scores(args.scores, need_marginal=clf.mode == "blind")
+        _aligned(args.scores, len(s0), X.shape[0])
+        pred = clf.predict_from_scores(scores_s0=s0, scores_s1=s1, sensitive=S, marginal=marg)
     else:
-        X, S = _load_feature_matrix(args.data, args.sensitive_col, args.label_col)
-        if clf.mode == "aware":
-            if S is None:
-                raise SchemaError(f"{args.data}: group-aware prediction needs column {args.sensitive_col!r}")
-            pred = clf.predict(X, S)
-        else:
-            pred = clf.predict(X)
+        pred = clf.predict(X, S)
     if args.out:
         _write_csv(args.out, ["prediction"], [[int(p)] for p in pred])
         print(f"predictions written {args.out}")
@@ -212,16 +157,11 @@ def cmd_evaluate(args) -> int:
     clf = _load_model(args.model)
     test = load_csv(args.test, args.sensitive_col, args.label_col)
     if args.scores:
-        s0, s1, marg = _load_score_file(args.scores, need_marginal=clf.mode == "blind")
+        s0, s1, marg = load_scores(args.scores, need_marginal=clf.mode == "blind")
         _aligned(args.scores, len(s0), test.n)
-        if clf.mode == "aware":
-            pred = clf.predict_from_scores(scores_s0=s0, scores_s1=s1, sensitive=test.sensitive)
-        else:
-            pred = clf.predict_from_scores(scores_s0=s0, scores_s1=s1, marginal=marg)
-    elif clf.mode == "aware":
-        pred = clf.predict(test.features, test.sensitive)
+        pred = clf.predict_from_scores(scores_s0=s0, scores_s1=s1, sensitive=test.sensitive, marginal=marg)
     else:
-        pred = clf.predict(test.features)
+        pred = clf.predict(test.features, test.sensitive)
     report = metrics.deo(pred, test.labels, test.sensitive)
     if args.out:
         _write_json(args.out, report.to_json())
@@ -285,7 +225,11 @@ def cmd_benchmark(args) -> int:
     config = _benchmark_config(args)
     ds = load_csv(args.data, config.sensitive_col, config.label_col)
     test = load_csv(args.test, config.sensitive_col, config.label_col) if args.test else None
-    unl = load_csv(args.unlabeled, config.sensitive_col) if args.unlabeled else None
+    unl = (
+        UnlabeledDataset(*load_features(args.unlabeled, config.sensitive_col, config.label_col))
+        if args.unlabeled
+        else None
+    )
     report = bench.run_benchmark(ds, config, test=test, unlabeled_ds=unl)
     _print_method_table(report.methods)
     if args.out:

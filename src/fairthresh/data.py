@@ -1,8 +1,13 @@
 """Dataset containers, CSV ingestion and seeded stratified splitting.
 
-CSV files must be UTF-8 with a mandatory header row and `.` as the decimal
-separator.  Every column that is not named as sensitive/label is treated as a
-numeric feature; missing values are rejected rather than imputed.
+Every input CSV (datasets, calibration and prediction files, score files) is
+parsed by one routine, ``_read_table``: UTF-8, a mandatory header row, ``,``
+as separator and ``.`` as decimal separator, no quoting in data rows.  Each
+data row has one cell per header name and each cell is a real number; the
+sensitive and label columns hold 0/1, score columns lie in [0, 1] and every
+other cell is finite.  Any violation raises a SchemaError subclass naming the
+file and the 0-based data row.  The label column is never a feature, and
+missing values are rejected rather than imputed.
 """
 
 from __future__ import annotations
@@ -123,65 +128,119 @@ class UnlabeledDataset:
         return self.features.shape[1]
 
 
+SCORE_COLUMNS = ("score_s0", "score_s1", "score_marginal")
+
+
+def _first_bad_cell(path, header, body, binary) -> None:
+    """Raise for the first row of body that is ragged or holds an unparseable cell."""
+    for r, line in enumerate(body):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise SchemaError(f"{path}: row {r} has {len(cells)} cells, header has {len(header)}")
+        for name, cell in zip(header, cells):
+            try:
+                float(cell)
+            except ValueError:
+                error = DataValueError if name in binary else ParseError
+                raise error(f"{path}: row {r}, column {name!r}: cannot parse {cell!r}") from None
+
+
+def _read_table(path, binary=(), unit=()):
+    """Header and float64 body of a numeric CSV file: the one parse routine for all inputs.
+
+    Every data row must have one cell per header name and every cell must
+    parse as a real.  Columns named in binary must hold 0/1, columns named in
+    unit must lie in [0, 1], all others must be finite.  Errors name the file
+    and the 0-based data row.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    try:
+        header = [h.strip() for h in next(csv.reader(lines[:1]), [])]
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: unreadable header row: {exc}") from None
+    if not header:
+        raise SchemaError(f"{path}: empty file, header row required")
+    body = lines[1:]
+    if not body:
+        raise SchemaError(f"{path}: no data rows")
+    reason = "row count or width differs from the header"
+    try:
+        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        values, reason = None, str(exc)
+    # loadtxt skips blank lines and takes the width from the rows, so check both
+    if values is None or values.shape != (len(body), len(header)):
+        _first_bad_cell(path, header, body, binary)
+        raise ParseError(f"{path}: cannot parse the data rows: {reason}")
+
+    bad = ~np.isfinite(values)
+    for i, name in enumerate(header):
+        if name in binary:
+            bad[:, i] = ~np.isin(values[:, i], (0.0, 1.0))
+        elif name in unit:
+            bad[:, i] |= (values[:, i] < 0.0) | (values[:, i] > 1.0)
+    if bad.any():
+        r, i = np.argwhere(bad)[0]
+        where, v = f"{path}: row {r}, column {header[i]!r}", float(values[r, i])
+        if header[i] in binary:
+            raise DataValueError(f"{where}: value {v:g} is not 0 or 1")
+        if not np.isfinite(v):
+            raise ParseError(f"{where}: non-finite value {v!r}")
+        raise DataValueError(f"{where}: score {v:g} outside [0, 1]")
+    return header, values
+
+
+def _column_index(path, header, name, what) -> int:
+    if name not in header:
+        raise SchemaError(f"{path}: missing {what} column {name!r}")
+    return header.index(name)
+
+
 def load_csv(path, sensitive_col: str, label_col: str | None = None):
     """Read a CSV file into a LabeledDataset (or UnlabeledDataset if label_col is None).
 
-    Raises SchemaError when a named column is missing, DataValueError when a
-    sensitive/label cell is not 0/1, and ParseError (with the offending row
-    index) when a feature cell is not a finite real.
+    Raises SchemaError when a named column is missing or a row is ragged,
+    DataValueError when a sensitive/label cell is not 0/1, and ParseError
+    (with the offending row index) when a feature cell is not a finite real.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header row required") from None
-        rows = list(reader)
+    header, values = _read_table(path, binary=(sensitive_col, label_col))
+    s = values[:, _column_index(path, header, sensitive_col, "sensitive")]
+    y_idx = None if label_col is None else _column_index(path, header, label_col, "label")
+    feat_idx = [i for i, h in enumerate(header) if h not in (sensitive_col, label_col)]
+    X = values[:, feat_idx]
+    names = tuple(header[i] for i in feat_idx)
+    if y_idx is None:
+        return UnlabeledDataset(X, s, names)
+    return LabeledDataset(X, s, values[:, y_idx], names)
 
-    header = [h.strip() for h in header]
-    if sensitive_col not in header:
-        raise SchemaError(f"{path}: missing sensitive column {sensitive_col!r}")
-    if label_col is not None and label_col not in header:
-        raise SchemaError(f"{path}: missing label column {label_col!r}")
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
 
-    s_idx = header.index(sensitive_col)
-    y_idx = header.index(label_col) if label_col is not None else None
-    feat_idx = [i for i in range(len(header)) if i != s_idx and i != y_idx]
-    feat_names = tuple(header[i] for i in feat_idx)
+def load_features(path, sensitive_col: str, label_col: str):
+    """Feature matrix and sensitive column (None when absent) of a calibration or prediction file.
 
-    X = np.empty((len(rows), len(feat_idx)), dtype=np.float64)
-    s = np.empty(len(rows), dtype=np.float64)
-    y = np.empty(len(rows), dtype=np.float64) if y_idx is not None else None
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise SchemaError(f"{path}: row {r} has {len(row)} cells, header has {len(header)}")
-        for c, i in enumerate(feat_idx):
-            try:
-                v = float(row[i])
-            except ValueError:
-                raise ParseError(f"{path}: row {r}, column {header[i]!r}: cannot parse {row[i]!r}") from None
-            if not math.isfinite(v):
-                raise ParseError(f"{path}: row {r}, column {header[i]!r}: non-finite value {row[i]!r}")
-            X[r, c] = v
-        try:
-            s[r] = float(row[s_idx])
-        except ValueError:
-            raise DataValueError(f"{path}: row {r}: sensitive value {row[s_idx]!r} is not 0 or 1") from None
-        if s[r] not in (0.0, 1.0):
-            raise DataValueError(f"{path}: row {r}: sensitive value {row[s_idx]!r} is not 0 or 1")
-        if y is not None:
-            try:
-                y[r] = float(row[y_idx])
-            except ValueError:
-                raise DataValueError(f"{path}: row {r}: label value {row[y_idx]!r} is not 0 or 1") from None
-            if y[r] not in (0.0, 1.0):
-                raise DataValueError(f"{path}: row {r}: label value {row[y_idx]!r} is not 0 or 1")
+    The label column is not a feature and is dropped whenever present; the
+    rules of load_csv apply to every cell.
+    """
+    header, values = _read_table(path, binary=(sensitive_col, label_col))
+    S = values[:, header.index(sensitive_col)].astype(np.int64) if sensitive_col in header else None
+    return values[:, [i for i, h in enumerate(header) if h not in (sensitive_col, label_col)]], S
 
-    if y is None:
-        return UnlabeledDataset(X, s.astype(np.int64), feat_names)
-    return LabeledDataset(X, s.astype(np.int64), y.astype(np.int64), feat_names)
+
+def load_scores(path, need_marginal: bool = False):
+    """Score columns (score_s0, score_s1, score_marginal or None) of a score file.
+
+    Scores must be finite and lie in [0, 1]; score_marginal is required when
+    need_marginal is set (blind mode).
+    """
+    header, values = _read_table(path, unit=SCORE_COLUMNS)
+    for name in SCORE_COLUMNS[: 3 if need_marginal else 2]:
+        _column_index(path, header, name, "score")
+    s0, s1 = (values[:, header.index(c)] for c in SCORE_COLUMNS[:2])
+    marginal = values[:, header.index("score_marginal")] if "score_marginal" in header else None
+    return s0, s1, marginal
 
 
 def write_csv(path, ds, sensitive_col: str = "S", label_col: str = "Y") -> None:

@@ -154,13 +154,16 @@ class ScoreModel:
         return replace(self, floor=c)
 
     def _raw(self, X: np.ndarray, params) -> np.ndarray:
+        if self.kind == "external":
+            raise SchemaError("external score models cannot score rows; supply a scores file")
+        d = params[0].shape[-1]  # weight vector (logistic) or training features (k-NN)
+        if X.shape[1] != d:
+            raise SchemaError(f"model expects {d} feature columns, data has {X.shape[1]}")
         if self.kind == "logistic":
             w, b = params
             return _sigmoid(X @ w + b)
-        if self.kind == "knn":
-            feats, labels, k = params
-            return _knn_scores(X, feats, labels, k)
-        raise SchemaError("external score models cannot score rows; supply a scores file")
+        feats, labels, k = params
+        return _knn_scores(X, feats, labels, k)
 
     def _finish(self, raw: np.ndarray, X: np.ndarray, salt: int) -> np.ndarray:
         if self.jitter_amplitude > 0.0:
@@ -181,9 +184,12 @@ class ScoreModel:
         if X.ndim == 1:
             X = X[:, None]
         S = np.asarray(S)
+        masks = (S == 0, S == 1)
+        # any other group value would leave its rows unscored
+        if S.shape != (X.shape[0],) or not (masks[0] | masks[1]).all():
+            raise SchemaError("sensitive values must be 0 or 1, one per feature row")
         out = np.empty(X.shape[0])
-        for s in (0, 1):
-            mask = S == s
+        for s, mask in enumerate(masks):
             if mask.any():
                 out[mask] = self.score_group(X[mask], s)
         return out
@@ -219,7 +225,9 @@ class ScoreModel:
 
     @staticmethod
     def from_json(obj: dict) -> "ScoreModel":
-        kind = obj["kind"]
+        kind, mode, groups = obj["kind"], obj["mode"], obj["groups"]
+        if kind not in ("logistic", "knn", "external") or mode not in ("aware", "blind") or len(groups) != 2:
+            raise SchemaError(f"bad score model: kind {kind!r}, mode {mode!r}, {len(groups)} groups")
 
         def unpack(payload):
             if payload is None:
@@ -234,8 +242,8 @@ class ScoreModel:
 
         return ScoreModel(
             kind=kind,
-            mode=obj["mode"],
-            group_params=tuple(unpack(p) for p in obj["groups"]),
+            mode=mode,
+            group_params=tuple(unpack(p) for p in groups),
             marginal_params=unpack(obj.get("marginal")),
             floor=float(obj["floor"]),
             jitter_amplitude=float(obj.get("jitter_amplitude", 0.0)),

@@ -22,7 +22,6 @@ from .data import LabeledDataset, UnlabeledDataset
 from .errors import ConfigError, NumericError, SchemaError
 from .metrics import deo as deo_report
 
-DEFAULT_QUAD_POINTS = 2**17 + 1
 DEFAULT_BISECTION_TOL = 1e-8
 
 
@@ -172,7 +171,7 @@ class Moments:
     p_positive: float  # P(Y = 1)
 
 
-def exact_moments(dist: SyntheticDistribution, n_points: int = DEFAULT_QUAD_POINTS) -> Moments:
+def exact_moments(dist: SyntheticDistribution, n_points: int = 2**17 + 1) -> Moments:
     """Group means of eta and joint positives via composite Simpson quadrature."""
     means = tuple(_simpson(g.eta, 0.0, 1.0, n_points) for g in dist.groups)
     joint = tuple(m * p for m, p in zip(means, dist.pi))
@@ -249,7 +248,6 @@ class OracleSolution:
     joint: tuple[float, float]
     tpr_common: float
     risk_star: float
-    quadrature_points: int
     bisection_tolerance: float
     bracket_width: float
     region_starts: tuple[float, float]  # per-group lower end of the accept region
@@ -258,7 +256,6 @@ class OracleSolution:
 def solve_theta_star(
     dist: SyntheticDistribution,
     tolerance: float = DEFAULT_BISECTION_TOL,
-    quadrature_points: int = DEFAULT_QUAD_POINTS,
 ) -> OracleSolution:
     """Bisection for the theta equalizing the exact group TPRs on [-2, 2].
 
@@ -288,7 +285,6 @@ def solve_theta_star(
         joint=joints,
         tpr_common=tpr1,
         risk_star=risk_of_threshold_rule(dist, regions),
-        quadrature_points=quadrature_points,
         bisection_tolerance=tolerance,
         bracket_width=hi - lo,
         region_starts=regions,

@@ -300,3 +300,26 @@ class TestCalibrate:
         np.testing.assert_array_equal(
             back.predict(train.features, train.sensitive), clf.predict(train.features, train.sensitive)
         )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mode", "weird"),
+            ("theta_hat", float("nan")),
+            ("theta_hat", float("inf")),
+            ("stats", {"p": [0.5], "mean_score": [0.5, 0.5], "joint": [0.25, 0.25]}),
+            ("stats", None),
+        ],
+        ids=["mode_weird", "theta_nan", "theta_inf", "one_element_p", "aware_without_stats"],
+    )
+    def test_from_json_rejects_invalid_fields(self, train, field, value):
+        obj = calibrate(train, estimator=LogisticConfig(l2_lambda=1e-3)).to_json()
+        obj[field] = value
+        with pytest.raises(SchemaError):
+            FairClassifier.from_json(obj)
+
+    def test_from_json_blind_needs_two_means(self, train):
+        obj = calibrate(train, estimator=LogisticConfig(l2_lambda=1e-3), mode="blind").to_json()
+        obj["blind_means"] = [0.5]
+        with pytest.raises(SchemaError):
+            FairClassifier.from_json(obj)

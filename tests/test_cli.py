@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairthresh.cli import main
 from fairthresh.data import write_csv
@@ -192,3 +196,187 @@ class TestConsistencyCommand:
             ]) == 0
             contents.append(out.read_bytes())
         assert contents[0] == contents[1]
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _scores_800(tmp_path, bad_row):
+    """Score file aligned with train_csv (800 rows) whose row 5 is bad_row."""
+    rows = ["0.5,0.5"] * 800
+    rows[5] = bad_row
+    return _write(tmp_path / "scores.csv", "score_s0,score_s1\n" + "\n".join(rows) + "\n")
+
+
+def _probed_argv(case, tmp_path, train_csv, test_csv):
+    if case == "predict_sensitive_2":
+        data = _write(tmp_path / "d.csv", "x1,S,Y\n0.1,0,0\n0.2,2,1\n0.3,1,1\n")
+        return ["predict", "--model", _model(tmp_path, train_csv), "--data", data]
+    if case == "predict_nan_feature":
+        data = _write(tmp_path / "d.csv", "x1,S,Y\n0.1,0,0\nnan,1,1\n0.3,1,1\n")
+        return ["predict", "--model", _model(tmp_path, train_csv), "--data", data]
+    if case == "predict_extra_feature_column":
+        data = _write(tmp_path / "d.csv", "x1,x2,S\n0.1,0.5,0\n0.2,0.5,1\n")
+        return ["predict", "--model", _model(tmp_path, train_csv), "--data", data]
+    if case == "calibrate_nan_score":
+        return ["calibrate", "--train", train_csv, "--scores", _scores_800(tmp_path, "nan,0.5")]
+    if case == "calibrate_score_above_one":
+        return ["calibrate", "--train", train_csv, "--scores", _scores_800(tmp_path, "7.5,0.5")]
+    assert case == "calibrate_unlabeled_with_label"
+    return ["calibrate", "--train", train_csv, "--unlabeled", test_csv]
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ("predict_sensitive_2", 2),
+        ("predict_nan_feature", 2),
+        ("predict_extra_feature_column", 2),
+        ("calibrate_nan_score", 2),
+        ("calibrate_score_above_one", 2),
+        # the label column of an unlabeled file is not a feature
+        ("calibrate_unlabeled_with_label", 0),
+    ],
+)
+def test_probed_input_defects(tmp_path, train_csv, test_csv, capsys, case, code):
+    assert main(_probed_argv(case, tmp_path, train_csv, test_csv)) == code
+    if code:
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("theta_hat",), "abc"), (("stats", "joint"), [0.45]), (("model",), [1, 2])],
+    ids=["theta_hat_abc", "one_element_joint", "model_list"],
+)
+def test_malformed_model_file_exit_2(tmp_path, train_csv, test_csv, path, value):
+    model = json.load(open(_model(tmp_path, train_csv)))
+    node = model
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = _write(tmp_path / "bad.json", json.dumps(model))
+    assert main(["predict", "--model", bad, "--data", test_csv]) == 2
+    assert main(["evaluate", "--model", bad, "--test", test_csv]) == 2
+
+
+# --- property test: malformed input always ends in a documented exit code ----
+
+ROWS = [[f"0.{i + 1}", str(i // 2 % 2), str(i % 2)] for i in range(8)]
+SCORES = [["0.5", "0.25", "0.375"]] * 8
+NOT_A_NUMBER = ["", "abc", "nan", "-inf", "1e999", "0x10", "1..5", '"0.5"']
+NOT_BINARY = NOT_A_NUMBER + ["2", "-1", "0.5"]
+NOT_A_SCORE = NOT_A_NUMBER + ["-0.25", "1.5", "7.5"]
+CORRUPTIONS = ("cell", "short_row", "long_row", "blank_line", "no_header", "empty", "rename")
+
+
+@st.composite
+def broken_csv(draw, header, rows, bad_cells, required, hows=CORRUPTIONS):
+    """CSV text made malformed by one drawn corruption of a valid table."""
+    rows = [list(r) for r in rows]
+    r = draw(st.integers(0, len(rows) - 1))
+    how = draw(st.sampled_from(hows))
+    if how == "cell":
+        c = draw(st.integers(0, len(header) - 1))
+        rows[r][c] = draw(st.sampled_from(bad_cells[c]))
+    elif how == "short_row":
+        rows[r].pop()
+    elif how == "long_row":
+        rows[r].append("0")
+    elif how == "drop_row":
+        del rows[r]
+    elif how == "rename":
+        header = [h + "_" if h == required else h for h in header]
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if how == "blank_line":
+        lines.insert(r + 1, "")
+    return {"no_header": "\n".join(lines[1:]), "empty": ""}.get(how, "\n".join(lines)) + "\n"
+
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=5), st.lists(st.integers(), max_size=3))
+
+
+@st.composite
+def broken_model(draw, base):
+    """Model JSON text made malformed by one drawn corruption of a valid aware model."""
+    model = json.loads(json.dumps(base))
+    how = draw(st.sampled_from(["mode", "theta", "stats", "vector", "model", "weights", "drop", "whole"]))
+    if how == "mode":
+        model["mode"] = draw(JUNK.filter(lambda v: v not in ("aware", "blind")))
+    elif how == "theta":
+        model["theta_hat"] = draw(st.sampled_from(["abc", "1e999", None, [1], {"a": 1}, float("nan"), float("inf")]))
+    elif how == "stats":
+        model["stats"] = draw(JUNK)
+    elif how == "vector":
+        key = draw(st.sampled_from(["p", "mean_score", "joint"]))
+        model["stats"][key] = draw(
+            st.lists(st.floats(0, 1), max_size=4).filter(lambda v: len(v) != 2)
+            | st.sampled_from([["a", "b"], None, "ab", 3, {}])
+        )
+    elif how == "model":
+        model["model"] = draw(st.one_of(JUNK, st.just({})))
+    elif how == "weights":
+        model["model"]["groups"][draw(st.integers(0, 1))]["weights"] = draw(st.sampled_from([[], [0.1, 0.2]]))
+    elif how == "drop":
+        del model[draw(st.sampled_from(["mode", "theta_hat", "stats"]))]
+    else:
+        return draw(st.one_of(st.sampled_from(["", "{not json", "[]", "null", "3"]), st.text(max_size=8)))
+    return json.dumps(model)
+
+
+@pytest.fixture(scope="module")
+def property_inputs(tmp_path_factory, train_csv):
+    d = tmp_path_factory.mktemp("property")
+    model = str(d / "model.json")
+    assert main(["calibrate", "--train", train_csv, "--out", model]) == 0
+    data = _write(d / "data.csv", "\n".join(",".join(r) for r in [["x1", "S", "Y"], *ROWS]) + "\n")
+    return {"dir": d, "model": model, "data": data, "train": train_csv, "base_model": json.load(open(model))}
+
+
+def _dataset_case(inp):
+    text = broken_csv(["x1", "S", "Y"], ROWS, [NOT_A_NUMBER, NOT_BINARY, NOT_BINARY], "S")
+    commands = st.sampled_from([
+        ["evaluate", "--model", inp["model"], "--test", "{f}"],
+        ["predict", "--model", inp["model"], "--data", "{f}"],
+        ["calibrate", "--train", "{f}"],
+        ["calibrate", "--train", inp["train"], "--unlabeled", "{f}"],
+    ])
+    return st.tuples(text, commands)
+
+
+def _scores_case(inp):
+    # a score file must also stay row-aligned with its dataset
+    text = broken_csv(
+        ["score_s0", "score_s1", "score_marginal"], SCORES, [NOT_A_SCORE] * 3, "score_s0",
+        CORRUPTIONS + ("drop_row",),
+    )
+    commands = st.sampled_from([
+        ["calibrate", "--train", inp["data"], "--scores", "{f}"],
+        ["calibrate", "--train", inp["data"], "--scores", "{f}", "--mode", "blind"],
+        ["evaluate", "--model", inp["model"], "--test", inp["data"], "--scores", "{f}"],
+        ["predict", "--model", inp["model"], "--data", inp["data"], "--scores", "{f}"],
+    ])
+    return st.tuples(text, commands)
+
+
+def _model_case(inp):
+    commands = st.sampled_from([
+        ["predict", "--model", "{f}", "--data", inp["data"]],
+        ["evaluate", "--model", "{f}", "--test", inp["data"]],
+    ])
+    return st.tuples(broken_model(inp["base_model"]), commands)
+
+
+@pytest.mark.parametrize("case", [_dataset_case, _scores_case, _model_case], ids=["dataset", "scores", "model"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_malformed_input_ends_in_documented_exit_code(property_inputs, case, data):
+    text, argv = data.draw(case(property_inputs))
+    path = _write(property_inputs["dir"] / "input", text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([path if a == "{f}" else a for a in argv])
+    assert code in (2, 3, 4, 5)
+    assert err.getvalue().startswith("error: ")

@@ -8,6 +8,8 @@ from fairthresh.data import (
     SplitPlan,
     UnlabeledDataset,
     load_csv,
+    load_features,
+    load_scores,
     split,
     split_manifest,
     write_csv,
@@ -72,6 +74,58 @@ class TestLoadCsv:
         # repr round-trips doubles exactly, well past 12 significant digits
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+    def test_parse_matches_python_float(self, tmp_path):
+        # reference: the per-cell float() loop the reader replaced
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=4000) * 10.0 ** rng.integers(-300, 300, size=4000)
+        cells = [repr(float(x)) for x in v[:2000]] + [f"{x:.17g}" for x in v[2000:]]
+        lines = [f"{c},{i % 2}" for i, c in enumerate(cells)]
+        p = _write(tmp_path, "x1,S\n" + "\n".join(lines) + "\n")
+        expected = np.asarray([float(c) for c in cells])
+        np.testing.assert_array_equal(load_csv(p, "S").features[:, 0].view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [("1.0,0,1\n2.0,1\n", SchemaError), ("1.0,0,1\n\n2.0,1,0\n", SchemaError),
+         ("1.0,0,1\n1e999,1,0\n", ParseError), ("1.0,0,1\n2.0,1,-1\n", DataValueError),
+         ("1.0,0,1\n2.0,a,0\n", DataValueError)],
+        ids=["ragged", "blank_line", "overflow", "label_not_binary", "sensitive_unparseable"],
+    )
+    def test_bad_row_names_file_and_row(self, tmp_path, body, error):
+        p = _write(tmp_path, "x1,S,Y\n" + body)
+        with pytest.raises(error, match=f"{p}: row 1"):
+            load_csv(p, "S", "Y")
+
+    def test_features_drop_label_and_sensitive_is_optional(self, tmp_path):
+        X, S = load_features(_write(tmp_path, "x1,S,Y\n1.0,0,1\n2.0,1,0\n"), "S", "Y")
+        np.testing.assert_array_equal(X, [[1.0], [2.0]])
+        np.testing.assert_array_equal(S, [0, 1])
+        X, S = load_features(_write(tmp_path, "x1,x2\n1.0,3.0\n", "b.csv"), "S", "Y")
+        assert X.shape == (1, 2) and S is None
+
+
+class TestLoadScores:
+    def test_columns_and_optional_marginal(self, tmp_path):
+        s0, s1, marg = load_scores(_write(tmp_path, "score_s1,score_s0\n0.25,0.5\n1,0\n"))
+        np.testing.assert_array_equal(s0, [0.5, 0.0])
+        np.testing.assert_array_equal(s1, [0.25, 1.0])
+        assert marg is None
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [("0.5,0.5\n7.5,0.5\n", DataValueError), ("0.5,0.5\n0.5,-0.1\n", DataValueError),
+         ("0.5,0.5\nnan,0.5\n", ParseError), ("0.5,0.5\n0.5,\n", ParseError)],
+        ids=["above_one", "below_zero", "nan", "empty_cell"],
+    )
+    def test_bad_score_names_row(self, tmp_path, body, error):
+        p = _write(tmp_path, "score_s0,score_s1\n" + body)
+        with pytest.raises(error, match="row 1"):
+            load_scores(p)
+
+    def test_blind_needs_marginal(self, tmp_path):
+        with pytest.raises(SchemaError, match="score_marginal"):
+            load_scores(_write(tmp_path, "score_s0,score_s1\n0.5,0.5\n"), need_marginal=True)
 
 
 class TestDatasetInvariants:

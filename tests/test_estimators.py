@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairthresh.data import LabeledDataset
-from fairthresh.errors import ConfigError
+from fairthresh.errors import ConfigError, SchemaError
 from fairthresh.estimators import (
     KnnConfig,
     LogisticConfig,
@@ -156,6 +156,15 @@ class TestScoreModel:
         back = ScoreModel.from_json(model.to_json())
         q = rng.normal(size=(10, 1))
         np.testing.assert_array_equal(back.score_group(q, 0), model.score_group(q, 0))
+
+    def test_rowwise_rejects_group_other_than_0_1(self):
+        rng = np.random.default_rng(9)
+        ds = LabeledDataset(rng.normal(size=(40, 1)), rng.integers(0, 2, 40), rng.integers(0, 2, 40))
+        model = fit_logistic(ds, LogisticConfig(l2_lambda=0.1))
+        with pytest.raises(SchemaError):
+            model.score_rowwise(ds.features[:3], [0, 2, 1])
+        with pytest.raises(SchemaError, match="feature columns"):
+            model.score_group(np.zeros((3, 2)), 0)
 
     def test_jitter_deterministic_and_bounded(self):
         rng = np.random.default_rng(8)
