@@ -14,12 +14,23 @@ and midpoints.
 
 The indicators are evaluated in breakpoint form (theta <= joint_1*(2 - 1/eta)
 for group 1, theta >= joint_0*(1/eta - 2) for group 0), which is the same
-inequality rearranged for eta > 0 and keeps boundary rows on the "predict 1"
-side exactly as the product form does.
+inequality rearranged for eta > 0 and keeps a row at its own breakpoint on the
+"predict 1" side.  In floating point the product form can round the other way
+within a few ulps of a breakpoint; the objective and the predictions both use
+the breakpoint form, so they agree exactly.
 
 The sensitive-blind variant decides 1 <= 2*eta_hat(x) + theta*d(x) with the
 direction d(x) = eta_hat(x,0)/E0 - eta_hat(x,1)/E1, where E_s are pooled means
 over the unlabeled sample; theta is unbounded there.
+
+Each mode has one objective object (_AwareObjective, _BlindObjective) that
+sorts the switch points once and exposes .breakpoints, .value(thetas) and
+.argmin() -> (theta, value); fit_theta, fit_theta_blind, empirical_unfairness,
+unfairness_curve and blind_unfairness are one-liners over them.  calibrate
+scores the calibration sample with the fitted estimator and calibrate_scores
+floors precomputed score columns; both hand the floored scores to the same
+per-mode core, so the two paths give the same theta_hat on the same scores,
+and the classifier carries the objective value at theta_hat.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from .estimators import (
 )
 
 THETA_BOUND = 2.0
+FORMAT_VERSION = 1  # of the model JSON written by FairClassifier.to_json
 
 
 @dataclass(frozen=True)
@@ -91,111 +103,73 @@ def _group0_breakpoints(scores0: np.ndarray, joint_0: float) -> np.ndarray:
     return joint_0 * (1.0 / scores0 - 2.0)
 
 
-class _AwareObjective:
-    """Piecewise-constant empirical unfairness, evaluated by sorted prefix sums.
+def _pick_candidate(objective, bps: np.ndarray, probes) -> tuple[float, float]:
+    """Exact argmin of a piecewise-constant objective and its value there.
 
-    Both groups accumulate their score sums in descending-score order, so two
-    groups carrying identical score multisets produce bitwise-identical group
-    terms and an exactly zero objective at theta = 0.
+    Candidates are the probes, every breakpoint and the midpoint of every
+    pair of consecutive breakpoints, which covers each constant piece.
     """
-
-    def __init__(self, scores1, scores0, stats: GroupStatistics):
-        scores1 = np.asarray(scores1, dtype=np.float64)
-        scores0 = np.asarray(scores0, dtype=np.float64)
-        if scores1.size == 0 or scores0.size == 0:
-            raise GroupCoverageError("both groups need at least one calibration row")
-        t1 = _group1_breakpoints(scores1, stats.joint[1])
-        t0 = _group0_breakpoints(scores0, stats.joint[0])
-        order1 = np.argsort(t1, kind="stable")
-        order0 = np.argsort(t0, kind="stable")
-        self.t1 = t1[order1]
-        self.t0 = t0[order0]
-        # descending-score accumulation for both groups
-        self.cum1 = np.cumsum(scores1[order1][::-1])
-        self.cum0 = np.cumsum(scores0[order0])
-        self.den1 = self.cum1[-1]
-        self.den0 = self.cum0[-1]
-
-    def tpr_pair(self, thetas):
-        thetas = np.asarray(thetas, dtype=np.float64)
-        m1 = self.t1.size - np.searchsorted(self.t1, thetas, side="left")
-        m0 = np.searchsorted(self.t0, thetas, side="right")
-        num1 = np.where(m1 > 0, self.cum1[np.maximum(m1 - 1, 0)], 0.0)
-        num0 = np.where(m0 > 0, self.cum0[np.maximum(m0 - 1, 0)], 0.0)
-        return num1 / self.den1, num0 / self.den0
-
-    def delta(self, thetas):
-        t1, t0 = self.tpr_pair(thetas)
-        return np.abs(t1 - t0)
-
-
-def empirical_unfairness(theta: float, scores1, scores0, stats: GroupStatistics) -> float:
-    """Score-weighted unfairness surrogate of the theta-thresholded classifier.
-
-    Any real theta is accepted; values outside [-2, 2] simply evaluate the
-    same formula.
-    """
-    obj = _AwareObjective(scores1, scores0, stats)
-    return float(obj.delta(np.asarray([theta]))[0])
-
-
-def unfairness_curve(thetas, scores1, scores0, stats: GroupStatistics) -> np.ndarray:
-    """empirical_unfairness evaluated on a whole array of theta values."""
-    obj = _AwareObjective(scores1, scores0, stats)
-    return obj.delta(np.asarray(thetas, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class BreakpointSet:
-    """Indicator switch points of the threshold family, restricted to [-2, 2].
-
-    entries holds (theta, group, row_index) sorted by theta; thetas is the
-    deduplicated sorted array used for candidate enumeration.
-    """
-
-    entries: tuple
-    thetas: np.ndarray
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def breakpoints(scores1, scores0, stats: GroupStatistics) -> BreakpointSet:
-    """Per-row switch points theta_i within [-2, 2], sorted ascending."""
-    scores1 = np.asarray(scores1, dtype=np.float64)
-    scores0 = np.asarray(scores0, dtype=np.float64)
-    t1 = _group1_breakpoints(scores1, stats.joint[1])
-    t0 = _group0_breakpoints(scores0, stats.joint[0])
-    entries = [
-        (float(t), 1, int(i)) for i, t in enumerate(t1) if -THETA_BOUND <= t <= THETA_BOUND
-    ] + [(float(t), 0, int(j)) for j, t in enumerate(t0) if -THETA_BOUND <= t <= THETA_BOUND]
-    entries.sort()
-    thetas = np.unique(np.asarray([e[0] for e in entries], dtype=np.float64))
-    return BreakpointSet(tuple(entries), thetas)
-
-
-def _pick_candidate(cands: np.ndarray, values: np.ndarray) -> float:
+    cands = np.concatenate([np.asarray(probes, dtype=np.float64), bps, 0.5 * (bps[:-1] + bps[1:])])
+    values = objective.value(cands)
     best = values.min()
     tied = cands[values == best]
     # least intervention first: smallest |theta|, then smaller theta
-    return float(tied[np.lexsort((tied, np.abs(tied)))[0]])
+    return float(tied[np.lexsort((tied, np.abs(tied)))[0]]), float(best)
 
 
-def fit_theta(scores1, scores0, stats: GroupStatistics) -> float:
-    """Exact minimizer of the empirical unfairness over theta in [-2, 2].
+class _AwareObjective:
+    """Piecewise-constant empirical unfairness, evaluated by sorted prefix sums.
 
-    Evaluates the piecewise-constant objective at every breakpoint, at the
-    midpoints of consecutive breakpoints, at 0 and at the interval ends, and
-    returns the minimizer; ties break toward the smallest |theta|, then the
-    smaller theta.
+    A switch point is monotone in its row's score (rising in group 1, falling
+    in group 0, also after rounding), so sorting the scores sorts the switch
+    points.  Both groups accumulate their score sums in descending-score
+    order, so two groups carrying identical score multisets produce
+    bitwise-identical group terms and an exactly zero objective at theta = 0.
     """
-    obj = _AwareObjective(scores1, scores0, stats)
-    bps = breakpoints(scores1, scores0, stats).thetas
-    cands = [np.asarray([-THETA_BOUND, 0.0, THETA_BOUND]), bps]
-    if bps.size > 1:
-        cands.append(0.5 * (bps[:-1] + bps[1:]))
-    cands = np.unique(np.concatenate(cands))
-    return _pick_candidate(cands, obj.delta(cands))
+
+    def __init__(self, scores1, scores0, stats: GroupStatistics):
+        desc1 = np.sort(np.asarray(scores1, dtype=np.float64))[::-1]
+        desc0 = np.sort(np.asarray(scores0, dtype=np.float64))[::-1]
+        if desc1.size == 0 or desc0.size == 0:
+            raise GroupCoverageError("both groups need at least one calibration row")
+        self.t1 = _group1_breakpoints(desc1[::-1], stats.joint[1])
+        self.t0 = _group0_breakpoints(desc0, stats.joint[0])
+        # cum[m] is the score sum of the m highest-scored rows of a group
+        self.cum1 = np.concatenate([[0.0], np.cumsum(desc1)])
+        self.cum0 = np.concatenate([[0.0], np.cumsum(desc0)])
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """Distinct switch points inside [-2, 2], ascending."""
+        t = np.concatenate([self.t1, self.t0])
+        return np.unique(t[(t >= -THETA_BOUND) & (t <= THETA_BOUND)])
+
+    def tpr_pair(self, thetas):
+        thetas = np.asarray(thetas, dtype=np.float64)
+        # active rows: group 1 with t1 >= theta, group 0 with t0 <= theta
+        m1 = self.t1.size - np.searchsorted(self.t1, thetas, side="left")
+        m0 = np.searchsorted(self.t0, thetas, side="right")
+        return self.cum1[m1] / self.cum1[-1], self.cum0[m0] / self.cum0[-1]
+
+    def value(self, thetas) -> np.ndarray:
+        t1, t0 = self.tpr_pair(thetas)
+        return np.abs(t1 - t0)
+
+    def argmin(self) -> tuple[float, float]:
+        """Exact minimizer over [-2, 2] (0 and both ends are candidates too)."""
+        return _pick_candidate(self, self.breakpoints, [-THETA_BOUND, 0.0, THETA_BOUND])
+
+
+def _blind_direction(marginal: np.ndarray, scores_s0: np.ndarray, scores_s1: np.ndarray, means):
+    """Direction d(x) and switch point (1 - 2 eta_hat(x)) / d(x) of every row.
+
+    A row with d = 0, or whose switch point is not finite, never switches: it
+    predicts 1 iff 1 <= 2 eta_hat(x) for every finite theta.
+    """
+    d = scores_s0 / means[0] - scores_s1 / means[1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bp = (1.0 - 2.0 * marginal) / d
+    return d, bp
 
 
 class _BlindObjective:
@@ -207,63 +181,106 @@ class _BlindObjective:
         s1 = np.asarray(scores_s1, dtype=np.float64)
         if not (m.shape == s0.shape == s1.shape):
             raise SchemaError("marginal and per-group score arrays must align")
-        e0, e1 = float(s0.mean()), float(s1.mean())
-        self.means = (e0, e1)
-        d = s0 / e0 - s1 / e1
+        self.means = (float(s0.mean()), float(s1.mean()))
+        d, bp = _blind_direction(m, s0, s1, self.means)
+        # w = -d / N up to rounding, so rows that never switch add nothing
         w = s1 / s1.sum() - s0 / s0.sum()
-        with np.errstate(divide="ignore", over="ignore"):
-            bp = (1.0 - 2.0 * m) / d
         finite = np.isfinite(bp)
         pos = (d > 0) & finite
         neg = (d < 0) & finite
         op = np.argsort(bp[pos], kind="stable")
         on = np.argsort(bp[neg], kind="stable")
         self.bp_pos = bp[pos][op]
-        self.cum_pos = np.cumsum(w[pos][op])
+        self.cum_pos = np.concatenate([[0.0], np.cumsum(w[pos][op])])
         self.bp_neg = bp[neg][on]
-        self.suf_neg = np.cumsum(w[neg][on][::-1])[::-1]
+        self.suf_neg = np.concatenate([np.cumsum(w[neg][on][::-1])[::-1], [0.0]])
 
     @property
     def breakpoints(self) -> np.ndarray:
         return np.unique(np.concatenate([self.bp_pos, self.bp_neg]))
 
-    def value(self, thetas):
+    def value(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=np.float64)
-        total = np.zeros(thetas.shape, dtype=np.float64)
-        if self.bp_pos.size:
-            mp = np.searchsorted(self.bp_pos, thetas, side="right")
-            total += np.where(mp > 0, self.cum_pos[np.maximum(mp - 1, 0)], 0.0)
-        if self.bp_neg.size:
-            idx = np.searchsorted(self.bp_neg, thetas, side="left")
-            total += np.where(
-                idx < self.bp_neg.size, self.suf_neg[np.minimum(idx, self.bp_neg.size - 1)], 0.0
-            )
-        return np.abs(total)
+        # active rows: d > 0 with bp <= theta, d < 0 with bp >= theta
+        mp = np.searchsorted(self.bp_pos, thetas, side="right")
+        mn = np.searchsorted(self.bp_neg, thetas, side="left")
+        return np.abs(self.cum_pos[mp] + self.suf_neg[mn])
+
+    def argmin(self) -> tuple[float, float]:
+        """Exact minimizer over the real line; probes one unit past both extreme breakpoints."""
+        bps = self.breakpoints
+        probes = [0.0, bps[0] - 1.0, bps[-1] + 1.0] if bps.size else [0.0]
+        return _pick_candidate(self, bps, probes)
+
+
+def empirical_unfairness(theta: float, scores1, scores0, stats: GroupStatistics) -> float:
+    """Score-weighted unfairness surrogate of the theta-thresholded classifier.
+
+    Any real theta is accepted; values outside [-2, 2] simply evaluate the
+    same formula.
+    """
+    return float(_AwareObjective(scores1, scores0, stats).value([theta])[0])
+
+
+def unfairness_curve(thetas, scores1, scores0, stats: GroupStatistics) -> np.ndarray:
+    """empirical_unfairness evaluated on a whole array of theta values."""
+    return _AwareObjective(scores1, scores0, stats).value(thetas)
+
+
+def fit_theta(scores1, scores0, stats: GroupStatistics) -> float:
+    """Exact minimizer of the empirical unfairness over theta in [-2, 2].
+
+    Ties break toward the smallest |theta|, then the smaller theta.
+    """
+    return _AwareObjective(scores1, scores0, stats).argmin()[0]
 
 
 def blind_unfairness(theta: float, marginal, scores_s0, scores_s1) -> float:
     """Blind-mode unfairness surrogate at a given theta (pooled expectations)."""
-    obj = _BlindObjective(marginal, scores_s0, scores_s1)
-    return float(obj.value(np.asarray([theta]))[0])
+    return float(_BlindObjective(marginal, scores_s0, scores_s1).value([theta])[0])
 
 
 def fit_theta_blind(marginal, scores_s0, scores_s1) -> float:
     """Exact minimizer of the blind unfairness surrogate; theta is unbounded.
 
-    Rows whose direction is exactly zero never switch and are decided by
-    1 <= 2*eta_hat(x) alone.  Candidates are every finite breakpoint, the
-    midpoints between consecutive ones, probes past both extremes, and 0.
+    Ties break toward the smallest |theta|, then the smaller theta.
     """
-    obj = _BlindObjective(marginal, scores_s0, scores_s1)
-    bps = obj.breakpoints
-    cands = [np.asarray([0.0])]
-    if bps.size:
-        cands.append(bps)
-        cands.append(np.asarray([bps[0] - 1.0, bps[-1] + 1.0]))
-        if bps.size > 1:
-            cands.append(0.5 * (bps[:-1] + bps[1:]))
-    cands = np.unique(np.concatenate(cands))
-    return _pick_candidate(cands, obj.value(cands))
+    return _BlindObjective(marginal, scores_s0, scores_s1).argmin()[0]
+
+
+@dataclass(frozen=True, eq=False)
+class BreakpointSet:
+    """Indicator switch points of the threshold family, restricted to [-2, 2].
+
+    Entry k is the switch point theta[k] of row row[k] of group group[k];
+    entries are sorted by (theta, group, row).
+    """
+
+    theta: np.ndarray
+    group: np.ndarray
+    row: np.ndarray
+
+    def __len__(self):
+        return self.theta.size
+
+    @property
+    def thetas(self) -> np.ndarray:
+        """Distinct switch points, ascending: the breakpoints the argmin enumerates."""
+        return np.unique(self.theta)
+
+
+def breakpoints(scores1, scores0, stats: GroupStatistics) -> BreakpointSet:
+    """Per-row switch points theta_i within [-2, 2], sorted ascending."""
+    scores1 = np.asarray(scores1, dtype=np.float64)
+    scores0 = np.asarray(scores0, dtype=np.float64)
+    theta = np.concatenate(
+        [_group1_breakpoints(scores1, stats.joint[1]), _group0_breakpoints(scores0, stats.joint[0])]
+    )
+    group = np.repeat([1, 0], [scores1.size, scores0.size])
+    row = np.concatenate([np.arange(scores1.size), np.arange(scores0.size)])
+    keep = np.flatnonzero((theta >= -THETA_BOUND) & (theta <= THETA_BOUND))
+    order = keep[np.lexsort((row[keep], group[keep], theta[keep]))]
+    return BreakpointSet(theta[order], group[order], row[order])
 
 
 def _aware_decisions(scores, sensitive, stats: GroupStatistics, theta: float) -> np.ndarray:
@@ -279,19 +296,10 @@ def _aware_decisions(scores, sensitive, stats: GroupStatistics, theta: float) ->
 
 def _blind_decisions(marginal, scores_s0, scores_s1, means, theta: float) -> np.ndarray:
     m = np.asarray(marginal, dtype=np.float64)
-    s0 = np.asarray(scores_s0, dtype=np.float64)
-    s1 = np.asarray(scores_s1, dtype=np.float64)
-    d = s0 / means[0] - s1 / means[1]
-    out = np.empty(m.shape[0], dtype=np.int64)
-    zero = d == 0.0
-    out[zero] = 1.0 <= 2.0 * m[zero]
-    with np.errstate(divide="ignore", over="ignore"):
-        bp = (1.0 - 2.0 * m) / d
-    pos = (d > 0) & ~zero
-    neg = (d < 0) & ~zero
-    out[pos] = theta >= bp[pos]
-    out[neg] = theta <= bp[neg]
-    return out
+    d, bp = _blind_direction(
+        m, np.asarray(scores_s0, dtype=np.float64), np.asarray(scores_s1, dtype=np.float64), means
+    )
+    return np.select([d > 0, d < 0], [theta >= bp, theta <= bp], 1.0 <= 2.0 * m).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -300,7 +308,8 @@ class FairClassifier:
 
     mode "aware" predicts from (x, s) and guarantees |theta_hat| <= 2; mode
     "blind" predicts from x alone (stats is None there, blind_means caches the
-    pooled means used in the direction term).
+    pooled means used in the direction term).  unfairness_hat is the
+    calibration objective at theta_hat (None when not recorded).
     """
 
     model: ScoreModel | None
@@ -308,6 +317,7 @@ class FairClassifier:
     stats: GroupStatistics | None
     mode: str
     blind_means: tuple[float, float] | None = None
+    unfairness_hat: float | None = None
 
     def predict(self, X, S=None) -> np.ndarray:
         """Binary predictions for feature rows (S required in aware mode)."""
@@ -351,8 +361,10 @@ class FairClassifier:
 
     def to_json(self) -> dict:
         return {
+            "format_version": FORMAT_VERSION,
             "mode": self.mode,
             "theta_hat": self.theta_hat,
+            "unfairness_hat": self.unfairness_hat,
             "stats": self.stats.to_json() if self.stats is not None else None,
             "blind_means": list(self.blind_means) if self.blind_means is not None else None,
             "model": self.model.to_json() if self.model is not None else None,
@@ -360,7 +372,15 @@ class FairClassifier:
 
     @staticmethod
     def from_json(obj: dict) -> "FairClassifier":
-        """Inverse of to_json; SchemaError when mode, theta_hat or the statistics are invalid."""
+        """Inverse of to_json; SchemaError when the version, mode, theta_hat or the statistics are invalid.
+
+        A file without format_version is read as version 1.
+        """
+        if not isinstance(obj, dict):
+            raise SchemaError(f"a model is a JSON object, got {type(obj).__name__}")
+        version = obj.get("format_version", FORMAT_VERSION)
+        if version != FORMAT_VERSION or isinstance(version, bool):
+            raise SchemaError(f"unsupported model format_version {version!r}, expected {FORMAT_VERSION}")
         mode, theta = obj["mode"], float(obj["theta_hat"])
         if mode not in ("aware", "blind"):
             raise SchemaError(f"model mode must be 'aware' or 'blind', got {mode!r}")
@@ -372,13 +392,36 @@ class FairClassifier:
             raise SchemaError("aware model needs stats")
         if mode == "blind" and (means is None or len(means) != 2):
             raise SchemaError("blind model needs two blind_means")
+        unfairness = obj.get("unfairness_hat")
         return FairClassifier(
             model=ScoreModel.from_json(obj["model"]) if obj.get("model") else None,
             theta_hat=theta,
             stats=stats,
             mode=mode,
             blind_means=means,
+            unfairness_hat=None if unfairness is None else float(unfairness),
         )
+
+
+def _calibrate_aware(model: ScoreModel, scores: np.ndarray, sensitive: np.ndarray) -> FairClassifier:
+    """Aware calibration core: floored row scores eta_hat(x_i, s_i) and S to a classifier."""
+    stats = group_statistics(scores, sensitive)
+    theta, value = _AwareObjective(scores[sensitive == 1], scores[sensitive == 0], stats).argmin()
+    return FairClassifier(model=model, theta_hat=theta, stats=stats, mode="aware", unfairness_hat=value)
+
+
+def _calibrate_blind(model: ScoreModel, marginal, scores_s0, scores_s1) -> FairClassifier:
+    """Blind calibration core: floored marginal and per-group scores to a classifier."""
+    objective = _BlindObjective(marginal, scores_s0, scores_s1)
+    theta, value = objective.argmin()
+    return FairClassifier(
+        model=model,
+        theta_hat=theta,
+        stats=None,
+        mode="blind",
+        blind_means=objective.means,
+        unfairness_hat=value,
+    )
 
 
 def _fit_estimator(train: LabeledDataset, estimator, mode: str, jitter: float) -> ScoreModel:
@@ -410,55 +453,28 @@ def calibrate(
     """
     if mode not in ("aware", "blind"):
         raise ConfigError(f"mode must be 'aware' or 'blind', got {mode!r}")
-    model = _fit_estimator(train, estimator, mode, jitter_amplitude)
-    if unlabeled is None:
-        X_u, S_u = train.features, train.sensitive
-    else:
-        X_u, S_u = unlabeled.features, unlabeled.sensitive
-    model = model.with_floor(floor_value(train.n, X_u.shape[0]))
-
+    cal = train if unlabeled is None else unlabeled
+    X_u, S_u = cal.features, cal.sensitive
+    if mode == "aware" and S_u is None:
+        raise SchemaError("group-aware calibration needs a sensitive column in the unlabeled sample")
+    model = _fit_estimator(train, estimator, mode, jitter_amplitude).with_floor(floor_value(X_u.shape[0]))
     if mode == "aware":
-        if S_u is None:
-            raise SchemaError("group-aware calibration needs a sensitive column in the unlabeled sample")
-        scores = model.score_rowwise(X_u, S_u)
-        stats = group_statistics(scores, S_u)
-        theta = fit_theta(scores[S_u == 1], scores[S_u == 0], stats)
-        return FairClassifier(model=model, theta_hat=theta, stats=stats, mode="aware")
-
-    s0 = model.score_group(X_u, 0)
-    s1 = model.score_group(X_u, 1)
-    marginal = model.score_marginal(X_u)
-    theta = fit_theta_blind(marginal, s0, s1)
-    return FairClassifier(
-        model=model,
-        theta_hat=theta,
-        stats=None,
-        mode="blind",
-        blind_means=(float(s0.mean()), float(s1.mean())),
-    )
+        return _calibrate_aware(model, model.score_rowwise(X_u, S_u), S_u)
+    return _calibrate_blind(model, model.score_marginal(X_u), model.score_group(X_u, 0), model.score_group(X_u, 1))
 
 
-def calibrate_scores(
-    scores_s0,
-    scores_s1,
-    sensitive=None,
-    marginal=None,
-    mode: str = "aware",
-    n_labeled: int | None = None,
-) -> FairClassifier:
+def calibrate_scores(scores_s0, scores_s1, sensitive=None, marginal=None, mode: str = "aware") -> FairClassifier:
     """Calibrate from precomputed score columns instead of a fitted estimator.
 
     Scores must be row-aligned with the calibration sample; they are floored
-    with c computed from (n_labeled, N) where N is the number of rows.
+    with c = floor_value(N), N the number of rows.
     """
     s0 = np.asarray(scores_s0, dtype=np.float64)
     s1 = np.asarray(scores_s1, dtype=np.float64)
     if s0.shape != s1.shape:
         raise SchemaError("score columns must have equal length")
     N = s0.shape[0]
-    c = floor_value(n_labeled if n_labeled is not None else N, N)
-    s0 = np.maximum(s0, c)
-    s1 = np.maximum(s1, c)
+    c = floor_value(N)
     model = external_score_model(floor=c, mode=mode)
 
     if mode == "aware":
@@ -467,21 +483,11 @@ def calibrate_scores(
         sensitive = np.asarray(sensitive)
         if sensitive.shape[0] != N:
             raise SchemaError(f"scores ({N} rows) and sensitive ({sensitive.shape[0]} rows) misaligned")
-        rowwise = np.where(sensitive == 1, s1, s0)
-        stats = group_statistics(rowwise, sensitive)
-        theta = fit_theta(rowwise[sensitive == 1], rowwise[sensitive == 0], stats)
-        return FairClassifier(model=model, theta_hat=theta, stats=stats, mode="aware")
+        return _calibrate_aware(model, np.maximum(np.where(sensitive == 1, s1, s0), c), sensitive)
 
     if marginal is None:
         raise SchemaError("blind calibration needs a marginal score column")
-    m = np.maximum(np.asarray(marginal, dtype=np.float64), c)
+    m = np.asarray(marginal, dtype=np.float64)
     if m.shape[0] != N:
         raise SchemaError("marginal scores misaligned with per-group scores")
-    theta = fit_theta_blind(m, s0, s1)
-    return FairClassifier(
-        model=model,
-        theta_hat=theta,
-        stats=None,
-        mode="blind",
-        blind_means=(float(s0.mean()), float(s1.mean())),
-    )
+    return _calibrate_blind(model, np.maximum(m, c), np.maximum(s0, c), np.maximum(s1, c))

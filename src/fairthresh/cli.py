@@ -5,10 +5,11 @@ consistency.  Every command is deterministic given its flags and seed,
 prints an aligned human-readable summary to stdout, and writes machine
 output (JSON, or CSV for tabular results) to the requested paths.
 
-Input CSV files are read only through ``fairthresh.data`` (``load_csv`` for
+Input files are read only through ``fairthresh.data`` (``load_csv`` for
 labeled data, ``load_features`` for calibration and prediction files, which
-drop the label column, and ``load_scores`` for score files), so every input
-obeys the same rules; this module parses no input file itself.
+drop the label column, ``load_scores`` for score files and ``read_text`` for
+model and config JSON), so every input obeys the same rules and a missing or
+unreadable file ends in exit code 2; this module opens no input file itself.
 
 Exit codes: 0 ok, 2 schema error, 3 group-coverage error, 4 numeric error,
 5 config error.
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import benchmark as bench
 from . import calibration, estimators, metrics, oracle
-from .data import UnlabeledDataset, load_csv, load_features, load_scores
+from .data import UnlabeledDataset, load_csv, load_features, load_scores, read_text
 from .errors import ConfigError, FairthreshError, SchemaError
 
 
@@ -65,29 +66,17 @@ def cmd_calibrate(args) -> int:
     train = load_csv(args.train, args.sensitive_col, args.label_col)
     unlabeled = None
     if args.unlabeled:
-        unlabeled = UnlabeledDataset(*load_features(args.unlabeled, args.sensitive_col, args.label_col))
-        if args.mode == "aware" and unlabeled.sensitive is None:
+        X, S = load_features(args.unlabeled, args.sensitive_col, args.label_col)
+        if args.mode == "aware" and S is None:
             raise SchemaError(f"{args.unlabeled}: group-aware calibration needs column {args.sensitive_col!r}")
+        # blind calibration never reads S, so its group sizes are not checked
+        unlabeled = UnlabeledDataset(X, S if args.mode == "aware" else None)
 
     if args.scores:
-        cal_n = unlabeled.n if unlabeled is not None else train.n
+        cal = unlabeled if unlabeled is not None else train
         s0, s1, marg = load_scores(args.scores, need_marginal=args.mode == "blind")
-        _aligned(args.scores, len(s0), cal_n)
-        sens = unlabeled.sensitive if unlabeled is not None else train.sensitive
-        clf = calibration.calibrate_scores(
-            s0, s1, sensitive=sens, marginal=marg, mode=args.mode, n_labeled=train.n
-        )
-        if args.mode == "aware":
-            c = clf.model.floor
-            rowwise = np.where(sens == 1, np.maximum(s1, c), np.maximum(s0, c))
-            unfairness = calibration.empirical_unfairness(
-                clf.theta_hat, rowwise[sens == 1], rowwise[sens == 0], clf.stats
-            )
-        else:
-            c = clf.model.floor
-            unfairness = calibration.blind_unfairness(
-                clf.theta_hat, np.maximum(marg, c), np.maximum(s0, c), np.maximum(s1, c)
-            )
+        _aligned(args.scores, len(s0), cal.n)
+        clf = calibration.calibrate_scores(s0, s1, sensitive=cal.sensitive, marginal=marg, mode=args.mode)
     else:
         est = (
             estimators.KnnConfig(k=args.knn_k)
@@ -97,26 +86,12 @@ def cmd_calibrate(args) -> int:
         clf = calibration.calibrate(
             train, unlabeled, estimator=est, mode=args.mode, jitter_amplitude=args.jitter
         )
-        X_u = unlabeled.features if unlabeled is not None else train.features
-        S_u = unlabeled.sensitive if unlabeled is not None else train.sensitive
-        if args.mode == "aware":
-            sc = clf.model.score_rowwise(X_u, S_u)
-            unfairness = calibration.empirical_unfairness(
-                clf.theta_hat, sc[S_u == 1], sc[S_u == 0], clf.stats
-            )
-        else:
-            unfairness = calibration.blind_unfairness(
-                clf.theta_hat,
-                clf.model.score_marginal(X_u),
-                clf.model.score_group(X_u, 0),
-                clf.model.score_group(X_u, 1),
-            )
 
     if args.out:
         _write_json(args.out, clf.to_json())
     print(f"mode            {clf.mode}")
     print(f"theta_hat       {clf.theta_hat:.10g}")
-    print(f"unfairness_hat  {unfairness:.10g}")
+    print(f"unfairness_hat  {clf.unfairness_hat:.10g}")
     if clf.stats is not None:
         print(f"joint           s0={clf.stats.joint[0]:.6g} s1={clf.stats.joint[1]:.6g}")
     if clf.model is not None and not clf.model.converged:
@@ -127,10 +102,10 @@ def cmd_calibrate(args) -> int:
 
 
 def _load_model(path) -> calibration.FairClassifier:
+    text = read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return calibration.FairClassifier.from_json(json.load(fh))
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        return calibration.FairClassifier.from_json(json.loads(text))
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON decoding
         raise SchemaError(f"{path}: not a valid model file: {exc}") from exc
 
 
@@ -178,8 +153,7 @@ def _benchmark_config(args) -> bench.BenchmarkConfig:
     fields = {}
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                fields = json.load(fh)
+            fields = json.loads(read_text(args.config))
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{args.config}: not valid JSON: {exc}") from exc
     overrides = {

@@ -2,12 +2,13 @@
 
 Every input CSV (datasets, calibration and prediction files, score files) is
 parsed by one routine, ``_read_table``: UTF-8, a mandatory header row, ``,``
-as separator and ``.`` as decimal separator, no quoting in data rows.  Each
-data row has one cell per header name and each cell is a real number; the
-sensitive and label columns hold 0/1, score columns lie in [0, 1] and every
-other cell is finite.  Any violation raises a SchemaError subclass naming the
-file and the 0-based data row.  The label column is never a feature, and
-missing values are rejected rather than imputed.
+as separator and ``.`` as decimal separator, no quoting in data rows.  Header
+names are non-blank and distinct, each data row has one cell per header name
+and each cell is a real number; the sensitive and label columns hold 0/1,
+score columns lie in [0, 1] and every other cell is finite.  Any violation
+raises a SchemaError subclass naming the file and the 0-based data row.  The
+label column is never a feature, and missing values are rejected rather than
+imputed.
 """
 
 from __future__ import annotations
@@ -131,6 +132,21 @@ class UnlabeledDataset:
 SCORE_COLUMNS = ("score_s0", "score_s1", "score_marginal")
 
 
+def read_text(path) -> str:
+    """Whole text of a UTF-8 input file (CSV or JSON); the one place input files are opened.
+
+    A file that cannot be opened or read raises SchemaError, one that is not
+    UTF-8 raises ParseError.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read the file: {exc.strerror or exc}") from None
+
+
 def _first_bad_cell(path, header, body, binary) -> None:
     """Raise for the first row of body that is ragged or holds an unparseable cell."""
     for r, line in enumerate(body):
@@ -153,17 +169,15 @@ def _read_table(path, binary=(), unit=()):
     unit must lie in [0, 1], all others must be finite.  Errors name the file
     and the 0-based data row.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    lines = read_text(path).splitlines()
     try:
         header = [h.strip() for h in next(csv.reader(lines[:1]), [])]
     except csv.Error as exc:
         raise SchemaError(f"{path}: unreadable header row: {exc}") from None
     if not header:
         raise SchemaError(f"{path}: empty file, header row required")
+    if "" in header or len(set(header)) < len(header):
+        raise SchemaError(f"{path}: header names must be non-blank and distinct, got {header}")
     body = lines[1:]
     if not body:
         raise SchemaError(f"{path}: no data rows")

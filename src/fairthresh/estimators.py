@@ -25,16 +25,16 @@ FLOOR_MIN = 1e-6
 FLOOR_MAX = 0.49
 
 
-def floor_value(n: int, N: int) -> float:
-    """Score floor c = N^(-1/4), clipped to [1e-6, 0.49]."""
+def floor_value(N: int) -> float:
+    """Score floor c = N^(-1/4) for N calibration rows, clipped to [1e-6, 0.49]."""
     if N < 1:
         raise ConfigError(f"unlabeled sample size must be >= 1, got {N}")
     return float(min(max(N ** -0.25, FLOOR_MIN), FLOOR_MAX))
 
 
-def apply_floor(raw_score, n: int, N: int):
-    """Clamp raw scores from below by the floor for sample sizes (n, N)."""
-    return np.maximum(raw_score, floor_value(n, N))
+def apply_floor(raw_score, N: int):
+    """Clamp raw scores from below by the floor for N calibration rows."""
+    return np.maximum(raw_score, floor_value(N))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import FairClassifier, GroupStatistics, calibrate, calibrate_scores
-from .data import LabeledDataset, UnlabeledDataset
+from .data import LabeledDataset, UnlabeledDataset, read_text
 from .errors import ConfigError, NumericError, SchemaError
 from .metrics import deo as deo_report
 
@@ -62,21 +62,6 @@ class GroupSpec:
         """Smallest u with eta(u) >= t, clipped to [0, 1]."""
         return np.interp(t, self.knot_eta, self.knot_u)
 
-    def integral_eta(self, a: float, b: float) -> float:
-        """Closed-form integral of eta over [a, b] (exact for piecewise-linear)."""
-        a = min(max(a, 0.0), 1.0)
-        b = min(max(b, 0.0), 1.0)
-        if b <= a:
-            return 0.0
-        u, e = self.knot_u, self.knot_eta
-        total = 0.0
-        for k in range(len(u) - 1):
-            lo = max(a, u[k])
-            hi = min(b, u[k + 1])
-            if hi > lo:
-                total += (hi - lo) * 0.5 * (float(self.eta(lo)) + float(self.eta(hi)))
-        return total
-
     def suffix_integral(self, u) -> np.ndarray:
         """Vectorized closed-form integral of eta over [u, 1]."""
         u_arr = np.clip(np.asarray(u, dtype=np.float64), 0.0, 1.0)
@@ -88,7 +73,7 @@ class GroupSpec:
         return tail[k + 1] + (ku[k + 1] - u_arr) * 0.5 * (eta_u + ke[k + 1])
 
     def mean_eta(self) -> float:
-        return self.integral_eta(0.0, 1.0)
+        return float(self.suffix_integral(0.0))
 
     def to_json(self) -> dict:
         return {"location": self.location, "scale": self.scale, "knots": [list(k) for k in self.knots]}
@@ -131,11 +116,10 @@ class SyntheticDistribution:
 
 
 def load_distribution(path) -> SyntheticDistribution:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     return SyntheticDistribution.from_json(obj)
 
 
@@ -225,7 +209,7 @@ def risk_of_threshold_rule(dist: SyntheticDistribution, region_starts) -> float:
     total = 0.0
     for s, g in enumerate(dist.groups):
         u = min(max(region_starts[s], 0.0), 1.0)
-        gain = 2.0 * g.integral_eta(u, 1.0) - (1.0 - u)
+        gain = 2.0 * float(g.suffix_integral(u)) - (1.0 - u)
         total += dist.pi[s] * (g.mean_eta() - gain)
     return total
 
@@ -279,7 +263,7 @@ def solve_theta_star(
     theta = 0.5 * (lo + hi)
     means, joints = _closed_form_joints(dist)
     regions = _region_starts(dist, theta, means, joints)
-    tpr1 = dist.groups[1].integral_eta(regions[1], 1.0) / means[1]
+    tpr1 = float(dist.groups[1].suffix_integral(regions[1])) / means[1]
     return OracleSolution(
         theta_star=theta,
         joint=joints,
@@ -404,13 +388,11 @@ def consistency_run(
                 unl = sample(dist, N, base + [1])
                 test = sample(dist, test_size, base + [2])
                 if estimator == "exact":
-                    scores = exact_scores(dist, unl.features, unl.sensitive)
                     clf = calibrate_scores(
                         scores_s0=exact_group_scores(dist, unl.features, 0),
                         scores_s1=exact_group_scores(dist, unl.features, 1),
                         sensitive=unl.sensitive,
                         mode="aware",
-                        n_labeled=N,
                     )
                     pred = clf.predict_from_scores(
                         scores_s0=exact_group_scores(dist, test.features, 0),

@@ -57,7 +57,7 @@ def random_calibration_instance(rng, max_n=10_000):
     S = rng.integers(0, 2, n)
     while S.sum() in (0, n):
         S = rng.integers(0, 2, n)
-    c = floor_value(n, n)
+    c = floor_value(n)
     scores = np.maximum(rng.beta(rng.uniform(0.5, 3), rng.uniform(0.5, 3), n), c)
     stats = group_statistics(scores, S)
     return scores[S == 1], scores[S == 0], stats
@@ -261,7 +261,6 @@ def test_criterion_11_blind_mode():
             exact_group_scores(BLIND_DIST, unl.features, 1),
             marginal=exact_marginal_scores(BLIND_DIST, unl.features),
             mode="blind",
-            n_labeled=unl.n,
         )
         test = sample(BLIND_DIST, 20_000, [110, seed, 2])
         t0 = exact_group_scores(BLIND_DIST, test.features, 0)

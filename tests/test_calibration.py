@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from fairthresh.calibration import (
     FairClassifier,
@@ -15,7 +17,7 @@ from fairthresh.calibration import (
 )
 from fairthresh.data import LabeledDataset, UnlabeledDataset
 from fairthresh.errors import GroupCoverageError, SchemaError
-from fairthresh.estimators import KnnConfig, LogisticConfig
+from fairthresh.estimators import KnnConfig, LogisticConfig, floor_value
 
 
 def brute_unfairness(theta, scores1, scores0, stats):
@@ -108,19 +110,19 @@ class TestBreakpoints:
         st = group_statistics(FOUR_ROW_SCORES, FOUR_ROW_S)
         bset = breakpoints(FOUR_ROW_SCORES[:2], FOUR_ROW_SCORES[2:], st)
         expected = 0.275 * (2.0 - 1.0 / 0.9)
-        assert any(t == pytest.approx(expected, abs=1e-15) and g == 1 for t, g, _ in bset.entries)
+        assert any(t == pytest.approx(expected, abs=1e-15) and g == 1 for t, g in zip(bset.theta, bset.group))
 
     def test_half_score_switches_at_zero(self):
         st = GroupStatistics(p=(0.5, 0.5), mean_score=(0.6, 0.5), joint=(0.3, 0.25))
         bset = breakpoints(np.array([0.7]), np.array([0.5]), st)
-        assert any(t == 0.0 and g == 0 for t, g, _ in bset.entries)
+        assert any(t == 0.0 and g == 0 for t, g in zip(bset.theta, bset.group))
 
     def test_out_of_range_dropped(self):
         # score at the floor can push the switch point below -2
         st = group_statistics(FOUR_ROW_SCORES, FOUR_ROW_S)
         bset = breakpoints(np.array([0.1, 0.9]), FOUR_ROW_SCORES[2:], st)
         assert 0.275 * (2.0 - 1.0 / 0.1) == -2.2  # would-be entry
-        assert all(-2.0 <= t <= 2.0 for t, _, _ in bset.entries)
+        assert all(-2.0 <= t <= 2.0 for t in bset.theta)
 
     def test_piecewise_constancy_between_breakpoints(self):
         rng = np.random.default_rng(2)
@@ -290,7 +292,6 @@ class TestCalibrate:
             model.score_group(train.features, 0),
             model.score_group(train.features, 1),
             sensitive=train.sensitive,
-            n_labeled=train.n,
         )
         assert ext.theta_hat == fitted.theta_hat
 
@@ -309,8 +310,13 @@ class TestCalibrate:
             ("theta_hat", float("inf")),
             ("stats", {"p": [0.5], "mean_score": [0.5, 0.5], "joint": [0.25, 0.25]}),
             ("stats", None),
+            ("format_version", 2),
+            ("format_version", "1"),
         ],
-        ids=["mode_weird", "theta_nan", "theta_inf", "one_element_p", "aware_without_stats"],
+        ids=[
+            "mode_weird", "theta_nan", "theta_inf", "one_element_p", "aware_without_stats",
+            "format_version_2", "format_version_string",
+        ],
     )
     def test_from_json_rejects_invalid_fields(self, train, field, value):
         obj = calibrate(train, estimator=LogisticConfig(l2_lambda=1e-3)).to_json()
@@ -323,3 +329,74 @@ class TestCalibrate:
         obj["blind_means"] = [0.5]
         with pytest.raises(SchemaError):
             FairClassifier.from_json(obj)
+
+    def test_model_without_format_version_reads_as_version_1(self, train):
+        clf = calibrate(train, estimator=LogisticConfig(l2_lambda=1e-3))
+        obj = clf.to_json()
+        assert obj["format_version"] == 1
+        del obj["format_version"]
+        back = FairClassifier.from_json(obj)
+        assert (back.theta_hat, back.unfairness_hat) == (clf.theta_hat, clf.unfairness_hat)
+
+
+# --- property tests of the objective ------------------------------------------
+
+
+@hst.composite
+def floored_scores(draw):
+    """Floored row scores and groups, with ties, values at the floor and values of exactly 0.5.
+
+    Distinct scores lie at least (1 - c) / 1000 apart: the product form
+    rounds differently from the breakpoint form, so it cannot resolve the
+    pieces between switch points a few ulps apart.
+    """
+    n = draw(hst.integers(2, 40))
+    c = floor_value(n)
+    value = hst.sampled_from([c, 0.5, 1.0]) | hst.integers(1, 999).map(lambda k: c + (1.0 - c) * k / 1000)
+    pool = draw(hst.lists(value, min_size=1, max_size=5))
+    scores = np.array(draw(hst.lists(hst.sampled_from(pool), min_size=n, max_size=n)))
+    S = np.array(draw(hst.lists(hst.integers(0, 1), min_size=n, max_size=n)))
+    S[:2] = (0, 1)
+    return scores, S
+
+
+@settings(max_examples=200, deadline=None)
+@given(floored_scores())
+def test_argmin_is_product_form_minimum_over_breakpoints(case):
+    from fairthresh.calibration import _AwareObjective
+
+    scores, S = case
+    stats = group_statistics(scores, S)
+    s1, s0 = scores[S == 1], scores[S == 0]
+    theta, value = _AwareObjective(s1, s0, stats).argmin()
+    bps = breakpoints(s1, s0, stats).thetas
+    cands = np.concatenate([[-2.0, 0.0, 2.0], bps, 0.5 * (bps[:-1] + bps[1:])])
+    assert value == pytest.approx(min(brute_unfairness(t, s1, s0, stats) for t in cands), abs=1e-12)
+    assert value == empirical_unfairness(theta, s1, s0, stats)
+
+
+@hst.composite
+def knn_training_sets(draw):
+    """Small labeled samples with tied features; even k makes scores of exactly 0.5."""
+    n = draw(hst.integers(8, 30))
+    x = draw(hst.lists(hst.sampled_from([0.0, 0.5, 1.0]) | hst.floats(-2.0, 2.0), min_size=n, max_size=n))
+    S = np.array(draw(hst.lists(hst.integers(0, 1), min_size=n, max_size=n)))
+    S[:8] = (0, 1) * 4
+    Y = draw(hst.lists(hst.integers(0, 1), min_size=n, max_size=n))
+    return LabeledDataset(np.array(x)[:, None], S, Y), draw(hst.sampled_from([1, 2, 4]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(knn_training_sets(), hst.sampled_from(["aware", "blind"]))
+def test_unfairness_hat_is_the_objective_at_theta_hat(case, mode):
+    train, k = case
+    clf = calibrate(train, estimator=KnnConfig(k=k), mode=mode)
+    model, X, S = clf.model, train.features, train.sensitive
+    if mode == "aware":
+        sc = model.score_rowwise(X, S)
+        expected = empirical_unfairness(clf.theta_hat, sc[S == 1], sc[S == 0], clf.stats)
+    else:
+        expected = blind_unfairness(
+            clf.theta_hat, model.score_marginal(X), model.score_group(X, 0), model.score_group(X, 1)
+        )
+    assert clf.unfairness_hat == expected

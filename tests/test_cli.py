@@ -65,6 +65,17 @@ class TestCalibrate:
         assert code == 0
         assert json.load(open(out))["stats"] is None
 
+    def test_blind_ignores_sensitive_group_sizes(self, tmp_path, train_csv):
+        # one S=1 row: too few for aware calibration, and blind calibration never reads S
+        unl = _write(tmp_path / "unl.csv", "x1,S\n" + "".join(f"0.{i},{int(i == 0)}\n" for i in range(10)))
+        assert main(["calibrate", "--train", train_csv, "--unlabeled", unl, "--mode", "blind"]) == 0
+        assert main(["calibrate", "--train", train_csv, "--unlabeled", unl]) == 3
+
+    def test_model_records_format_version_and_unfairness_hat(self, tmp_path, train_csv, capsys):
+        model = json.load(open(_model(tmp_path, train_csv)))
+        assert model["format_version"] == 1
+        assert f"unfairness_hat  {model['unfairness_hat']:.10g}\n" in capsys.readouterr().out
+
     def test_group_coverage_exit_3(self, tmp_path, train_csv):
         unl = tmp_path / "unl.csv"
         unl.write_text("x1,S\n0.1,1\n0.2,1\n0.3,1\n0.4,0\n")  # group 0 has 1 row
@@ -262,6 +273,22 @@ def test_malformed_model_file_exit_2(tmp_path, train_csv, test_csv, path, value)
     assert main(["evaluate", "--model", bad, "--test", test_csv]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--train", "{missing}"],
+        ["predict", "--model", "{missing}", "--data", "{test}"],
+        ["benchmark", "--data", "{train}", "--config", "{missing}"],
+        ["consistency", "--dist", "{missing}"],
+    ],
+    ids=["csv", "model", "benchmark_config", "distribution"],
+)
+def test_missing_input_file_exit_2(tmp_path, train_csv, test_csv, capsys, argv):
+    paths = {"{missing}": str(tmp_path / "missing"), "{train}": train_csv, "{test}": test_csv}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # --- property test: malformed input always ends in a documented exit code ----
 
 ROWS = [[f"0.{i + 1}", str(i // 2 % 2), str(i % 2)] for i in range(8)]
@@ -289,6 +316,10 @@ def broken_csv(draw, header, rows, bad_cells, required, hows=CORRUPTIONS):
         del rows[r]
     elif how == "rename":
         header = [h + "_" if h == required else h for h in header]
+    elif how in ("duplicate_name", "blank_name"):
+        # one more column, named like an existing one or not named at all
+        header = header + [draw(st.sampled_from(header)) if how == "duplicate_name" else ""]
+        rows = [row + ["0"] for row in rows]
     lines = [",".join(header)] + [",".join(row) for row in rows]
     if how == "blank_line":
         lines.insert(r + 1, "")
@@ -302,8 +333,10 @@ JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=5), s
 def broken_model(draw, base):
     """Model JSON text made malformed by one drawn corruption of a valid aware model."""
     model = json.loads(json.dumps(base))
-    how = draw(st.sampled_from(["mode", "theta", "stats", "vector", "model", "weights", "drop", "whole"]))
-    if how == "mode":
+    how = draw(st.sampled_from(["version", "mode", "theta", "stats", "vector", "model", "weights", "drop", "whole"]))
+    if how == "version":
+        model["format_version"] = draw(JUNK.filter(lambda v: v != 1 or isinstance(v, bool)))
+    elif how == "mode":
         model["mode"] = draw(JUNK.filter(lambda v: v not in ("aware", "blind")))
     elif how == "theta":
         model["theta_hat"] = draw(st.sampled_from(["abc", "1e999", None, [1], {"a": 1}, float("nan"), float("inf")]))
@@ -336,7 +369,10 @@ def property_inputs(tmp_path_factory, train_csv):
 
 
 def _dataset_case(inp):
-    text = broken_csv(["x1", "S", "Y"], ROWS, [NOT_A_NUMBER, NOT_BINARY, NOT_BINARY], "S")
+    text = broken_csv(
+        ["x1", "S", "Y"], ROWS, [NOT_A_NUMBER, NOT_BINARY, NOT_BINARY], "S",
+        CORRUPTIONS + ("duplicate_name", "blank_name"),
+    )
     commands = st.sampled_from([
         ["evaluate", "--model", inp["model"], "--test", "{f}"],
         ["predict", "--model", inp["model"], "--data", "{f}"],

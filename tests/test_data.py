@@ -54,6 +54,12 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="group"):
             load_csv(p, "group", "Y")
 
+    @pytest.mark.parametrize("header", ["x1,x1,S,Y", "x1,,S,Y"], ids=["duplicate", "blank"])
+    def test_header_names_must_be_distinct_and_non_blank(self, tmp_path, header):
+        p = _write(tmp_path, header + "\n1.0,2.0,0,1\n3.0,4.0,1,0\n")
+        with pytest.raises(SchemaError, match="header names"):
+            load_csv(p, "S", "Y")
+
     def test_unparseable_cell_names_row(self, tmp_path):
         p = _write(tmp_path, "x1,S,Y\n1.0,0,1\nfoo,1,0\n")
         with pytest.raises(ParseError, match="row 1"):

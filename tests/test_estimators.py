@@ -18,28 +18,28 @@ from fairthresh.oracle import GroupSpec, SyntheticDistribution, exact_scores, sa
 
 class TestFloor:
     def test_floor_inactive_above(self):
-        assert apply_floor(0.8, 100, 10**4) == 0.8
+        assert apply_floor(0.8, 10**4) == 0.8
 
     def test_floor_value_ten_thousand(self):
         # 10^4 ** (-1/4) = 0.1
-        assert apply_floor(0.0, 100, 10**4) == pytest.approx(0.1, abs=1e-15)
+        assert apply_floor(0.0, 10**4) == pytest.approx(0.1, abs=1e-15)
 
     def test_clamp_at_small_sample(self):
         # 16 ** (-1/4) = 0.5 clamps to 0.49
-        assert apply_floor(0.0, 100, 16) == 0.49
+        assert apply_floor(0.0, 16) == 0.49
 
     def test_floor_shifts_score_by_at_most_c(self):
         rng = np.random.default_rng(0)
         raw = rng.random(1000)
         for N in (10, 100, 10**4, 10**8):
-            c = floor_value(50, N)
-            floored = apply_floor(raw, 50, N)
+            c = floor_value(N)
+            floored = apply_floor(raw, N)
             assert np.all(floored >= c) and np.all(floored <= 1.0)
             assert np.all(np.abs(floored - raw) <= c)
 
     def test_invalid_size(self):
         with pytest.raises(ConfigError):
-            floor_value(10, 0)
+            floor_value(0)
 
 
 class TestLogistic:
