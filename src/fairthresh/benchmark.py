@@ -9,12 +9,14 @@ calibrated, and evaluated on the test part.
 
 Two method arms are available: "plugin" (the calibrated classifier) and
 "bayes" (the same scores thresholded at 1/2, i.e. theta forced to 0), so the
-cost of calibration is always measurable.
+cost of calibration is always measurable.  The arms share one fit: every CV
+fold and every final refit calibrates once and predicts each arm from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -27,6 +29,13 @@ from .metrics import deo as deo_report
 LOGISTIC_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-4, 4, 30))
 KNN_K_GRID = tuple(range(1, 52, 2))
 METHODS = ("plugin", "bayes")
+# the type of each scalar config field; bools are neither counts nor fractions
+_FIELD_TYPES = {
+    **dict.fromkeys(("sensitive_col", "label_col", "estimator", "mode"), str),
+    **dict.fromkeys(("n_repeats", "seed", "cv_folds"), Integral),
+    **dict.fromkeys(("train_fraction", "shortlist_fraction"), Real),
+}
+_KIND_NAMES = {str: "a string", Integral: "an integer", Real: "a real number"}
 
 
 @dataclass(frozen=True)
@@ -46,19 +55,33 @@ class BenchmarkConfig:
     mode: str = "aware"
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+        for name, kind in (("logistic_grid", Real), ("knn_grid", Integral)):
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)) or not all(
+                isinstance(v, kind) and not isinstance(v, bool) for v in values
+            ):
+                raise ConfigError(f"{name} must be a list, each entry {_KIND_NAMES[kind]}, got {values!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.shortlist_fraction <= 1.0:
             raise ConfigError(f"shortlist_fraction must lie in (0, 1], got {self.shortlist_fraction}")
         if self.estimator not in ("logistic", "knn"):
             raise ConfigError(f"estimator must be 'logistic' or 'knn', got {self.estimator!r}")
+        if self.mode not in ("aware", "blind"):
+            raise ConfigError(f"mode must be 'aware' or 'blind', got {self.mode!r}")
         if not self.grid():
             raise ConfigError("hyperparameter grid is empty")
         if self.cv_folds < 2:
             raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}")
-        if isinstance(self.unlabeled, float) and not 0.0 < self.unlabeled < 1.0:
-            raise ConfigError(f"unlabeled fraction must lie in (0, 1), got {self.unlabeled}")
+        methods = self.methods
+        if not isinstance(methods, (tuple, list)) or not methods or any(m not in METHODS for m in methods):
+            raise ConfigError(f"methods must be a nonempty list from {METHODS}, got {self.methods!r}")
+        if self.unlabeled != "reuse" and not (isinstance(self.unlabeled, float) and 0.0 < self.unlabeled < 1.0):
+            raise ConfigError(f"unlabeled must be 'reuse' or a fraction in (0, 1), got {self.unlabeled!r}")
 
     def grid(self) -> list[tuple[str, object]]:
         if self.estimator == "logistic":
@@ -90,9 +113,7 @@ class RepeatOutcome:
     cv_table: tuple[CvRow, ...] = ()
 
     def to_json(self) -> dict:
-        out = {**self.__dict__, "flags": list(self.flags)}
-        out["cv_table"] = [r.to_json() for r in self.cv_table]
-        return out
+        return {**self.__dict__, "flags": list(self.flags), "cv_table": [r.to_json() for r in self.cv_table]}
 
 
 @dataclass(frozen=True)
@@ -105,9 +126,7 @@ class MethodSummary:
     rows: tuple[RepeatOutcome, ...]
 
     def to_json(self) -> dict:
-        out = {**self.__dict__}
-        out["rows"] = [r.to_json() for r in self.rows]
-        return out
+        return {**self.__dict__, "rows": [r.to_json() for r in self.rows]}
 
 
 @dataclass(frozen=True)
@@ -143,8 +162,9 @@ def _carve_unlabeled(train: LabeledDataset, fraction: float, rng):
     return train.take(fit_idx), unl
 
 
-def _fit_and_evaluate(train, test, est_cfg, mode, method, unlabeled, rng):
-    """Calibrate on train (optionally with a held-out unlabeled part), score test."""
+def _fit_and_evaluate(train, test, est_cfg, mode, methods, unlabeled, rng) -> dict:
+    """Calibrate once on train (optionally with a held-out unlabeled part) and
+    score test with each method arm: {method: (report, classifier)}."""
     if isinstance(unlabeled, float):
         fit_part, unl = _carve_unlabeled(train, unlabeled, rng)
     elif isinstance(unlabeled, UnlabeledDataset):
@@ -152,61 +172,47 @@ def _fit_and_evaluate(train, test, est_cfg, mode, method, unlabeled, rng):
     else:
         fit_part, unl = train, None  # reuse-train calibration
     clf = calibrate(fit_part, unl, estimator=est_cfg, mode=mode)
-    if method == "bayes":
-        clf = replace(clf, theta_hat=0.0)
-    if mode == "aware":
-        pred = clf.predict(test.features, test.sensitive)
-    else:
-        pred = clf.predict(test.features)
-    report = deo_report(pred, test.labels, test.sensitive)
-    return report, clf
+    arms = {"plugin": clf, "bayes": replace(clf, theta_hat=0.0)}
+    preds = {m: arms[m].predict(test.features, test.sensitive) for m in methods}  # blind predict ignores S
+    return {m: (deo_report(preds[m], test.labels, test.sensitive), arms[m]) for m in methods}
 
 
-def cross_validate(train: LabeledDataset, config: BenchmarkConfig, method: str, seed) -> list[CvRow]:
-    """k-fold CV of every grid point; a fold whose fit part misses a group is
-    skipped with a flag, and an undefined fold DEO counts as 0 with a flag."""
+def cross_validate(train: LabeledDataset, config: BenchmarkConfig, seed) -> dict[str, list[CvRow]]:
+    """k-fold CV of every grid point for every method arm, one fit per (grid
+    point, fold); a fold whose fit part misses a group is skipped with a flag,
+    and an undefined fold DEO counts as 0 with a flag."""
     rng = np.random.default_rng(seed)
     fold_idx = _cv_partition(train, config.cv_folds, rng)
     all_idx = np.arange(train.n)
-    rows = []
+    rows = {m: [] for m in config.methods}
     for label, est_cfg in config.grid():
-        accs, deos, flags, used = [], [], set(), 0
+        skipped, done = set(), []  # done: (fold, {method: (report, clf)}) per fitted fold
         for f, held in enumerate(fold_idx):
             if held.size == 0:
                 continue
-            fit_idx = np.setdiff1d(all_idx, held)
-            fit_part = train.take(fit_idx)
+            fit_part = train.take(np.setdiff1d(all_idx, held))
             if 0 in fit_part.group_counts():
-                flags.add(f"fold_{f}_skipped_missing_group")
+                skipped.add(f"fold_{f}_skipped_missing_group")
                 continue
             try:
-                report, _ = _fit_and_evaluate(
-                    fit_part, train.take(held), est_cfg, config.mode, method, config.unlabeled, rng
-                )
+                done.append((f, _fit_and_evaluate(
+                    fit_part, train.take(held), est_cfg, config.mode, config.methods, config.unlabeled, rng
+                )))
             except (GroupCoverageError, ConfigError):
-                flags.add(f"fold_{f}_skipped_infeasible")
-                continue
-            accs.append(report.accuracy)
-            if report.deo is None:
-                deos.append(0.0)
-                flags.add(f"fold_{f}_deo_undefined")
-            else:
-                deos.append(report.deo)
-            used += 1
-        if used == 0:
-            flags.add("all_folds_skipped")
-            rows.append(CvRow(param=label, acc=float("nan"), deo=float("nan"), folds_used=0, flags=tuple(sorted(flags))))
-        else:
-            rows.append(
-                CvRow(
-                    param=label,
-                    acc=float(np.mean(accs)),
-                    deo=float(np.mean(deos)),
-                    folds_used=used,
-                    flags=tuple(sorted(flags)),
-                )
-            )
-    if all(r.folds_used == 0 for r in rows):
+                skipped.add(f"fold_{f}_skipped_infeasible")
+        for m in config.methods:
+            folds = [(f, fits[m][0]) for f, fits in done]
+            flags = skipped | {f"fold_{f}_deo_undefined" for f, r in folds if r.deo is None}
+            if not folds:
+                flags.add("all_folds_skipped")
+            rows[m].append(CvRow(
+                param=label,
+                acc=float(np.mean([r.accuracy for _, r in folds])) if folds else float("nan"),
+                deo=float(np.mean([0.0 if r.deo is None else r.deo for _, r in folds])) if folds else float("nan"),
+                folds_used=len(folds),
+                flags=tuple(sorted(flags)),
+            ))
+    if all(r.folds_used == 0 for r in rows[config.methods[0]]):
         raise ConfigError("cross-validation failed: every fold was skipped for every grid point")
     return rows
 
@@ -233,27 +239,32 @@ def _summarize(method: str, rows: list[RepeatOutcome], with_std: bool) -> Method
     )
 
 
-def _run_one(train, test, config: BenchmarkConfig, method: str, repeat: int, seed: list, unlabeled) -> RepeatOutcome:
+def _run_repeat(train, targets, config: BenchmarkConfig, repeat: int, seed: list) -> list[dict]:
+    """One repeat: CV on train once, select per method arm, then one fit per
+    distinct chosen grid point for each (test, unlabeled) target.
+
+    Returns one {method: RepeatOutcome} per target.  Every final fit draws
+    from a fresh rng(seed + [7]), so each sees the same unlabeled carve.
+    """
     grid = config.grid()
     if len(grid) == 1:
-        chosen, cv_rows = 0, ()
+        chosen, cv = dict.fromkeys(config.methods, 0), dict.fromkeys(config.methods, ())
     else:
-        cv_rows = cross_validate(train, config, method, seed)
-        chosen = select_hyperparameters(cv_rows, config.shortlist_fraction)
-        cv_rows = tuple(cv_rows)
-    label, est_cfg = grid[chosen]
-    rng = np.random.default_rng(list(seed) + [7])
-    report, clf = _fit_and_evaluate(train, test, est_cfg, config.mode, method, unlabeled, rng)
-    return RepeatOutcome(
-        repeat=repeat,
-        method=method,
-        param=label,
-        acc=report.accuracy,
-        deo=report.deo,
-        theta_hat=clf.theta_hat,
-        flags=tuple(report.flags),
-        cv_table=cv_rows,
-    )
+        cv = {m: tuple(rows) for m, rows in cross_validate(train, config, seed).items()}
+        chosen = {m: select_hyperparameters(rows, config.shortlist_fraction) for m, rows in cv.items()}
+    outcomes = []
+    for test, unlabeled in targets:
+        fits = {}
+        for i in set(chosen.values()):
+            arms = [m for m in config.methods if chosen[m] == i]
+            rng = np.random.default_rng(list(seed) + [7])  # the same carve for every arm and target
+            fits.update(_fit_and_evaluate(train, test, grid[i][1], config.mode, arms, unlabeled, rng))
+        outcomes.append({
+            m: RepeatOutcome(repeat=repeat, method=m, param=grid[chosen[m]][0], acc=report.accuracy, deo=report.deo,
+                             theta_hat=clf.theta_hat, flags=tuple(report.flags), cv_table=cv[m])
+            for m, (report, clf) in fits.items()
+        })
+    return outcomes
 
 
 def run_benchmark(
@@ -269,22 +280,18 @@ def run_benchmark(
     std columns are absent from the summaries.
     """
     unlabeled = unlabeled_ds if unlabeled_ds is not None else config.unlabeled
-    summaries = []
     if test is not None:
-        for method in config.methods:
-            row = _run_one(ds, test, config, method, repeat=0, seed=[config.seed, 0], unlabeled=unlabeled)
-            summaries.append(_summarize(method, [row], with_std=False))
+        pairs = [(ds, test)]
         meta_splits = "fixed-test"
     else:
-        plan = SplitPlan(config.train_fraction, config.n_repeats, config.seed)
-        splits = split(ds, plan)
-        for method in config.methods:
-            rows = [
-                _run_one(sp.train, sp.test, config, method, repeat=r, seed=[config.seed, r], unlabeled=unlabeled)
-                for r, sp in enumerate(splits)
-            ]
-            summaries.append(_summarize(method, rows, with_std=True))
+        splits = split(ds, SplitPlan(config.train_fraction, config.n_repeats, config.seed))
+        pairs = [(sp.train, sp.test) for sp in splits]
         meta_splits = f"{config.n_repeats} stratified splits at {config.train_fraction:g}"
+    rows = [
+        _run_repeat(train, [(held, unlabeled)], config, r, [config.seed, r])[0]
+        for r, (train, held) in enumerate(pairs)
+    ]
+    summaries = [_summarize(m, [row[m] for row in rows], with_std=test is None) for m in config.methods]
     metadata = {
         "estimator": config.estimator,
         "mode": config.mode,
@@ -299,19 +306,13 @@ def run_benchmark(
 
 
 @dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(MethodSummary):
+    """The summary of one method arm at one unlabeled fraction."""
+
     unlabeled_fraction: float
-    method: str
-    acc_mean: float
-    acc_std: float
-    deo_mean: float
-    deo_std: float
-    rows: tuple[RepeatOutcome, ...]
 
     def to_json(self) -> dict:
-        out = {**self.__dict__}
-        out["rows"] = [r.to_json() for r in self.rows]
-        return out
+        return {"unlabeled_fraction": self.unlabeled_fraction, **super().to_json()}
 
 
 @dataclass(frozen=True)
@@ -335,8 +336,11 @@ def run_unlabeled_sweep(
     part then takes the first round(f * n) rows of a per-repeat permutation
     of the remainder (so larger fractions extend smaller ones) and evaluation
     uses what is left.  Fraction 0 reuses the labeled part for calibration,
-    which makes that column identical to run_benchmark on the same plan.
+    which makes that column identical to run_benchmark on the same plan.  The
+    CV on the labeled part runs once per repeat, shared by every fraction.
     """
+    if config.unlabeled != "reuse":
+        raise ConfigError("the sweep sets the unlabeled part per fraction; config.unlabeled must be 'reuse'")
     fractions = sorted(set(float(f) for f in unlabeled_fractions))
     if not fractions:
         raise ConfigError("unlabeled_fractions must be nonempty")
@@ -347,35 +351,23 @@ def run_unlabeled_sweep(
             f"labeled fraction {labeled_fraction} plus unlabeled fraction {max(fractions)} "
             "leaves no evaluation rows"
         )
-    plan = SplitPlan(labeled_fraction, config.n_repeats, config.seed)
-    splits = split(ds, plan)
-    points = []
-    for frac in fractions:
-        for method in config.methods:
-            rows = []
-            for r, sp in enumerate(splits):
-                rest = sp.test
-                perm = np.random.default_rng([config.seed, r, 917]).permutation(rest.n)
-                n_unl = int(round(frac * ds.n))
-                if n_unl > 0:
-                    unl = UnlabeledDataset(rest.features[perm[:n_unl]], rest.sensitive[perm[:n_unl]])
-                    eval_part = rest.take(perm[n_unl:])
-                else:
-                    unl, eval_part = "reuse", rest
-                cfg = replace(config, unlabeled="reuse")
-                rows.append(_run_one(sp.train, eval_part, cfg, method, r, [config.seed, r], unl))
-            summary = _summarize(method, rows, with_std=True)
-            points.append(
-                SweepPoint(
-                    unlabeled_fraction=frac,
-                    method=method,
-                    acc_mean=summary.acc_mean,
-                    acc_std=summary.acc_std,
-                    deo_mean=summary.deo_mean,
-                    deo_std=summary.deo_std,
-                    rows=summary.rows,
-                )
-            )
+    per_repeat = []
+    for r, sp in enumerate(split(ds, SplitPlan(labeled_fraction, config.n_repeats, config.seed))):
+        rest, targets = sp.test, []
+        perm = np.random.default_rng([config.seed, r, 917]).permutation(rest.n)
+        for frac in fractions:
+            n_unl = int(round(frac * ds.n))
+            if n_unl > 0:
+                unl = UnlabeledDataset(rest.features[perm[:n_unl]], rest.sensitive[perm[:n_unl]])
+                targets.append((rest.take(perm[n_unl:]), unl))
+            else:
+                targets.append((rest, "reuse"))
+        per_repeat.append(_run_repeat(sp.train, targets, config, r, [config.seed, r]))
+    points = [
+        SweepPoint(**vars(_summarize(m, [rows[j][m] for rows in per_repeat], True)), unlabeled_fraction=frac)
+        for j, frac in enumerate(fractions)
+        for m in config.methods
+    ]
     metadata = {
         "labeled_fraction": labeled_fraction,
         "repeats": config.n_repeats,

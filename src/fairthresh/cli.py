@@ -38,14 +38,22 @@ def _fmt_table(headers, rows) -> str:
     return "\n".join(lines)
 
 
+def _open_output(path, **kwargs):
+    """Open an output file for writing; a path that cannot be written is a SchemaError (exit 2)."""
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot write the file") from exc
+
+
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
 def _write_csv(path, headers, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(headers)
         writer.writerows(rows)
@@ -156,21 +164,23 @@ def _benchmark_config(args) -> bench.BenchmarkConfig:
             fields = json.loads(read_text(args.config))
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{args.config}: not valid JSON: {exc}") from exc
+        if not isinstance(fields, dict):
+            raise SchemaError(f"{args.config}: a benchmark config is a JSON object, got {type(fields).__name__}")
     overrides = {
         "sensitive_col": args.sensitive_col,
         "label_col": args.label_col,
         "estimator": args.estimator,
-        "train_fraction": args.train_fraction,
+        # --train-fraction and --unlabeled-fraction exist on benchmark only
+        "train_fraction": getattr(args, "train_fraction", None),
         "n_repeats": args.repeats,
         "seed": args.seed,
         "cv_folds": args.cv_folds,
         "shortlist_fraction": args.shortlist_fraction,
         "mode": args.mode,
+        "unlabeled": getattr(args, "unlabeled_fraction", None),
     }
     if args.methods:
         overrides["methods"] = tuple(args.methods.split(","))
-    if args.unlabeled_fraction is not None:
-        overrides["unlabeled"] = args.unlabeled_fraction
     fields.update({k: v for k, v in overrides.items() if v is not None})
     for key in ("logistic_grid", "knn_grid", "methods"):
         if key in fields and isinstance(fields[key], list):
@@ -226,21 +236,17 @@ def cmd_sweep_unlabeled(args) -> int:
     report = bench.run_unlabeled_sweep(
         ds, config, labeled_fraction=args.labeled_fraction, unlabeled_fractions=fractions
     )
+    headers = ["unlabeled_fraction", "method", "acc_mean", "acc_std", "deo_mean", "deo_std"]
     rows = [
         [f"{p.unlabeled_fraction:g}", p.method, _num(p.acc_mean, 4), _num(p.acc_std, 4),
          _num(p.deo_mean, 4), _num(p.deo_std, 4)]
         for p in report.points
     ]
-    print(_fmt_table(["unlabeled_fraction", "method", "acc_mean", "acc_std", "deo_mean", "deo_std"], rows))
+    print(_fmt_table(headers, rows))
     if args.out:
         _write_json(args.out, report.to_json())
     if args.csv:
-        _write_csv(
-            args.csv,
-            ["unlabeled_fraction", "method", "acc_mean", "acc_std", "deo_mean", "deo_std"],
-            [[p.unlabeled_fraction, p.method, p.acc_mean, p.acc_std, p.deo_mean, p.deo_std]
-             for p in report.points],
-        )
+        _write_csv(args.csv, headers, [[getattr(p, h) for h in headers] for p in report.points])
     return 0
 
 
@@ -317,16 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common_bench(p):
         common_data(p)
+        p.set_defaults(sensitive_col=None, label_col=None)  # unset flags leave the config's names
         p.add_argument("--config", help="JSON file with BenchmarkConfig fields; flags override")
         p.add_argument("--estimator", choices=("logistic", "knn"))
-        p.add_argument("--train-fraction", type=float)
         p.add_argument("--repeats", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--cv-folds", type=int)
         p.add_argument("--shortlist-fraction", type=float)
         p.add_argument("--mode", choices=("aware", "blind"))
         p.add_argument("--methods", help="comma list from: plugin,bayes")
-        p.add_argument("--unlabeled-fraction", type=float, help="carve this train fraction out for calibration")
         p.add_argument("--out", help="JSON report path")
         p.add_argument("--csv", help="per-row CSV path (plot-ready)")
 
@@ -334,6 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--test", help="fixed test set; disables repeated splitting")
     p.add_argument("--unlabeled", help="unlabeled CSV used for calibration")
+    p.add_argument("--train-fraction", type=float)
+    p.add_argument("--unlabeled-fraction", type=float, help="carve this train fraction out for calibration")
     common_bench(p)
     p.set_defaults(func=cmd_benchmark)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairthresh import benchmark
 from fairthresh.benchmark import (
     BenchmarkConfig,
     CvRow,
@@ -47,6 +48,35 @@ class TestConfig:
         with pytest.raises(ConfigError):
             BenchmarkConfig(methods=("plugin", "hardt"))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_repeats", "abc"),
+            ("seed", True),
+            ("cv_folds", 2.0),
+            ("train_fraction", None),
+            ("shortlist_fraction", "0.9"),
+            ("sensitive_col", 1),
+            ("estimator", ["knn"]),
+            ("mode", None),
+            ("logistic_grid", ("a",)),
+            ("logistic_grid", 0.1),
+            ("knn_grid", (1.5,)),
+            ("knn_grid", (True,)),
+            ("methods", 3),
+            ("unlabeled", "abc"),
+            ("unlabeled", True),
+        ],
+    )
+    def test_wrongly_typed_field_named(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            BenchmarkConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("methods", ()), ("mode", "weird")])
+    def test_out_of_range_field_named(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            BenchmarkConfig(**{field: value})
+
 
 class TestSelection:
     def test_two_step_rule(self):
@@ -83,7 +113,7 @@ class TestCrossValidate:
             [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0],
         )
         cfg = small_config(cv_folds=3, logistic_grid=(1e-4, 1.0))
-        rows = cross_validate(ds, cfg, "plugin", seed=[0])
+        rows = cross_validate(ds, cfg, seed=[0])["plugin"]
         assert all(r.folds_used < 3 for r in rows)
         assert any("skipped" in f for r in rows for f in r.flags)
 
@@ -91,7 +121,7 @@ class TestCrossValidate:
         ds = LabeledDataset(np.array([[0.0], [1.0]]), [0, 1], [1, 1])
         cfg = small_config(cv_folds=2, logistic_grid=(1e-4, 1.0))
         with pytest.raises(ConfigError):
-            cross_validate(ds, cfg, "plugin", seed=[0])
+            cross_validate(ds, cfg, seed=[0])["plugin"]
 
 
 class TestRunBenchmark:
@@ -131,7 +161,55 @@ class TestRunBenchmark:
         assert a == b
 
 
+@pytest.fixture
+def calibrations(monkeypatch):
+    """Counts of benchmark.calibrate calls: all of them, and those made inside cross_validate."""
+    counts = {"all": 0, "cv": 0}
+    inside_cv = []
+    real_calibrate, real_cross_validate = benchmark.calibrate, benchmark.cross_validate
+
+    def calibrate(*args, **kwargs):
+        counts["all"] += 1
+        counts["cv"] += bool(inside_cv)
+        return real_calibrate(*args, **kwargs)
+
+    def cross_validate(*args, **kwargs):
+        inside_cv.append(True)
+        try:
+            return real_cross_validate(*args, **kwargs)
+        finally:
+            inside_cv.pop()
+
+    monkeypatch.setattr(benchmark, "calibrate", calibrate)
+    monkeypatch.setattr(benchmark, "cross_validate", cross_validate)
+    return counts
+
+
+class TestOneFitPerFold:
+    """Both method arms share each fit; the sweep's CV is shared by every fraction."""
+
+    def test_benchmark_fits_each_fold_once_for_both_arms(self, ds, calibrations):
+        folds, repeats = 3, 2
+        cfg = small_config(estimator="knn", knn_grid=(5, 51), cv_folds=folds, n_repeats=repeats)
+        report = run_benchmark(ds, cfg)
+        distinct_chosen = sum(len({m.rows[r].param for m in report.methods}) for r in range(repeats))
+        assert calibrations["cv"] == repeats * 2 * folds
+        assert calibrations["all"] == repeats * 2 * folds + distinct_chosen
+
+    def test_sweep_runs_cv_once_per_repeat(self, ds, calibrations):
+        cfg = small_config(estimator="knn", knn_grid=(5, 51), cv_folds=3, n_repeats=2)
+        run_unlabeled_sweep(ds, cfg, labeled_fraction=0.2, unlabeled_fractions=(0.0,))
+        one_fraction = calibrations["cv"]
+        calibrations["cv"] = 0
+        run_unlabeled_sweep(ds, cfg, labeled_fraction=0.2, unlabeled_fractions=(0.0, 0.2, 0.4))
+        assert calibrations["cv"] == one_fraction == 2 * 2 * 3
+
+
 class TestSweep:
+    def test_unlabeled_fraction_config_rejected(self, ds):
+        with pytest.raises(ConfigError, match="unlabeled"):
+            run_unlabeled_sweep(ds, small_config(unlabeled=0.3), labeled_fraction=0.3, unlabeled_fractions=(0.0,))
+
     def test_fraction_zero_equals_benchmark(self, ds):
         cfg = small_config(methods=("plugin",))
         sweep = run_unlabeled_sweep(ds, cfg, labeled_fraction=0.3, unlabeled_fractions=(0.0,))

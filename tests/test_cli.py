@@ -175,6 +175,19 @@ class TestBenchmarkCommands:
         ])
         assert code == 5
 
+    def test_config_column_names_apply_without_flags(self, tmp_path, train_csv):
+        data = _write(tmp_path / "g.csv", open(train_csv).read().replace("x1,S,Y", "x1,G,Y", 1))
+        cfg = _write(tmp_path / "cfg.json", json.dumps({"sensitive_col": "G", "logistic_grid": [1e-4], "n_repeats": 1}))
+        assert main(["benchmark", "--data", data, "--config", cfg]) == 0
+
+    @pytest.mark.parametrize("flag", ["--train-fraction", "--unlabeled-fraction"])
+    def test_sweep_has_no_benchmark_only_flag(self, train_csv, flag):
+        # the sweep sets both the labeled and the unlabeled part itself
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-unlabeled", "--data", train_csv, flag, "0.3"])
+        assert exc.value.code == 2
+
+
 
 class TestConsistencyCommand:
     def test_malformed_dist_exit_2(self, tmp_path):
@@ -235,6 +248,16 @@ def _probed_argv(case, tmp_path, train_csv, test_csv):
         return ["calibrate", "--train", train_csv, "--scores", _scores_800(tmp_path, "nan,0.5")]
     if case == "calibrate_score_above_one":
         return ["calibrate", "--train", train_csv, "--scores", _scores_800(tmp_path, "7.5,0.5")]
+    if case.startswith(("benchmark_config", "sweep_config")):
+        config = {
+            "benchmark_config_list": [1, 2],
+            "benchmark_config_repeats_string": {"n_repeats": "abc"},
+            "benchmark_config_grid_string": {"logistic_grid": ["a"]},
+            # the sweep sets the unlabeled part per fraction itself
+            "sweep_config_unlabeled_fraction": {"unlabeled": 0.3, "logistic_grid": [1e-4], "n_repeats": 1},
+        }[case]
+        command = "sweep-unlabeled" if case.startswith("sweep") else "benchmark"
+        return [command, "--data", train_csv, "--config", _write(tmp_path / "cfg.json", json.dumps(config))]
     assert case == "calibrate_unlabeled_with_label"
     return ["calibrate", "--train", train_csv, "--unlabeled", test_csv]
 
@@ -247,6 +270,10 @@ def _probed_argv(case, tmp_path, train_csv, test_csv):
         ("predict_extra_feature_column", 2),
         ("calibrate_nan_score", 2),
         ("calibrate_score_above_one", 2),
+        ("benchmark_config_list", 2),
+        ("benchmark_config_repeats_string", 5),
+        ("benchmark_config_grid_string", 5),
+        ("sweep_config_unlabeled_fraction", 5),
         # the label column of an unlabeled file is not a feature
         ("calibrate_unlabeled_with_label", 0),
     ],
@@ -287,6 +314,29 @@ def test_missing_input_file_exit_2(tmp_path, train_csv, test_csv, capsys, argv):
     paths = {"{missing}": str(tmp_path / "missing"), "{train}": train_csv, "{test}": test_csv}
     assert main([paths.get(a, a) for a in argv]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--train", "{train}", "--out", "{bad}"],
+        ["predict", "--model", "{model}", "--data", "{test}", "--out", "{bad}"],
+        ["benchmark", "--data", "{train}", "--config", "{config}", "--csv", "{bad}"],
+        ["sweep-unlabeled", "--data", "{train}", "--config", "{config}", "--fractions", "0", "--out", "{bad}"],
+        ["consistency", "--dist", "{dist}", "--N-grid", "50", "--repeats", "1", "--test-size", "500", "--out", "{bad}"],
+    ],
+    ids=["calibrate", "predict", "benchmark", "sweep-unlabeled", "consistency"],
+)
+def test_unwritable_output_exit_2(tmp_path, train_csv, test_csv, capsys, argv):
+    bad = str(tmp_path / "no_such_dir" / "out")
+    paths = {
+        "{bad}": bad, "{train}": train_csv, "{test}": test_csv,
+        "{model}": _model(tmp_path, train_csv) if "{model}" in argv else None,
+        "{config}": _write(tmp_path / "cfg.json", json.dumps({"logistic_grid": [1e-4], "n_repeats": 1, "cv_folds": 3})),
+        "{dist}": _write(tmp_path / "dist.json", json.dumps(DIST.to_json())),
+    }
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert f"error: {bad}: cannot write the file" in capsys.readouterr().err
 
 
 # --- property test: malformed input always ends in a documented exit code ----
@@ -405,7 +455,38 @@ def _model_case(inp):
     return st.tuples(broken_model(inp["base_model"]), commands)
 
 
-@pytest.mark.parametrize("case", [_dataset_case, _scores_case, _model_case], ids=["dataset", "scores", "model"])
+# one wrongly typed value per field of a benchmark config; each must exit 5
+BAD_CONFIG_VALUES = {
+    **dict.fromkeys(["sensitive_col", "label_col", "estimator", "mode"], [1, True, None, ["S"], {}]),
+    **dict.fromkeys(["n_repeats", "seed", "cv_folds"], ["abc", "3", 1.5, 3.0, True, None, [1]]),
+    **dict.fromkeys(["train_fraction", "shortlist_fraction"], ["abc", "0.5", True, None, [0.5]]),
+    "logistic_grid": [["a"], [True], [None], [[1e-4]], "abc", 0.1, None],
+    "knn_grid": [["a"], [True], [1.5], [None], "abc", 5, None],
+    "unlabeled": ["abc", True, 1, None, [0.3]],
+    "methods": [[1], [], "plugin", 3, None],
+}
+
+
+@st.composite
+def broken_config(draw):
+    """Benchmark config text that is not a JSON object, or holds one wrongly typed field."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(["", "{not json", "[1, 2]", "[]", "null", "3", '"abc"', "true"]))
+    field = draw(st.sampled_from(sorted(BAD_CONFIG_VALUES)))
+    return json.dumps({field: draw(st.sampled_from(BAD_CONFIG_VALUES[field]))})
+
+
+def _config_case(inp):
+    commands = st.sampled_from([
+        ["benchmark", "--data", inp["data"], "--config", "{f}"],
+        ["sweep-unlabeled", "--data", inp["data"], "--config", "{f}"],
+    ])
+    return st.tuples(broken_config(), commands)
+
+
+@pytest.mark.parametrize(
+    "case", [_dataset_case, _scores_case, _model_case, _config_case], ids=["dataset", "scores", "model", "config"]
+)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_malformed_input_ends_in_documented_exit_code(property_inputs, case, data):
