@@ -344,8 +344,8 @@ def run_unlabeled_sweep(
     fractions = sorted(set(float(f) for f in unlabeled_fractions))
     if not fractions:
         raise ConfigError("unlabeled_fractions must be nonempty")
-    if min(fractions) < 0.0:
-        raise ConfigError("unlabeled fractions must be >= 0")
+    if not np.isfinite(fractions).all() or min(fractions) < 0.0:
+        raise ConfigError(f"unlabeled fractions must be finite and >= 0, got {fractions}")
     if labeled_fraction + max(fractions) >= 1.0:
         raise ConfigError(
             f"labeled fraction {labeled_fraction} plus unlabeled fraction {max(fractions)} "

@@ -46,6 +46,14 @@ def _open_output(path, **kwargs):
         raise SchemaError(f"{path}: cannot write the file") from exc
 
 
+def _parse_list(text: str, kind, flag: str) -> list:
+    """Parse a comma-list flag; an empty or unparsable item is a SchemaError (exit 2)."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise SchemaError(f"{flag}: expected a comma list of {kind.__name__} values, got {text!r}") from exc
+
+
 def _write_json(path, payload) -> None:
     with _open_output(path) as fh:
         json.dump(payload, fh, indent=2)
@@ -70,6 +78,13 @@ def _aligned(path, n_rows, n_expected):
         raise SchemaError(f"{path}: {n_rows} rows, expected {n_expected} (row-aligned input required)")
 
 
+def _estimator(args):
+    """The estimator config named by --estimator, --l2-lambda and --knn-k."""
+    if args.estimator == "knn":
+        return estimators.KnnConfig(k=args.knn_k)
+    return estimators.LogisticConfig(l2_lambda=args.l2_lambda)
+
+
 def cmd_calibrate(args) -> int:
     train = load_csv(args.train, args.sensitive_col, args.label_col)
     unlabeled = None
@@ -86,13 +101,8 @@ def cmd_calibrate(args) -> int:
         _aligned(args.scores, len(s0), cal.n)
         clf = calibration.calibrate_scores(s0, s1, sensitive=cal.sensitive, marginal=marg, mode=args.mode)
     else:
-        est = (
-            estimators.KnnConfig(k=args.knn_k)
-            if args.estimator == "knn"
-            else estimators.LogisticConfig(l2_lambda=args.l2_lambda)
-        )
         clf = calibration.calibrate(
-            train, unlabeled, estimator=est, mode=args.mode, jitter_amplitude=args.jitter
+            train, unlabeled, estimator=_estimator(args), mode=args.mode, jitter_amplitude=args.jitter
         )
 
     if args.out:
@@ -117,17 +127,21 @@ def _load_model(path) -> calibration.FairClassifier:
         raise SchemaError(f"{path}: not a valid model file: {exc}") from exc
 
 
+def _predict(clf, X, S, scores_path) -> np.ndarray:
+    """Predictions from the model's own scores, or from a score file row-aligned with X."""
+    if not scores_path:
+        return clf.predict(X, S)
+    s0, s1, marg = load_scores(scores_path, need_marginal=clf.mode == "blind")
+    _aligned(scores_path, len(s0), X.shape[0])
+    return clf.predict_from_scores(scores_s0=s0, scores_s1=s1, sensitive=S, marginal=marg)
+
+
 def cmd_predict(args) -> int:
     clf = _load_model(args.model)
     X, S = load_features(args.data, args.sensitive_col, args.label_col)
     if clf.mode == "aware" and S is None:
         raise SchemaError(f"{args.data}: group-aware prediction needs column {args.sensitive_col!r}")
-    if args.scores:
-        s0, s1, marg = load_scores(args.scores, need_marginal=clf.mode == "blind")
-        _aligned(args.scores, len(s0), X.shape[0])
-        pred = clf.predict_from_scores(scores_s0=s0, scores_s1=s1, sensitive=S, marginal=marg)
-    else:
-        pred = clf.predict(X, S)
+    pred = _predict(clf, X, S, args.scores)
     if args.out:
         _write_csv(args.out, ["prediction"], [[int(p)] for p in pred])
         print(f"predictions written {args.out}")
@@ -139,12 +153,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     clf = _load_model(args.model)
     test = load_csv(args.test, args.sensitive_col, args.label_col)
-    if args.scores:
-        s0, s1, marg = load_scores(args.scores, need_marginal=clf.mode == "blind")
-        _aligned(args.scores, len(s0), test.n)
-        pred = clf.predict_from_scores(scores_s0=s0, scores_s1=s1, sensitive=test.sensitive, marginal=marg)
-    else:
-        pred = clf.predict(test.features, test.sensitive)
+    pred = _predict(clf, test.features, test.sensitive, args.scores)
     report = metrics.deo(pred, test.labels, test.sensitive)
     if args.out:
         _write_json(args.out, report.to_json())
@@ -232,7 +241,7 @@ def cmd_benchmark(args) -> int:
 def cmd_sweep_unlabeled(args) -> int:
     config = _benchmark_config(args)
     ds = load_csv(args.data, config.sensitive_col, config.label_col)
-    fractions = [float(v) for v in args.fractions.split(",")]
+    fractions = _parse_list(args.fractions, float, "--fractions")
     report = bench.run_unlabeled_sweep(
         ds, config, labeled_fraction=args.labeled_fraction, unlabeled_fractions=fractions
     )
@@ -252,14 +261,9 @@ def cmd_sweep_unlabeled(args) -> int:
 
 def cmd_consistency(args) -> int:
     dist = oracle.load_distribution(args.dist)
-    if args.estimator == "exact":
-        est = "exact"
-    elif args.estimator == "knn":
-        est = estimators.KnnConfig(k=args.knn_k)
-    else:
-        est = estimators.LogisticConfig(l2_lambda=args.l2_lambda)
-    n_grid = [int(v) for v in args.n_grid.split(",")]
-    N_grid = [int(v) for v in args.N_grid.split(",")]
+    est = "exact" if args.estimator == "exact" else _estimator(args)
+    n_grid = _parse_list(args.n_grid, int, "--n-grid")
+    N_grid = _parse_list(args.N_grid, int, "--N-grid")
     cells = oracle.consistency_run(
         dist, n_grid, N_grid, repeats=args.repeats, seed=args.seed,
         estimator=est, test_size=args.test_size,

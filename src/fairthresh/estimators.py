@@ -1,10 +1,9 @@
 """Conditional-probability estimators with a vanishing score floor.
 
 Two built-in estimator families are provided: regularized logistic regression
-trained by full-batch gradient descent with backtracking line search, and a
-k-nearest-neighbour positive-rate estimator.  Group-aware models fit one
-estimator per sensitive group; blind models additionally fit a marginal
-estimator on the features alone.
+fitted by damped Newton steps (IRLS), and a k-nearest-neighbour positive-rate
+estimator.  Group-aware models fit one estimator per sensitive group; blind
+models additionally fit a marginal estimator on the features alone.
 
 Every score is clamped from below by the floor c = N^(-1/4) (clipped to
 [1e-6, 0.49]) so that group mean scores stay bounded away from zero no matter
@@ -23,6 +22,8 @@ from .errors import ConfigError, GroupCoverageError, SchemaError
 
 FLOOR_MIN = 1e-6
 FLOOR_MAX = 0.49
+ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+BACKTRACK = 0.5  # step shrink factor of the line search
 
 
 def floor_value(N: int) -> float:
@@ -39,7 +40,7 @@ def apply_floor(raw_score, N: int):
 
 @dataclass(frozen=True)
 class LogisticConfig:
-    """Settings for the gradient-descent logistic solver.
+    """Settings for the damped Newton (IRLS) logistic solver.
 
     The L2 penalty covers all coefficients including the intercept, so
     l2_lambda -> inf drives every raw score to 0.5.
@@ -48,13 +49,10 @@ class LogisticConfig:
     l2_lambda: float = 0.0
     max_iters: int = 1000
     grad_tolerance: float = 1e-6
-    step_init: float = 1.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
 
     def __post_init__(self):
-        if self.l2_lambda < 0:
-            raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+        if not 0.0 <= self.l2_lambda < np.inf:
+            raise ConfigError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be positive, got {self.max_iters}")
         if self.grad_tolerance <= 0:
@@ -89,38 +87,39 @@ def _logistic_loss(w, X1, y, lam):
 
 
 def logistic_descent(X: np.ndarray, y: np.ndarray, cfg: LogisticConfig):
-    """Minimize mean log-loss + (lambda/2)||w||^2 by backtracking gradient descent.
+    """Minimize mean log-loss + (lambda/2)||w||^2 by damped Newton (IRLS) steps.
 
-    Returns (weights, intercept, converged, losses); the loss sequence is
-    non-increasing by the Armijo acceptance rule.
+    Each step solves (X1' diag(p(1-p)) X1 / n + lambda I) delta = -grad and
+    backtracks on delta by the Armijo rule.  When the solve fails or delta is
+    not a descent direction (lambda = 0 on separable data, say) the step falls
+    back to -grad.  Returns (weights, intercept, converged, losses); the loss
+    sequence is non-increasing and len(losses) - 1 is the iteration count.
     """
     X1 = np.hstack([np.ones((X.shape[0], 1)), X])
     w = np.zeros(X1.shape[1])
-    lam = cfg.l2_lambda
-    losses = [_logistic_loss(w, X1, y, lam)]
-    converged = False
-    for _ in range(cfg.max_iters):
+    losses = [_logistic_loss(w, X1, y, cfg.l2_lambda)]
+    while True:
         p = _sigmoid(X1 @ w)
-        grad = X1.T @ (p - y) / X1.shape[0] + lam * w
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= cfg.grad_tolerance:
-            converged = True
-            break
-        step = cfg.step_init
-        cur = losses[-1]
-        while True:
-            trial = w - step * grad
-            val = _logistic_loss(trial, X1, y, lam)
-            if val <= cur - cfg.armijo * step * gnorm * gnorm or step < 1e-16:
-                break
-            step *= cfg.backtrack
-        w = trial
-        losses.append(val)
-    else:
-        p = _sigmoid(X1 @ w)
-        grad = X1.T @ (p - y) / X1.shape[0] + lam * w
+        grad = X1.T @ (p - y) / len(y) + cfg.l2_lambda * w
         converged = float(np.linalg.norm(grad)) <= cfg.grad_tolerance
-    return w[1:], float(w[0]), converged, losses
+        if converged or len(losses) > cfg.max_iters:
+            return w[1:], float(w[0]), converged, losses
+        hess = (X1.T * (p * (1.0 - p))) @ X1 / len(y) + cfg.l2_lambda * np.eye(w.size)
+        try:
+            delta = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            delta = -grad
+        slope = float(grad @ delta)
+        if not (np.isfinite(slope) and slope < 0.0):  # also a NaN or inf from a near-singular solve
+            delta, slope = -grad, -float(grad @ grad)
+        for step in BACKTRACK ** np.arange(54):  # steps 1 down to 0.5 ** 53 ~ 1e-16
+            val = _logistic_loss(w + step * delta, X1, y, cfg.l2_lambda)
+            if val <= losses[-1] + ARMIJO * step * slope:
+                break
+        else:  # no step lowers the loss at working precision
+            return w[1:], float(w[0]), False, losses
+        w = w + step * delta
+        losses.append(val)
 
 
 def _row_hash_fractions(X: np.ndarray, salt: int) -> np.ndarray:
@@ -269,26 +268,20 @@ def _knn_scores(queries: np.ndarray, feats: np.ndarray, labels: np.ndarray, k: i
 
 
 def fit_logistic(train: LabeledDataset, cfg: LogisticConfig = LogisticConfig(), mode: str = "aware") -> ScoreModel:
-    """Fit per-group logistic scores (plus a marginal model in blind mode)."""
-    params = []
-    converged = True
-    for s in (0, 1):
-        mask = train.sensitive == s
+    """Fit per-group logistic scores (plus a marginal model on every row in blind mode)."""
+    masks = [train.sensitive == 0, train.sensitive == 1] + ([np.ones(train.n, bool)] if mode == "blind" else [])
+    params, converged = [], True
+    for s, mask in enumerate(masks):
         if not mask.any():
             raise GroupCoverageError(f"cannot fit group {s}: no rows")
         w, b, ok, _ = logistic_descent(train.features[mask], train.labels[mask].astype(np.float64), cfg)
         params.append((w, b))
         converged &= ok
-    marginal = None
-    if mode == "blind":
-        w, b, ok, _ = logistic_descent(train.features, train.labels.astype(np.float64), cfg)
-        marginal = (w, b)
-        converged &= ok
     return ScoreModel(
         kind="logistic",
         mode=mode,
-        group_params=tuple(params),
-        marginal_params=marginal,
+        group_params=tuple(params[:2]),
+        marginal_params=params[2] if mode == "blind" else None,
         converged=converged,
     )
 

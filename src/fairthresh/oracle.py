@@ -378,6 +378,8 @@ def consistency_run(
     N_grid = list(N_grid)
     if not n_grid or not N_grid or repeats < 1:
         raise ConfigError("n_grid and N_grid must be nonempty and repeats positive")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     sol = solve_theta_star(dist)
     cells = []
     for i_n, n in enumerate(n_grid):

@@ -234,6 +234,17 @@ def _scores_800(tmp_path, bad_row):
     return _write(tmp_path / "scores.csv", "score_s0,score_s1\n" + "\n".join(rows) + "\n")
 
 
+# one bad flag value on an otherwise valid sweep-unlabeled or consistency call
+FLAG_CASES = {
+    "consistency_n_grid_abc": ("--n-grid", "abc"),
+    "consistency_N_grid_abc": ("--N-grid", "abc"),
+    "consistency_seed_negative": ("--seed", "-1"),
+    "sweep_fractions_abc": ("--fractions", "abc"),
+    "sweep_fractions_empty_item": ("--fractions", "0.1,,0.2"),
+    "sweep_fractions_nan": ("--fractions", "nan"),
+}
+
+
 def _probed_argv(case, tmp_path, train_csv, test_csv):
     if case == "predict_sensitive_2":
         data = _write(tmp_path / "d.csv", "x1,S,Y\n0.1,0,0\n0.2,2,1\n0.3,1,1\n")
@@ -258,6 +269,14 @@ def _probed_argv(case, tmp_path, train_csv, test_csv):
         }[case]
         command = "sweep-unlabeled" if case.startswith("sweep") else "benchmark"
         return [command, "--data", train_csv, "--config", _write(tmp_path / "cfg.json", json.dumps(config))]
+    if case in FLAG_CASES:
+        if case.startswith("sweep"):
+            return ["sweep-unlabeled", "--data", train_csv, *FLAG_CASES[case]]
+        dist = _write(tmp_path / "dist.json", json.dumps(DIST.to_json()))
+        return ["consistency", "--dist", dist, "--N-grid", "50", "--repeats", "1", "--test-size", "100",
+                *FLAG_CASES[case]]
+    if case == "calibrate_lambda_nan":
+        return ["calibrate", "--train", train_csv, "--l2-lambda", "nan"]
     assert case == "calibrate_unlabeled_with_label"
     return ["calibrate", "--train", train_csv, "--unlabeled", test_csv]
 
@@ -274,6 +293,13 @@ def _probed_argv(case, tmp_path, train_csv, test_csv):
         ("benchmark_config_repeats_string", 5),
         ("benchmark_config_grid_string", 5),
         ("sweep_config_unlabeled_fraction", 5),
+        ("consistency_n_grid_abc", 2),
+        ("consistency_N_grid_abc", 2),
+        ("consistency_seed_negative", 5),
+        ("sweep_fractions_abc", 2),
+        ("sweep_fractions_empty_item", 2),
+        ("sweep_fractions_nan", 5),
+        ("calibrate_lambda_nan", 5),
         # the label column of an unlabeled file is not a feature
         ("calibrate_unlabeled_with_label", 0),
     ],

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from fairthresh.data import LabeledDataset
 from fairthresh.errors import ConfigError, SchemaError
@@ -13,7 +15,7 @@ from fairthresh.estimators import (
     floor_value,
     logistic_descent,
 )
-from fairthresh.oracle import GroupSpec, SyntheticDistribution, exact_scores, sample
+from fairthresh.oracle import GroupSpec, SyntheticDistribution, exact_scores, linear_distribution, sample
 
 
 class TestFloor:
@@ -86,6 +88,42 @@ class TestLogistic:
         model = fit_logistic(ds, LogisticConfig(max_iters=2, grad_tolerance=1e-14))
         assert model.converged is False
         assert model.score_rowwise(ds.features, ds.sensitive).shape == (400,)
+
+
+@hst.composite
+def logistic_problems(draw):
+    n = draw(hst.integers(2, 40))
+    d = draw(hst.integers(1, 3))
+    X = np.array(draw(hst.lists(hst.floats(-5.0, 5.0), min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(draw(hst.lists(hst.integers(0, 1), min_size=n, max_size=n)), dtype=np.float64)
+    lam = 10.0 ** draw(hst.floats(-3.0, 1.0))
+    return X, y, lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(logistic_problems())
+def test_newton_reaches_gradient_tolerance(problem):
+    X, y, lam = problem
+    cfg = LogisticConfig(l2_lambda=lam)
+    w, b, converged, losses = logistic_descent(X, y, cfg)
+    assert converged
+    assert np.all(np.diff(losses) <= 0.0)
+    # gradient of mean log-loss + (lam/2)(b^2 + |w|^2), written out independently
+    residual = 1.0 / (1.0 + np.exp(-(X @ w + b))) - y
+    grad = np.concatenate([[residual.mean() + lam * b], X.T @ residual / len(y) + lam * w])
+    assert np.linalg.norm(grad) <= cfg.grad_tolerance
+
+
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+def test_lambda_must_be_finite_and_non_negative(lam):
+    with pytest.raises(ConfigError, match="l2_lambda"):
+        LogisticConfig(l2_lambda=lam)
+
+
+@pytest.mark.parametrize("mode", ["aware", "blind"])
+def test_default_lambda_converges_on_strong_law(mode):
+    train = sample(linear_distribution(0.35, 0.3, 0.05, 0.9, 0.5), 10_000, 1)
+    assert fit_logistic(train, LogisticConfig(l2_lambda=1e-4), mode=mode).converged
 
 
 class TestKnn:
