@@ -9,8 +9,14 @@ calibrated, and evaluated on the test part.
 
 Two method arms are available: "plugin" (the calibrated classifier) and
 "bayes" (the same scores thresholded at 1/2, i.e. theta forced to 0), so the
-cost of calibration is always measurable.  The arms share one fit: every CV
-fold and every final refit calibrates once and predicts each arm from it.
+cost of calibration is always measurable.
+
+Every fit scores each row it needs once, at the default floor; a calibration
+sample floors its scores with its own c (exact: c is never below that floor)
+and both arms decide from the same test scores.  CV fits the whole grid per
+fold, k-NN grid points sharing one neighbour table per group and query set.
+A chosen grid point is refitted once per repeat; in the sweep it scores the
+labeled part and the other rows once for every unlabeled fraction.
 """
 
 from __future__ import annotations
@@ -20,10 +26,11 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .calibration import calibrate
+# calibrate is not called here, but perfbench/spans.py wraps fairthresh.benchmark.calibrate by name
+from .calibration import _fit_estimator, _row_scores, calibrate, calibrate_scores  # noqa: F401
 from .data import LabeledDataset, SplitPlan, UnlabeledDataset, split
 from .errors import ConfigError, GroupCoverageError
-from .estimators import KnnConfig, LogisticConfig
+from .estimators import KnnConfig, LogisticConfig, _knn_path
 from .metrics import deo as deo_report
 
 LOGISTIC_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-4, 4, 30))
@@ -162,47 +169,83 @@ def _carve_unlabeled(train: LabeledDataset, fraction: float, rng):
     return train.take(fit_idx), unl
 
 
-def _fit_and_evaluate(train, test, est_cfg, mode, methods, unlabeled, rng) -> dict:
-    """Calibrate once on train (optionally with a held-out unlabeled part) and
-    score test with each method arm: {method: (report, classifier)}."""
-    if isinstance(unlabeled, float):
-        fit_part, unl = _carve_unlabeled(train, unlabeled, rng)
-    elif isinstance(unlabeled, UnlabeledDataset):
-        fit_part, unl = train, unlabeled
+def _pick(values, rows):
+    return values if rows is None or values is None else values[..., rows]
+
+
+def _score_members(models: dict, queries) -> dict:
+    """Scores of each fitted member {grid index: model} on each query dataset.
+
+    The members are fitted on one part; k-NN members are scored together by
+    one path model, so each query dataset costs one neighbour table per group.
+    """
+    if models and next(iter(models.values())).kind == "knn":
+        tables = [_row_scores(_knn_path(list(models.values())), q.features, q.sensitive) for q in queries]
+        return {i: [t[..., j] for t in tables] for j, i in enumerate(models)}
+    return {i: [_row_scores(model, q.features, q.sensitive) for q in queries] for i, model in models.items()}
+
+
+def _evaluate(cal, test, mode, methods) -> dict:
+    """Calibrate once on cal = (scores, S), then decide test = (scores, labels, S) with
+    each method arm: {method: (report, classifier)}."""
+    scores, sensitive = cal
+    if mode == "aware":  # aware calibration reads only each row's own group column
+        clf = calibrate_scores(scores, scores, sensitive)
     else:
-        fit_part, unl = train, None  # reuse-train calibration
-    clf = calibrate(fit_part, unl, estimator=est_cfg, mode=mode)
+        clf = calibrate_scores(scores[1], scores[2], marginal=scores[0], mode="blind")
+    scores, labels, sensitive = test
+    floored = np.maximum(scores, clf.model.floor)
     arms = {"plugin": clf, "bayes": replace(clf, theta_hat=0.0)}
-    preds = {m: arms[m].predict(test.features, test.sensitive) for m in methods}  # blind predict ignores S
-    return {m: (deo_report(preds[m], test.labels, test.sensitive), arms[m]) for m in methods}
+    return {m: (deo_report(arms[m]._decide(floored, sensitive), labels, sensitive), arms[m]) for m in methods}
 
 
 def cross_validate(train: LabeledDataset, config: BenchmarkConfig, seed) -> dict[str, list[CvRow]]:
-    """k-fold CV of every grid point for every method arm, one fit per (grid
-    point, fold); a fold whose fit part misses a group is skipped with a flag,
-    and an undefined fold DEO counts as 0 with a flag."""
+    """k-fold CV of every grid point for every method arm, fold-outer.
+
+    With a held-out unlabeled fraction each (grid point, fold) draws its own
+    carve, in grid-outer order.  A fold whose fit part misses a group, or a
+    grid point that cannot be fitted on a fold, is skipped with a flag; an
+    undefined fold DEO counts as 0 with a flag.
+    """
     rng = np.random.default_rng(seed)
     fold_idx = _cv_partition(train, config.cv_folds, rng)
-    all_idx = np.arange(train.n)
-    rows = {m: [] for m in config.methods}
-    for label, est_cfg in config.grid():
-        skipped, done = set(), []  # done: (fold, {method: (report, clf)}) per fitted fold
-        for f, held in enumerate(fold_idx):
-            if held.size == 0:
-                continue
-            fit_part = train.take(np.setdiff1d(all_idx, held))
-            if 0 in fit_part.group_counts():
-                skipped.add(f"fold_{f}_skipped_missing_group")
-                continue
+    grid, all_idx = config.grid(), np.arange(train.n)
+    skipped = [set() for _ in grid]
+    parts = []  # (fold, fit part, held-out part) of every fold that can be fitted
+    for f, held in enumerate(fold_idx):
+        if held.size == 0:
+            continue
+        fit_part = train.take(np.setdiff1d(all_idx, held))
+        if 0 in fit_part.group_counts():
+            for flags in skipped:
+                flags.add(f"fold_{f}_skipped_missing_group")
+        else:
+            parts.append((f, fit_part, train.take(held)))
+    carve = isinstance(config.unlabeled, float)  # fits: fold -> [(grid indices, fit part, calibration sample)]
+    fits = {f: [] if carve else [(range(len(grid)), part, part)] for f, part, _ in parts}
+    for i in range(len(grid)) if carve else ():
+        for f, part, _ in parts:
             try:
-                done.append((f, _fit_and_evaluate(
-                    fit_part, train.take(held), est_cfg, config.mode, config.methods, config.unlabeled, rng
-                )))
+                fits[f].append(([i], *_carve_unlabeled(part, config.unlabeled, rng)))
             except (GroupCoverageError, ConfigError):
-                skipped.add(f"fold_{f}_skipped_infeasible")
+                skipped[i].add(f"fold_{f}_skipped_infeasible")
+    done = [[] for _ in grid]  # per grid point: (fold, {method: (report, clf)})
+    for f, _, held in parts:
+        for indices, part, cal in fits[f]:
+            models = {}
+            for i in indices:
+                try:
+                    models[i] = _fit_estimator(part, grid[i][1], config.mode, 0.0)
+                except (GroupCoverageError, ConfigError):
+                    skipped[i].add(f"fold_{f}_skipped_infeasible")
+            for i, (cal_scores, held_scores) in _score_members(models, [cal, held]).items():
+                test = (held_scores, held.labels, held.sensitive)
+                done[i].append((f, _evaluate((cal_scores, cal.sensitive), test, config.mode, config.methods)))
+    rows = {m: [] for m in config.methods}
+    for (label, _), flags_i, done_i in zip(grid, skipped, done):
         for m in config.methods:
-            folds = [(f, fits[m][0]) for f, fits in done]
-            flags = skipped | {f"fold_{f}_deo_undefined" for f, r in folds if r.deo is None}
+            folds = [(f, fits[m][0]) for f, fits in done_i]
+            flags = flags_i | {f"fold_{f}_deo_undefined" for f, r in folds if r.deo is None}
             if not folds:
                 flags.add("all_folds_skipped")
             rows[m].append(CvRow(
@@ -239,31 +282,31 @@ def _summarize(method: str, rows: list[RepeatOutcome], with_std: bool) -> Method
     )
 
 
-def _run_repeat(train, targets, config: BenchmarkConfig, repeat: int, seed: list) -> list[dict]:
-    """One repeat: CV on train once, select per method arm, then one fit per
-    distinct chosen grid point for each (test, unlabeled) target.
+def _run_repeat(train, fit_part, queries, targets, config: BenchmarkConfig, repeat: int) -> list[dict]:
+    """One repeat: CV on train once, select per method arm, then one fit on
+    fit_part per distinct chosen grid point, which scores each query dataset once.
 
-    Returns one {method: RepeatOutcome} per target.  Every final fit draws
-    from a fresh rng(seed + [7]), so each sees the same unlabeled carve.
+    A target names its calibration and test rows as (query index, rows) pairs,
+    rows None for all of them; returns one {method: RepeatOutcome} per target.
     """
     grid = config.grid()
     if len(grid) == 1:
         chosen, cv = dict.fromkeys(config.methods, 0), dict.fromkeys(config.methods, ())
     else:
-        cv = {m: tuple(rows) for m, rows in cross_validate(train, config, seed).items()}
+        cv = {m: tuple(rows) for m, rows in cross_validate(train, config, [config.seed, repeat]).items()}
         chosen = {m: select_hyperparameters(rows, config.shortlist_fraction) for m, rows in cv.items()}
-    outcomes = []
-    for test, unlabeled in targets:
-        fits = {}
-        for i in set(chosen.values()):
-            arms = [m for m in config.methods if chosen[m] == i]
-            rng = np.random.default_rng(list(seed) + [7])  # the same carve for every arm and target
-            fits.update(_fit_and_evaluate(train, test, grid[i][1], config.mode, arms, unlabeled, rng))
-        outcomes.append({
-            m: RepeatOutcome(repeat=repeat, method=m, param=grid[chosen[m]][0], acc=report.accuracy, deo=report.deo,
-                             theta_hat=clf.theta_hat, flags=tuple(report.flags), cv_table=cv[m])
-            for m, (report, clf) in fits.items()
-        })
+    outcomes = [{} for _ in targets]
+    for i in dict.fromkeys(chosen.values()):
+        label, est_cfg = grid[i]
+        model = _fit_estimator(fit_part, est_cfg, config.mode, 0.0)
+        scores = [_row_scores(model, q.features, q.sensitive) for q in queries]
+        arms = [m for m in config.methods if chosen[m] == i]
+        for out, ((c, c_rows), (t, t_rows)) in zip(outcomes, targets):
+            cal = (_pick(scores[c], c_rows), _pick(queries[c].sensitive, c_rows))
+            test = (_pick(scores[t], t_rows), _pick(queries[t].labels, t_rows), _pick(queries[t].sensitive, t_rows))
+            for m, (report, clf) in _evaluate(cal, test, config.mode, arms).items():
+                out[m] = RepeatOutcome(repeat=repeat, method=m, param=label, acc=report.accuracy, deo=report.deo,
+                                       theta_hat=clf.theta_hat, flags=tuple(report.flags), cv_table=cv[m])
     return outcomes
 
 
@@ -279,7 +322,6 @@ def run_benchmark(
     With a fixed test set (Adult-style) the split loop is skipped and the
     std columns are absent from the summaries.
     """
-    unlabeled = unlabeled_ds if unlabeled_ds is not None else config.unlabeled
     if test is not None:
         pairs = [(ds, test)]
         meta_splits = "fixed-test"
@@ -287,10 +329,12 @@ def run_benchmark(
         splits = split(ds, SplitPlan(config.train_fraction, config.n_repeats, config.seed))
         pairs = [(sp.train, sp.test) for sp in splits]
         meta_splits = f"{config.n_repeats} stratified splits at {config.train_fraction:g}"
-    rows = [
-        _run_repeat(train, [(held, unlabeled)], config, r, [config.seed, r])[0]
-        for r, (train, held) in enumerate(pairs)
-    ]
+    rows = []
+    for r, (train, held) in enumerate(pairs):
+        fit_part, cal = train, unlabeled_ds if unlabeled_ds is not None else train
+        if unlabeled_ds is None and isinstance(config.unlabeled, float):  # the same carve for every arm
+            fit_part, cal = _carve_unlabeled(train, config.unlabeled, np.random.default_rng([config.seed, r, 7]))
+        rows.append(_run_repeat(train, fit_part, [cal, held], [((0, None), (1, None))], config, r)[0])
     summaries = [_summarize(m, [row[m] for row in rows], with_std=test is None) for m in config.methods]
     metadata = {
         "estimator": config.estimator,
@@ -358,11 +402,12 @@ def run_unlabeled_sweep(
         for frac in fractions:
             n_unl = int(round(frac * ds.n))
             if n_unl > 0:
-                unl = UnlabeledDataset(rest.features[perm[:n_unl]], rest.sensitive[perm[:n_unl]])
-                targets.append((rest.take(perm[n_unl:]), unl))
+                cal = perm[:n_unl]
+                UnlabeledDataset(rest.features[cal], rest.sensitive[cal])  # raises unless two rows per group
+                targets.append(((1, cal), (1, perm[n_unl:])))
             else:
-                targets.append((rest, "reuse"))
-        per_repeat.append(_run_repeat(sp.train, targets, config, r, [config.seed, r]))
+                targets.append(((0, None), (1, None)))
+        per_repeat.append(_run_repeat(sp.train, sp.train, [sp.train, rest], targets, config, r))
     points = [
         SweepPoint(**vars(_summarize(m, [rows[j][m] for rows in per_repeat], True)), unlabeled_fraction=frac)
         for j, frac in enumerate(fractions)

@@ -28,9 +28,10 @@ sorts the switch points once and exposes .breakpoints, .value(thetas) and
 .argmin() -> (theta, value); fit_theta, fit_theta_blind, empirical_unfairness,
 unfairness_curve and blind_unfairness are one-liners over them.  calibrate
 scores the calibration sample with the fitted estimator and calibrate_scores
-floors precomputed score columns; both hand the floored scores to the same
-per-mode core, so the two paths give the same theta_hat on the same scores,
-and the classifier carries the objective value at theta_hat.
+floors precomputed score columns; both hand the floored scores to one core,
+so the two paths give the same theta_hat on the same scores, and the
+classifier carries the objective value at theta_hat.  FairClassifier._decide
+is the one decision rule of predict, predict_from_scores and the benchmark.
 """
 
 from __future__ import annotations
@@ -283,23 +284,11 @@ def breakpoints(scores1, scores0, stats: GroupStatistics) -> BreakpointSet:
     return BreakpointSet(theta[order], group[order], row[order])
 
 
-def _aware_decisions(scores, sensitive, stats: GroupStatistics, theta: float) -> np.ndarray:
-    scores = np.asarray(scores, dtype=np.float64)
-    sensitive = np.asarray(sensitive)
-    out = np.zeros(scores.shape[0], dtype=np.int64)
-    g1 = sensitive == 1
-    g0 = ~g1
-    out[g1] = theta <= _group1_breakpoints(scores[g1], stats.joint[1])
-    out[g0] = theta >= _group0_breakpoints(scores[g0], stats.joint[0])
-    return out
-
-
-def _blind_decisions(marginal, scores_s0, scores_s1, means, theta: float) -> np.ndarray:
-    m = np.asarray(marginal, dtype=np.float64)
-    d, bp = _blind_direction(
-        m, np.asarray(scores_s0, dtype=np.float64), np.asarray(scores_s1, dtype=np.float64), means
-    )
-    return np.select([d > 0, d < 0], [theta >= bp, theta <= bp], 1.0 <= 2.0 * m).astype(np.int64)
+def _row_scores(model: ScoreModel, X, S=None) -> np.ndarray:
+    """Floored scores as _decide takes them: eta_hat(x_i, s_i) (aware), rows (marginal, s=0, s=1) (blind)."""
+    if model.mode == "aware":
+        return model.score_rowwise(X, S)
+    return np.stack([model.score_marginal(X), model.score_group(X, 0), model.score_group(X, 1)])
 
 
 @dataclass(frozen=True)
@@ -323,18 +312,9 @@ class FairClassifier:
         """Binary predictions for feature rows (S required in aware mode)."""
         if self.model is None or self.model.kind == "external":
             raise SchemaError("external-score classifier: use predict_from_scores")
-        if self.mode == "aware":
-            if S is None:
-                raise SchemaError("group-aware prediction needs the sensitive attribute")
-            scores = self.model.score_rowwise(X, S)
-            return _aware_decisions(scores, S, self.stats, self.theta_hat)
-        return _blind_decisions(
-            self.model.score_marginal(X),
-            self.model.score_group(X, 0),
-            self.model.score_group(X, 1),
-            self.blind_means,
-            self.theta_hat,
-        )
+        if self.mode == "aware" and S is None:
+            raise SchemaError("group-aware prediction needs the sensitive attribute")
+        return self._decide(_row_scores(self.model, X, S), S)
 
     def predict_from_scores(self, scores_s0=None, scores_s1=None, sensitive=None, marginal=None):
         """Predictions from precomputed raw scores (floored with the model floor)."""
@@ -342,22 +322,25 @@ class FairClassifier:
         if self.mode == "aware":
             if sensitive is None or scores_s0 is None or scores_s1 is None:
                 raise SchemaError("aware mode needs scores_s0, scores_s1 and sensitive")
-            sensitive = np.asarray(sensitive)
-            rowwise = np.where(
-                sensitive == 1,
-                np.maximum(np.asarray(scores_s1, dtype=np.float64), c),
-                np.maximum(np.asarray(scores_s0, dtype=np.float64), c),
-            )
-            return _aware_decisions(rowwise, sensitive, self.stats, self.theta_hat)
-        if marginal is None or scores_s0 is None or scores_s1 is None:
+            scores = np.where(np.asarray(sensitive) == 1, scores_s1, scores_s0)
+        elif marginal is None or scores_s0 is None or scores_s1 is None:
             raise SchemaError("blind mode needs marginal, scores_s0 and scores_s1")
-        return _blind_decisions(
-            np.maximum(np.asarray(marginal, dtype=np.float64), c),
-            np.maximum(np.asarray(scores_s0, dtype=np.float64), c),
-            np.maximum(np.asarray(scores_s1, dtype=np.float64), c),
-            self.blind_means,
-            self.theta_hat,
-        )
+        else:
+            scores = np.stack([marginal, scores_s0, scores_s1])
+        return self._decide(np.maximum(np.asarray(scores, dtype=np.float64), c), sensitive)
+
+    def _decide(self, scores: np.ndarray, sensitive=None) -> np.ndarray:
+        """0/1 decisions from floored scores in the form _row_scores gives them."""
+        theta = self.theta_hat
+        if self.mode == "aware":
+            g1 = np.asarray(sensitive) == 1
+            out = np.zeros(scores.shape[0], dtype=np.int64)
+            out[g1] = theta <= _group1_breakpoints(scores[g1], self.stats.joint[1])
+            out[~g1] = theta >= _group0_breakpoints(scores[~g1], self.stats.joint[0])
+            return out
+        marginal, scores_s0, scores_s1 = scores
+        d, bp = _blind_direction(marginal, scores_s0, scores_s1, self.blind_means)
+        return np.select([d > 0, d < 0], [theta >= bp, theta <= bp], 1.0 <= 2.0 * marginal).astype(np.int64)
 
     def to_json(self) -> dict:
         return {
@@ -403,25 +386,15 @@ class FairClassifier:
         )
 
 
-def _calibrate_aware(model: ScoreModel, scores: np.ndarray, sensitive: np.ndarray) -> FairClassifier:
-    """Aware calibration core: floored row scores eta_hat(x_i, s_i) and S to a classifier."""
-    stats = group_statistics(scores, sensitive)
-    theta, value = _AwareObjective(scores[sensitive == 1], scores[sensitive == 0], stats).argmin()
-    return FairClassifier(model=model, theta_hat=theta, stats=stats, mode="aware", unfairness_hat=value)
-
-
-def _calibrate_blind(model: ScoreModel, marginal, scores_s0, scores_s1) -> FairClassifier:
-    """Blind calibration core: floored marginal and per-group scores to a classifier."""
-    objective = _BlindObjective(marginal, scores_s0, scores_s1)
+def _calibrate(model: ScoreModel, scores: np.ndarray, sensitive) -> FairClassifier:
+    """The calibration core: floored calibration scores, in the form _row_scores gives them, to a classifier."""
+    if model.mode == "aware":
+        stats = group_statistics(scores, sensitive)
+        theta, value = _AwareObjective(scores[sensitive == 1], scores[sensitive == 0], stats).argmin()
+        return FairClassifier(model=model, theta_hat=theta, stats=stats, mode="aware", unfairness_hat=value)
+    objective = _BlindObjective(*scores)
     theta, value = objective.argmin()
-    return FairClassifier(
-        model=model,
-        theta_hat=theta,
-        stats=None,
-        mode="blind",
-        blind_means=objective.means,
-        unfairness_hat=value,
-    )
+    return FairClassifier(model, theta, None, "blind", blind_means=objective.means, unfairness_hat=value)
 
 
 def _fit_estimator(train: LabeledDataset, estimator, mode: str, jitter: float) -> ScoreModel:
@@ -453,21 +426,22 @@ def calibrate(
     """
     if mode not in ("aware", "blind"):
         raise ConfigError(f"mode must be 'aware' or 'blind', got {mode!r}")
+    if not 0.0 <= jitter_amplitude <= 0.5:
+        raise ConfigError(f"jitter amplitude must be finite and in [0, 0.5], got {jitter_amplitude}")
     cal = train if unlabeled is None else unlabeled
     X_u, S_u = cal.features, cal.sensitive
     if mode == "aware" and S_u is None:
         raise SchemaError("group-aware calibration needs a sensitive column in the unlabeled sample")
     model = _fit_estimator(train, estimator, mode, jitter_amplitude).with_floor(floor_value(X_u.shape[0]))
-    if mode == "aware":
-        return _calibrate_aware(model, model.score_rowwise(X_u, S_u), S_u)
-    return _calibrate_blind(model, model.score_marginal(X_u), model.score_group(X_u, 0), model.score_group(X_u, 1))
+    return _calibrate(model, _row_scores(model, X_u, S_u), S_u)
 
 
 def calibrate_scores(scores_s0, scores_s1, sensitive=None, marginal=None, mode: str = "aware") -> FairClassifier:
     """Calibrate from precomputed score columns instead of a fitted estimator.
 
     Scores must be row-aligned with the calibration sample; they are floored
-    with c = floor_value(N), N the number of rows.
+    with c = floor_value(N), N the number of rows.  Aware calibration reads
+    only the column of each row's own group.
     """
     s0 = np.asarray(scores_s0, dtype=np.float64)
     s1 = np.asarray(scores_s1, dtype=np.float64)
@@ -483,11 +457,11 @@ def calibrate_scores(scores_s0, scores_s1, sensitive=None, marginal=None, mode: 
         sensitive = np.asarray(sensitive)
         if sensitive.shape[0] != N:
             raise SchemaError(f"scores ({N} rows) and sensitive ({sensitive.shape[0]} rows) misaligned")
-        return _calibrate_aware(model, np.maximum(np.where(sensitive == 1, s1, s0), c), sensitive)
+        return _calibrate(model, np.maximum(np.where(sensitive == 1, s1, s0), c), sensitive)
 
     if marginal is None:
         raise SchemaError("blind calibration needs a marginal score column")
     m = np.asarray(marginal, dtype=np.float64)
     if m.shape[0] != N:
         raise SchemaError("marginal scores misaligned with per-group scores")
-    return _calibrate_blind(model, np.maximum(m, c), np.maximum(s0, c), np.maximum(s1, c))
+    return _calibrate(model, np.maximum(np.stack([m, s0, s1]), c), None)

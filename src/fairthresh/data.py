@@ -75,14 +75,14 @@ class LabeledDataset:
         return self.features.shape[1]
 
     def take(self, indices) -> "LabeledDataset":
+        """The rows at indices (either group may be absent); they are not validated again."""
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(
-            self.features[idx],
-            self.sensitive[idx],
-            self.labels[idx],
-            self.feature_names,
-            require_both_groups=False,
-        )
+        if idx.size < 1:
+            raise SchemaError("dataset needs at least one row")
+        sub = object.__new__(LabeledDataset)
+        sub.__dict__.update(features=self.features[idx], sensitive=self.sensitive[idx], labels=self.labels[idx],
+                            feature_names=self.feature_names)
+        return sub
 
     def group_counts(self) -> tuple[int, int]:
         return int((self.sensitive == 0).sum()), int((self.sensitive == 1).sum())

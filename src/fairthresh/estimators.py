@@ -162,7 +162,8 @@ class ScoreModel:
             w, b = params
             return _sigmoid(X @ w + b)
         feats, labels, k = params
-        return _knn_scores(X, feats, labels, k)
+        k = np.asarray(k)  # an array of k (a path model) scores one column per k
+        return _knn_label_sums(X, feats, labels, int(k.max()))[:, k - 1] / k
 
     def _finish(self, raw: np.ndarray, X: np.ndarray, salt: int) -> np.ndarray:
         if self.jitter_amplitude > 0.0:
@@ -186,11 +187,11 @@ class ScoreModel:
         masks = (S == 0, S == 1)
         # any other group value would leave its rows unscored
         if S.shape != (X.shape[0],) or not (masks[0] | masks[1]).all():
-            raise SchemaError("sensitive values must be 0 or 1, one per feature row")
-        out = np.empty(X.shape[0])
-        for s, mask in enumerate(masks):
-            if mask.any():
-                out[mask] = self.score_group(X[mask], s)
+            raise SchemaError("group-aware scoring needs a sensitive value of 0 or 1 for every feature row")
+        scores = [self.score_group(X[mask], s) for s, mask in enumerate(masks)]
+        out = np.empty(X.shape[:1] + scores[0].shape[1:])
+        for mask, group_scores in zip(masks, scores):
+            out[mask] = group_scores
         return out
 
     def score_marginal(self, X) -> np.ndarray:
@@ -233,19 +234,22 @@ class ScoreModel:
                 return None
             if kind == "logistic":
                 return (np.asarray(payload["weights"], dtype=np.float64), float(payload["intercept"]))
-            return (
-                np.asarray(payload["features"], dtype=np.float64),
-                np.asarray(payload["labels"], dtype=np.int64),
-                int(payload["k"]),
-            )
+            feats = np.asarray(payload["features"], dtype=np.float64)
+            labels, k = np.asarray(payload["labels"], dtype=np.int64), int(payload["k"])
+            if not 1 <= k <= labels.shape[0] == feats.shape[0]:
+                raise SchemaError(f"k-NN model needs 1 <= k <= its row count and one label per row, got k={k}")
+            return feats, labels, k
 
+        jitter = float(obj.get("jitter_amplitude", 0.0))
+        if not 0.0 <= jitter < np.inf:
+            raise SchemaError(f"jitter_amplitude must be finite and >= 0, got {jitter!r}")
         return ScoreModel(
             kind=kind,
             mode=mode,
             group_params=tuple(unpack(p) for p in groups),
             marginal_params=unpack(obj.get("marginal")),
             floor=float(obj["floor"]),
-            jitter_amplitude=float(obj.get("jitter_amplitude", 0.0)),
+            jitter_amplitude=jitter,
             converged=bool(obj.get("converged", True)),
         )
 
@@ -255,15 +259,32 @@ def external_score_model(floor: float = FLOOR_MIN, mode: str = "aware") -> Score
     return ScoreModel(kind="external", mode=mode, group_params=(None, None), floor=floor)
 
 
-def _knn_scores(queries: np.ndarray, feats: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    out = np.empty(queries.shape[0])
+def _knn_path(models) -> ScoreModel:
+    """One model scoring the k-NN models (fitted on the same rows) at once, one score column per model."""
+    first, ks = models[0], np.array([m.group_params[0][2] for m in models])
+    params = [None if p is None else (p[0], p[1], ks) for p in (*first.group_params, first.marginal_params)]
+    return replace(first, group_params=tuple(params[:2]), marginal_params=params[2])
+
+
+def _knn_label_sums(queries: np.ndarray, feats: np.ndarray, labels: np.ndarray, k_max: int) -> np.ndarray:
+    """Label sums over the j nearest training rows of each query, j = 1..k_max: a (queries, k_max) int64 table.
+
+    Neighbours are ordered by (distance, training row index), so a distance tie
+    goes to the smaller row index; the k-NN score at k is table[:, k - 1] / k.
+    """
+    out = np.empty((queries.shape[0], k_max), dtype=np.int64)
     block = max(1, int(2**22 // max(1, feats.shape[0])))
     for start in range(0, queries.shape[0], block):
         q = queries[start : start + block]
         d2 = ((q[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
-        # stable argsort: distance ties resolve to the smaller training row index
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        out[start : start + block] = labels[order].mean(axis=1)
+        near = np.sort(np.argpartition(d2, k_max - 1, axis=1)[:, :k_max], axis=1)
+        by_distance = np.argsort(np.take_along_axis(d2, near, axis=1), axis=1, kind="stable")
+        order = np.take_along_axis(near, by_distance, axis=1)
+        # a row left out at the k_max-th distance may hold a smaller index: sort those queries in full
+        tied = (d2 <= np.take_along_axis(d2, order[:, -1:], axis=1)).sum(axis=1) > k_max
+        if tied.any():
+            order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k_max]
+        out[start : start + block] = np.cumsum(labels[order], axis=1)
     return out
 
 

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,10 @@ from fairthresh.benchmark import (
     run_unlabeled_sweep,
     select_hyperparameters,
 )
-from fairthresh.data import LabeledDataset
-from fairthresh.errors import ConfigError
+from fairthresh.calibration import calibrate
+from fairthresh.data import LabeledDataset, SplitPlan, UnlabeledDataset, split
+from fairthresh.errors import ConfigError, GroupCoverageError
+from fairthresh.metrics import deo
 from fairthresh.oracle import linear_distribution, sample
 
 DIST = linear_distribution(0.35, 0.3, 0.05, 0.9, 0.5)
@@ -163,10 +168,11 @@ class TestRunBenchmark:
 
 @pytest.fixture
 def calibrations(monkeypatch):
-    """Counts of benchmark.calibrate calls: all of them, and those made inside cross_validate."""
+    """Counts of benchmark.calibrate_scores calls (one per fitted grid point and calibration
+    sample): all of them, and those made inside cross_validate."""
     counts = {"all": 0, "cv": 0}
     inside_cv = []
-    real_calibrate, real_cross_validate = benchmark.calibrate, benchmark.cross_validate
+    real_calibrate, real_cross_validate = benchmark.calibrate_scores, benchmark.cross_validate
 
     def calibrate(*args, **kwargs):
         counts["all"] += 1
@@ -180,7 +186,7 @@ def calibrations(monkeypatch):
         finally:
             inside_cv.pop()
 
-    monkeypatch.setattr(benchmark, "calibrate", calibrate)
+    monkeypatch.setattr(benchmark, "calibrate_scores", calibrate)
     monkeypatch.setattr(benchmark, "cross_validate", cross_validate)
     return counts
 
@@ -235,3 +241,91 @@ class TestSweep:
         ]
         for p in sweep.points:
             assert len(p.rows) == 3
+
+
+def _two_feature_sample(n, seed):
+    """DIST's feature plus a noise feature, both rounded so k-NN distances tie."""
+    ds = sample(DIST, n, seed)
+    noise = np.random.default_rng(seed).normal(size=ds.n)
+    return LabeledDataset(np.round(np.column_stack([ds.features[:, 0], noise]), 1), ds.sensitive, ds.labels)
+
+
+def _cv_reference(train, cfg, seed):
+    """CV rows from public calibrate and predict, one (grid point, fold) at a time, grid-outer."""
+    rng = np.random.default_rng(seed)
+    folds = benchmark._cv_partition(train, cfg.cv_folds, rng)
+    rows = {m: [] for m in cfg.methods}
+    for label, est in cfg.grid():
+        reports, flags = {m: [] for m in cfg.methods}, set()
+        for f, held in enumerate(folds):
+            fit, test = train.take(np.setdiff1d(np.arange(train.n), held)), train.take(held)
+            assert 0 not in fit.group_counts()
+            try:
+                unl = None
+                if isinstance(cfg.unlabeled, float):
+                    fit, unl = benchmark._carve_unlabeled(fit, cfg.unlabeled, rng)
+                clf = calibrate(fit, unl, estimator=est, mode=cfg.mode)
+            except (ConfigError, GroupCoverageError):
+                flags.add(f"fold_{f}_skipped_infeasible")
+                continue
+            for m in cfg.methods:
+                arm = clf if m == "plugin" else replace(clf, theta_hat=0.0)
+                reports[m].append((f, deo(arm.predict(test.features, test.sensitive), test.labels, test.sensitive)))
+        for m in cfg.methods:
+            done = reports[m]
+            row_flags = flags | {f"fold_{f}_deo_undefined" for f, r in done if r.deo is None}
+            if not done:
+                row_flags.add("all_folds_skipped")
+            rows[m].append(CvRow(
+                param=label,
+                acc=float(np.mean([r.accuracy for _, r in done])) if done else float("nan"),
+                deo=float(np.mean([r.deo or 0.0 for _, r in done])) if done else float("nan"),
+                folds_used=len(done),
+                flags=tuple(sorted(row_flags)),
+            ))
+    return rows
+
+
+def _as_json(rows):
+    # CvRow of a grid point with every fold skipped holds NaN, which == never matches
+    return json.dumps({m: [r.to_json() for r in rs] for m, rs in rows.items()})
+
+
+RUNNER_CASES = [
+    ("knn", "aware", "reuse"),
+    ("knn", "blind", "reuse"),
+    ("knn", "aware", 0.3),
+    ("logistic", "aware", "reuse"),
+    ("logistic", "blind", 0.3),
+]
+
+
+class TestRunnerEquivalence:
+    """The fold-outer runner that scores each row once gives the rows of one calibrate + predict per fit."""
+
+    @pytest.mark.parametrize("estimator, mode, unlabeled", RUNNER_CASES)
+    def test_cross_validate_equals_per_fit_reference(self, estimator, mode, unlabeled):
+        train = _two_feature_sample(300, 31)
+        # k = 150 exceeds every fold's groups, so its rows are all skipped
+        cfg = small_config(estimator=estimator, knn_grid=(1, 4, 15, 150), logistic_grid=(1e-4, 1e-1, 10.0),
+                           cv_folds=3, mode=mode, unlabeled=unlabeled)
+        assert _as_json(cross_validate(train, cfg, [5])) == _as_json(_cv_reference(train, cfg, [5]))
+
+    @pytest.mark.parametrize("estimator, mode", [c[:2] for c in RUNNER_CASES if c[2] == "reuse"])
+    def test_sweep_repeat_equals_benchmark_on_its_rows(self, estimator, mode):
+        ds = _two_feature_sample(900, 32)
+        cfg = small_config(estimator=estimator, knn_grid=(3, 9, 21), logistic_grid=(1e-4, 1.0), cv_folds=3,
+                           n_repeats=1, mode=mode)
+        fractions = (0.0, 0.2, 0.5)
+        sweep = run_unlabeled_sweep(ds, cfg, labeled_fraction=0.2, unlabeled_fractions=fractions)
+        part = split(ds, SplitPlan(0.2, cfg.n_repeats, cfg.seed))[0]
+        perm = np.random.default_rng([cfg.seed, 0, 917]).permutation(part.test.n)
+        for j, frac in enumerate(fractions):
+            n_unl = int(round(frac * ds.n))
+            unl = UnlabeledDataset(part.test.features[perm[:n_unl]], part.test.sensitive[perm[:n_unl]]) if n_unl else None
+            test = part.test.take(perm[n_unl:]) if n_unl else part.test
+            report = run_benchmark(part.train, cfg, test=test, unlabeled_ds=unl)
+            for m, summary in enumerate(report.methods):
+                point = sweep.points[j * len(cfg.methods) + m]
+                assert (point.unlabeled_fraction, point.method) == (frac, summary.method)
+                assert json.dumps(point.rows[0].to_json()) == json.dumps(summary.rows[0].to_json())

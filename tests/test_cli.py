@@ -277,6 +277,12 @@ def _probed_argv(case, tmp_path, train_csv, test_csv):
                 *FLAG_CASES[case]]
     if case == "calibrate_lambda_nan":
         return ["calibrate", "--train", train_csv, "--l2-lambda", "nan"]
+    if case in ("calibrate_jitter_nan", "calibrate_jitter_negative"):
+        return ["calibrate", "--train", train_csv, "--jitter", "nan" if case.endswith("nan") else "-0.1"]
+    if case == "predict_model_jitter_nan":
+        model = json.load(open(_model(tmp_path, train_csv, "--estimator", "knn")))
+        model["model"]["jitter_amplitude"] = float("nan")
+        return ["predict", "--model", _write(tmp_path / "bad.json", json.dumps(model)), "--data", test_csv]
     assert case == "calibrate_unlabeled_with_label"
     return ["calibrate", "--train", train_csv, "--unlabeled", test_csv]
 
@@ -300,6 +306,9 @@ def _probed_argv(case, tmp_path, train_csv, test_csv):
         ("sweep_fractions_empty_item", 2),
         ("sweep_fractions_nan", 5),
         ("calibrate_lambda_nan", 5),
+        ("calibrate_jitter_nan", 5),
+        ("calibrate_jitter_negative", 5),
+        ("predict_model_jitter_nan", 2),
         # the label column of an unlabeled file is not a feature
         ("calibrate_unlabeled_with_label", 0),
     ],

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from fairthresh.data import LabeledDataset
@@ -9,6 +9,7 @@ from fairthresh.estimators import (
     KnnConfig,
     LogisticConfig,
     ScoreModel,
+    _knn_label_sums,
     apply_floor,
     fit_knn,
     fit_logistic,
@@ -166,6 +167,58 @@ class TestKnn:
         est = model.score_rowwise(test.features, test.sensitive)
         truth = exact_scores(dist, test.features, test.sensitive)
         assert np.abs(est - truth).mean() <= 0.05
+
+
+def _knn_scores_reference(queries, feats, labels, k):
+    """The per-k k-NN score by a full stable argsort of every query's distances."""
+    out = np.empty(queries.shape[0])
+    block = max(1, int(2**22 // max(1, feats.shape[0])))
+    for start in range(0, queries.shape[0], block):
+        q = queries[start : start + block]
+        d2 = ((q[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
+        # stable argsort: distance ties resolve to the smaller training row index
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        out[start : start + block] = labels[order].mean(axis=1)
+    return out
+
+
+def _assert_table_matches_reference(queries, feats, labels, k_max):
+    sums = _knn_label_sums(queries, feats, labels, k_max)
+    assert sums.shape == (queries.shape[0], k_max)
+    for k in range(1, k_max + 1):
+        assert np.array_equal(sums[:, k - 1] / k, _knn_scores_reference(queries, feats, labels, k)), k
+
+
+@settings(max_examples=300, deadline=None)
+@example(seed=0, T=6, Q=5, d=1, decimals=0, copies=3, k_share=1.0)  # k = training size, heavy ties
+@example(seed=1, T=1, Q=2, d=2, decimals=None, copies=1, k_share=0.0)  # one training row
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    T=hst.integers(1, 40),
+    Q=hst.integers(1, 30),
+    d=hst.integers(1, 3),
+    decimals=hst.sampled_from([0, 1, None]),
+    copies=hst.integers(0, 10),
+    k_share=hst.floats(0.0, 1.0),
+)
+def test_knn_label_sums_equal_per_k_stable_argsort(seed, T, Q, d, decimals, copies, k_share):
+    rng = np.random.default_rng(seed)
+    feats, queries = rng.normal(size=(T, d)), rng.normal(size=(Q, d))
+    if decimals is not None:  # rounded features put distance ties on the k_max boundary
+        feats, queries = np.round(feats, decimals), np.round(queries, decimals)
+    n_copies = min(copies, Q)
+    queries[:n_copies] = feats[rng.integers(0, T, n_copies)]  # queries equal to training rows
+    k_max = max(1, int(np.ceil(k_share * T)))
+    _assert_table_matches_reference(queries, feats, rng.integers(0, 2, T), k_max)
+
+
+def test_knn_label_sums_across_query_blocks():
+    # 2**22 // T = 2048 query rows per block, fewer than Q; rounding leaves some queries tied
+    rng = np.random.default_rng(11)
+    T, Q = 2**11, 2100
+    feats = np.round(rng.normal(size=(T, 1)), 2)
+    queries = np.concatenate([feats[rng.integers(0, T, Q // 2)], rng.normal(size=(Q - Q // 2, 1))])
+    _assert_table_matches_reference(queries, feats, rng.integers(0, 2, T), 3)
 
 
 class TestScoreModel:
