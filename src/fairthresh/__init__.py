@@ -2,7 +2,6 @@
 
 from .benchmark import BenchmarkConfig, BenchmarkReport, run_benchmark, run_unlabeled_sweep
 from .calibration import (
-    BreakpointSet,
     FairClassifier,
     GroupStatistics,
     blind_unfairness,
@@ -22,8 +21,6 @@ from .data import (
     UnlabeledDataset,
     load_csv,
     split,
-    split_manifest,
-    write_csv,
 )
 from .errors import (
     ConfigError,
@@ -38,7 +35,6 @@ from .estimators import (
     KnnConfig,
     LogisticConfig,
     ScoreModel,
-    apply_floor,
     fit_knn,
     fit_logistic,
     floor_value,

@@ -11,12 +11,15 @@ Two method arms are available: "plugin" (the calibrated classifier) and
 "bayes" (the same scores thresholded at 1/2, i.e. theta forced to 0), so the
 cost of calibration is always measurable.
 
-Every fit scores each row it needs once, at the default floor; a calibration
-sample floors its scores with its own c (exact: c is never below that floor)
-and both arms decide from the same test scores.  CV fits the whole grid per
-fold, k-NN grid points sharing one neighbour table per group and query set.
-A chosen grid point is refitted once per repeat; in the sweep it scores the
-labeled part and the other rows once for every unlabeled fraction.
+Every fit scores each row it needs once, at the default floor, through one
+routine (_score_members): k-NN grid points fitted on the same rows share one
+neighbour table per group and query set.  CV fits the whole grid per fold;
+the chosen grid points are refitted once per repeat and, in the sweep, score
+the labeled part and the other rows once for every unlabeled fraction.  The
+scores then go through the public calibration API as score columns:
+calibration.calibrate_scores floors a calibration sample's scores with its
+own c (exact: c is never below the default floor) and both arms predict
+with FairClassifier.predict_from_scores on the same test scores.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from . import calibration
 # calibrate is not called here, but perfbench/spans.py wraps fairthresh.benchmark.calibrate by name
-from .calibration import _fit_estimator, _row_scores, calibrate, calibrate_scores  # noqa: F401
+from .calibration import _fit_estimator, _row_scores, calibrate  # noqa: F401
 from .data import LabeledDataset, SplitPlan, UnlabeledDataset, split
 from .errors import ConfigError, GroupCoverageError
 from .estimators import KnnConfig, LogisticConfig, _knn_path
@@ -185,18 +189,21 @@ def _score_members(models: dict, queries) -> dict:
     return {i: [_row_scores(model, q.features, q.sensitive) for q in queries] for i, model in models.items()}
 
 
+def _columns(scores, sensitive, mode) -> dict:
+    """Scores in the form _row_scores gives them as the score columns of the calibration API."""
+    if mode == "aware":  # aware calibration and prediction read only each row's own group column
+        return {"scores_s0": scores, "scores_s1": scores, "sensitive": sensitive}
+    return {"scores_s0": scores[1], "scores_s1": scores[2], "marginal": scores[0]}
+
+
 def _evaluate(cal, test, mode, methods) -> dict:
-    """Calibrate once on cal = (scores, S), then decide test = (scores, labels, S) with
+    """Calibrate once on cal = (scores, S), then predict test = (scores, labels, S) with
     each method arm: {method: (report, classifier)}."""
-    scores, sensitive = cal
-    if mode == "aware":  # aware calibration reads only each row's own group column
-        clf = calibrate_scores(scores, scores, sensitive)
-    else:
-        clf = calibrate_scores(scores[1], scores[2], marginal=scores[0], mode="blind")
+    clf = calibration.calibrate_scores(**_columns(*cal, mode), mode=mode)
     scores, labels, sensitive = test
-    floored = np.maximum(scores, clf.model.floor)
     arms = {"plugin": clf, "bayes": replace(clf, theta_hat=0.0)}
-    return {m: (deo_report(arms[m]._decide(floored, sensitive), labels, sensitive), arms[m]) for m in methods}
+    columns = _columns(scores, sensitive, mode)
+    return {m: (deo_report(arms[m].predict_from_scores(**columns), labels, sensitive), arms[m]) for m in methods}
 
 
 def cross_validate(train: LabeledDataset, config: BenchmarkConfig, seed) -> dict[str, list[CvRow]]:
@@ -235,7 +242,7 @@ def cross_validate(train: LabeledDataset, config: BenchmarkConfig, seed) -> dict
             models = {}
             for i in indices:
                 try:
-                    models[i] = _fit_estimator(part, grid[i][1], config.mode, 0.0)
+                    models[i] = _fit_estimator(part, grid[i][1], config.mode)
                 except (GroupCoverageError, ConfigError):
                     skipped[i].add(f"fold_{f}_skipped_infeasible")
             for i, (cal_scores, held_scores) in _score_members(models, [cal, held]).items():
@@ -296,11 +303,9 @@ def _run_repeat(train, fit_part, queries, targets, config: BenchmarkConfig, repe
         cv = {m: tuple(rows) for m, rows in cross_validate(train, config, [config.seed, repeat]).items()}
         chosen = {m: select_hyperparameters(rows, config.shortlist_fraction) for m, rows in cv.items()}
     outcomes = [{} for _ in targets]
-    for i in dict.fromkeys(chosen.values()):
-        label, est_cfg = grid[i]
-        model = _fit_estimator(fit_part, est_cfg, config.mode, 0.0)
-        scores = [_row_scores(model, q.features, q.sensitive) for q in queries]
-        arms = [m for m in config.methods if chosen[m] == i]
+    models = {i: _fit_estimator(fit_part, grid[i][1], config.mode) for i in dict.fromkeys(chosen.values())}
+    for i, scores in _score_members(models, queries).items():
+        label, arms = grid[i][0], [m for m in config.methods if chosen[m] == i]
         for out, ((c, c_rows), (t, t_rows)) in zip(outcomes, targets):
             cal = (_pick(scores[c], c_rows), _pick(queries[c].sensitive, c_rows))
             test = (_pick(scores[t], t_rows), _pick(queries[t].labels, t_rows), _pick(queries[t].sensitive, t_rows))

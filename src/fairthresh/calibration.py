@@ -26,12 +26,15 @@ over the unlabeled sample; theta is unbounded there.
 Each mode has one objective object (_AwareObjective, _BlindObjective) that
 sorts the switch points once and exposes .breakpoints, .value(thetas) and
 .argmin() -> (theta, value); fit_theta, fit_theta_blind, empirical_unfairness,
-unfairness_curve and blind_unfairness are one-liners over them.  calibrate
-scores the calibration sample with the fitted estimator and calibrate_scores
-floors precomputed score columns; both hand the floored scores to one core,
-so the two paths give the same theta_hat on the same scores, and the
-classifier carries the objective value at theta_hat.  FairClassifier._decide
-is the one decision rule of predict, predict_from_scores and the benchmark.
+unfairness_curve, blind_unfairness and breakpoints are one-liners over them.
+calibrate scores the calibration sample with the fitted estimator;
+calibrate_scores and predict_from_scores take score columns, which one
+adapter (_column_scores) checks for alignment and puts in the same form.
+Calibration floors the scores once and hands them to one core, so the two
+paths give the same theta_hat on the same scores, and the classifier carries
+the objective value at theta_hat.  FairClassifier._decide is the one decision
+rule of predict and predict_from_scores; the benchmark calls the public
+calibrate_scores and predict_from_scores with its own score columns.
 """
 
 from __future__ import annotations
@@ -249,39 +252,12 @@ def fit_theta_blind(marginal, scores_s0, scores_s1) -> float:
     return _BlindObjective(marginal, scores_s0, scores_s1).argmin()[0]
 
 
-@dataclass(frozen=True, eq=False)
-class BreakpointSet:
-    """Indicator switch points of the threshold family, restricted to [-2, 2].
+def breakpoints(scores1, scores0, stats: GroupStatistics) -> np.ndarray:
+    """Distinct per-row switch points theta_i within [-2, 2], ascending: the breakpoints the argmin enumerates.
 
-    Entry k is the switch point theta[k] of row row[k] of group group[k];
-    entries are sorted by (theta, group, row).
+    Raises GroupCoverageError when either group has no rows.
     """
-
-    theta: np.ndarray
-    group: np.ndarray
-    row: np.ndarray
-
-    def __len__(self):
-        return self.theta.size
-
-    @property
-    def thetas(self) -> np.ndarray:
-        """Distinct switch points, ascending: the breakpoints the argmin enumerates."""
-        return np.unique(self.theta)
-
-
-def breakpoints(scores1, scores0, stats: GroupStatistics) -> BreakpointSet:
-    """Per-row switch points theta_i within [-2, 2], sorted ascending."""
-    scores1 = np.asarray(scores1, dtype=np.float64)
-    scores0 = np.asarray(scores0, dtype=np.float64)
-    theta = np.concatenate(
-        [_group1_breakpoints(scores1, stats.joint[1]), _group0_breakpoints(scores0, stats.joint[0])]
-    )
-    group = np.repeat([1, 0], [scores1.size, scores0.size])
-    row = np.concatenate([np.arange(scores1.size), np.arange(scores0.size)])
-    keep = np.flatnonzero((theta >= -THETA_BOUND) & (theta <= THETA_BOUND))
-    order = keep[np.lexsort((row[keep], group[keep], theta[keep]))]
-    return BreakpointSet(theta[order], group[order], row[order])
+    return _AwareObjective(scores1, scores0, stats).breakpoints
 
 
 def _row_scores(model: ScoreModel, X, S=None) -> np.ndarray:
@@ -289,6 +265,28 @@ def _row_scores(model: ScoreModel, X, S=None) -> np.ndarray:
     if model.mode == "aware":
         return model.score_rowwise(X, S)
     return np.stack([model.score_marginal(X), model.score_group(X, 0), model.score_group(X, 1)])
+
+
+def _column_scores(mode: str, scores_s0, scores_s1, sensitive, marginal) -> np.ndarray:
+    """Unfloored scores in the form _row_scores gives them, from row-aligned score columns.
+
+    Aware mode needs scores_s0, scores_s1 and 0/1 sensitive values and reads
+    each row's own group column; blind mode needs marginal, scores_s0 and
+    scores_s1.  A missing or misaligned column is a SchemaError.
+    """
+    names = ("scores_s0", "scores_s1", "sensitive" if mode == "aware" else "marginal")
+    columns = [scores_s0, scores_s1, sensitive if mode == "aware" else marginal]
+    if any(c is None for c in columns):
+        raise SchemaError(f"{mode} mode needs {', '.join(names)}")
+    s0, s1, third = columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    if s0.ndim != 1 or len({c.shape for c in columns}) > 1:
+        shapes = ", ".join(f"{n} {c.shape}" for n, c in zip(names, columns))
+        raise SchemaError(f"score columns must be one-dimensional and row-aligned, got {shapes}")
+    if mode == "blind":
+        return np.stack([third, s0, s1])
+    if not ((third == 0) | (third == 1)).all():
+        raise SchemaError("sensitive values must be 0 or 1")
+    return np.where(third == 1, s1, s0)
 
 
 @dataclass(frozen=True)
@@ -317,17 +315,10 @@ class FairClassifier:
         return self._decide(_row_scores(self.model, X, S), S)
 
     def predict_from_scores(self, scores_s0=None, scores_s1=None, sensitive=None, marginal=None):
-        """Predictions from precomputed raw scores (floored with the model floor)."""
+        """Predictions from precomputed raw score columns, row-aligned and floored with the model floor."""
         c = self.model.floor if self.model is not None else 0.0
-        if self.mode == "aware":
-            if sensitive is None or scores_s0 is None or scores_s1 is None:
-                raise SchemaError("aware mode needs scores_s0, scores_s1 and sensitive")
-            scores = np.where(np.asarray(sensitive) == 1, scores_s1, scores_s0)
-        elif marginal is None or scores_s0 is None or scores_s1 is None:
-            raise SchemaError("blind mode needs marginal, scores_s0 and scores_s1")
-        else:
-            scores = np.stack([marginal, scores_s0, scores_s1])
-        return self._decide(np.maximum(np.asarray(scores, dtype=np.float64), c), sensitive)
+        scores = _column_scores(self.mode, scores_s0, scores_s1, sensitive, marginal)
+        return self._decide(np.maximum(scores, c), sensitive)
 
     def _decide(self, scores: np.ndarray, sensitive=None) -> np.ndarray:
         """0/1 decisions from floored scores in the form _row_scores gives them."""
@@ -389,6 +380,7 @@ class FairClassifier:
 def _calibrate(model: ScoreModel, scores: np.ndarray, sensitive) -> FairClassifier:
     """The calibration core: floored calibration scores, in the form _row_scores gives them, to a classifier."""
     if model.mode == "aware":
+        sensitive = np.asarray(sensitive)
         stats = group_statistics(scores, sensitive)
         theta, value = _AwareObjective(scores[sensitive == 1], scores[sensitive == 0], stats).argmin()
         return FairClassifier(model=model, theta_hat=theta, stats=stats, mode="aware", unfairness_hat=value)
@@ -397,18 +389,14 @@ def _calibrate(model: ScoreModel, scores: np.ndarray, sensitive) -> FairClassifi
     return FairClassifier(model, theta, None, "blind", blind_means=objective.means, unfairness_hat=value)
 
 
-def _fit_estimator(train: LabeledDataset, estimator, mode: str, jitter: float) -> ScoreModel:
+def _fit_estimator(train: LabeledDataset, estimator, mode: str) -> ScoreModel:
     if estimator is None:
         estimator = LogisticConfig()
     if isinstance(estimator, LogisticConfig):
-        model = fit_logistic(train, estimator, mode)
-    elif isinstance(estimator, KnnConfig):
-        model = fit_knn(train, estimator, mode)
-    else:
-        raise ConfigError(f"unsupported estimator config: {type(estimator).__name__}")
-    if jitter:
-        model = replace(model, jitter_amplitude=jitter)
-    return model
+        return fit_logistic(train, estimator, mode)
+    if isinstance(estimator, KnnConfig):
+        return fit_knn(train, estimator, mode)
+    raise ConfigError(f"unsupported estimator config: {type(estimator).__name__}")
 
 
 def calibrate(
@@ -432,7 +420,9 @@ def calibrate(
     X_u, S_u = cal.features, cal.sensitive
     if mode == "aware" and S_u is None:
         raise SchemaError("group-aware calibration needs a sensitive column in the unlabeled sample")
-    model = _fit_estimator(train, estimator, mode, jitter_amplitude).with_floor(floor_value(X_u.shape[0]))
+    model = _fit_estimator(train, estimator, mode).with_floor(floor_value(X_u.shape[0]))
+    if jitter_amplitude:
+        model = replace(model, jitter_amplitude=jitter_amplitude)
     return _calibrate(model, _row_scores(model, X_u, S_u), S_u)
 
 
@@ -443,25 +433,6 @@ def calibrate_scores(scores_s0, scores_s1, sensitive=None, marginal=None, mode: 
     with c = floor_value(N), N the number of rows.  Aware calibration reads
     only the column of each row's own group.
     """
-    s0 = np.asarray(scores_s0, dtype=np.float64)
-    s1 = np.asarray(scores_s1, dtype=np.float64)
-    if s0.shape != s1.shape:
-        raise SchemaError("score columns must have equal length")
-    N = s0.shape[0]
-    c = floor_value(N)
-    model = external_score_model(floor=c, mode=mode)
-
-    if mode == "aware":
-        if sensitive is None:
-            raise SchemaError("group-aware calibration needs the sensitive attribute")
-        sensitive = np.asarray(sensitive)
-        if sensitive.shape[0] != N:
-            raise SchemaError(f"scores ({N} rows) and sensitive ({sensitive.shape[0]} rows) misaligned")
-        return _calibrate(model, np.maximum(np.where(sensitive == 1, s1, s0), c), sensitive)
-
-    if marginal is None:
-        raise SchemaError("blind calibration needs a marginal score column")
-    m = np.asarray(marginal, dtype=np.float64)
-    if m.shape[0] != N:
-        raise SchemaError("marginal scores misaligned with per-group scores")
-    return _calibrate(model, np.maximum(np.stack([m, s0, s1]), c), None)
+    scores = _column_scores(mode, scores_s0, scores_s1, sensitive, marginal)
+    c = floor_value(scores.shape[-1])
+    return _calibrate(external_score_model(floor=c, mode=mode), np.maximum(scores, c), sensitive)

@@ -270,18 +270,10 @@ def cmd_consistency(args) -> int:
     )
     headers = ["n", "N", "repeats", "deo_mean", "deo_std", "excess_risk_mean", "excess_risk_std",
                "theta_abs_err_mean"]
-    print(_fmt_table(
-        headers,
-        [[c.n, c.N, c.repeats, _num(c.deo_mean), _num(c.deo_std), _num(c.excess_risk_mean),
-          _num(c.excess_risk_std), _num(c.theta_abs_err_mean)] for c in cells],
-    ))
+    rows = [[getattr(c, h) for h in headers] for c in cells]
+    print(_fmt_table(headers, [[_num(v) if isinstance(v, float) else v for v in row] for row in rows]))
     if args.out:
-        _write_csv(
-            args.out,
-            headers,
-            [[c.n, c.N, c.repeats, c.deo_mean, c.deo_std, c.excess_risk_mean, c.excess_risk_std,
-              c.theta_abs_err_mean] for c in cells],
-        )
+        _write_csv(args.out, headers, rows)
     return 0
 
 

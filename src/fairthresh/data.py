@@ -94,7 +94,6 @@ class UnlabeledDataset:
 
     features: np.ndarray
     sensitive: np.ndarray | None = None
-    feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=np.float64)
@@ -214,8 +213,8 @@ def _column_index(path, header, name, what) -> int:
     return header.index(name)
 
 
-def load_csv(path, sensitive_col: str, label_col: str | None = None):
-    """Read a CSV file into a LabeledDataset (or UnlabeledDataset if label_col is None).
+def load_csv(path, sensitive_col: str, label_col: str) -> LabeledDataset:
+    """Read a labeled CSV file into a LabeledDataset; load_features reads files without labels.
 
     Raises SchemaError when a named column is missing or a row is ragged,
     DataValueError when a sensitive/label cell is not 0/1, and ParseError
@@ -223,13 +222,9 @@ def load_csv(path, sensitive_col: str, label_col: str | None = None):
     """
     header, values = _read_table(path, binary=(sensitive_col, label_col))
     s = values[:, _column_index(path, header, sensitive_col, "sensitive")]
-    y_idx = None if label_col is None else _column_index(path, header, label_col, "label")
+    y = values[:, _column_index(path, header, label_col, "label")]
     feat_idx = [i for i, h in enumerate(header) if h not in (sensitive_col, label_col)]
-    X = values[:, feat_idx]
-    names = tuple(header[i] for i in feat_idx)
-    if y_idx is None:
-        return UnlabeledDataset(X, s, names)
-    return LabeledDataset(X, s, values[:, y_idx], names)
+    return LabeledDataset(values[:, feat_idx], s, y, tuple(header[i] for i in feat_idx))
 
 
 def load_features(path, sensitive_col: str, label_col: str):
@@ -257,24 +252,6 @@ def load_scores(path, need_marginal: bool = False):
     return s0, s1, marginal
 
 
-def write_csv(path, ds, sensitive_col: str = "S", label_col: str = "Y") -> None:
-    """Write a dataset back to CSV; float cells use shortest round-trip repr."""
-    names = ds.feature_names or tuple(f"x{i + 1}" for i in range(ds.d))
-    labeled = isinstance(ds, LabeledDataset)
-    has_sensitive = ds.sensitive is not None
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = list(names) + ([sensitive_col] if has_sensitive else []) + ([label_col] if labeled else [])
-        writer.writerow(header)
-        for r in range(ds.n):
-            row = [repr(float(v)) for v in ds.features[r]]
-            if has_sensitive:
-                row.append(str(int(ds.sensitive[r])))
-            if labeled:
-                row.append(str(int(ds.labels[r])))
-            writer.writerow(row)
-
-
 @dataclass(frozen=True)
 class SplitPlan:
     """Deterministic repeated train/test split specification."""
@@ -298,21 +275,10 @@ class SplitResult:
     test_indices: np.ndarray
     stratified_by_sensitive_only: bool = False
 
-    def manifest_entry(self) -> dict:
-        return {
-            "train_indices": [int(i) for i in self.train_indices],
-            "test_indices": [int(i) for i in self.test_indices],
-            "stratified_by_sensitive_only": self.stratified_by_sensitive_only,
-        }
-
-
-def split_manifest(results) -> list[dict]:
-    """JSON-serializable audit record of a sequence of splits."""
-    return [r.manifest_entry() for r in results]
-
 
 def _apportion(cell_sizes: list[int], total_take: int) -> list[int]:
-    # largest-remainder rounding so the takes sum exactly to total_take
+    # largest-remainder rounding so the takes sum exactly to total_take; with
+    # total_take < n each quota is below its cell size, so a take of floor + 1 fits
     n = sum(cell_sizes)
     quotas = [total_take * c / n for c in cell_sizes]
     takes = [int(math.floor(q)) for q in quotas]
@@ -320,17 +286,6 @@ def _apportion(cell_sizes: list[int], total_take: int) -> list[int]:
     order = sorted(range(len(cell_sizes)), key=lambda i: (takes[i] - quotas[i], i))
     for i in order[:rem]:
         takes[i] += 1
-    for i, c in enumerate(cell_sizes):
-        takes[i] = min(takes[i], c)
-    # floor+remainder cannot overshoot, but guard the sum anyway
-    deficit = total_take - sum(takes)
-    for i in order:
-        if deficit == 0:
-            break
-        room = cell_sizes[i] - takes[i]
-        add = min(room, deficit)
-        takes[i] += add
-        deficit -= add
     return takes
 
 

@@ -33,11 +33,6 @@ def floor_value(N: int) -> float:
     return float(min(max(N ** -0.25, FLOOR_MIN), FLOOR_MAX))
 
 
-def apply_floor(raw_score, N: int):
-    """Clamp raw scores from below by the floor for N calibration rows."""
-    return np.maximum(raw_score, floor_value(N))
-
-
 @dataclass(frozen=True)
 class LogisticConfig:
     """Settings for the damped Newton (IRLS) logistic solver.
@@ -122,6 +117,12 @@ def logistic_descent(X: np.ndarray, y: np.ndarray, cfg: LogisticConfig):
         losses.append(val)
 
 
+def _as_matrix(X) -> np.ndarray:
+    """Feature rows as a float64 matrix; a 1-D array is one feature column."""
+    X = np.asarray(X, dtype=np.float64)
+    return X[:, None] if X.ndim == 1 else X
+
+
 def _row_hash_fractions(X: np.ndarray, salt: int) -> np.ndarray:
     # deterministic per-row value in [-1, 1] from a digest of the row bytes
     out = np.empty(X.shape[0])
@@ -173,17 +174,12 @@ class ScoreModel:
 
     def score_group(self, X, s: int) -> np.ndarray:
         """Floored score eta_hat(x, s) for every row of X."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = _as_matrix(X)
         return self._finish(self._raw(X, self.group_params[s]), X, s)
 
     def score_rowwise(self, X, S) -> np.ndarray:
         """Floored score eta_hat(x_i, s_i) using each row's own group."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[:, None]
-        S = np.asarray(S)
+        X, S = _as_matrix(X), np.asarray(S)
         masks = (S == 0, S == 1)
         # any other group value would leave its rows unscored
         if S.shape != (X.shape[0],) or not (masks[0] | masks[1]).all():
@@ -198,9 +194,7 @@ class ScoreModel:
         """Floored marginal score eta_hat(x); blind-mode models only."""
         if self.marginal_params is None:
             raise SchemaError("model has no marginal estimator; refit with mode='blind'")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = _as_matrix(X)
         return self._finish(self._raw(X, self.marginal_params), X, 2)
 
     def to_json(self) -> dict:

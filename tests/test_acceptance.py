@@ -161,7 +161,7 @@ def test_criterion_06_piecewise_constancy():
     ok = True
     for _ in range(50):
         s1, s0, stats = random_calibration_instance(rng, max_n=2000)
-        bps = breakpoints(s1, s0, stats).thetas
+        bps = breakpoints(s1, s0, stats)
         if bps.size < 2:
             continue
         lo, hi = bps[:-1], bps[1:]

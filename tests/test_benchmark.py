@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairthresh import benchmark
+from fairthresh import benchmark, calibration
 from fairthresh.benchmark import (
     BenchmarkConfig,
     CvRow,
@@ -168,11 +168,11 @@ class TestRunBenchmark:
 
 @pytest.fixture
 def calibrations(monkeypatch):
-    """Counts of benchmark.calibrate_scores calls (one per fitted grid point and calibration
+    """Counts of calibration.calibrate_scores calls (one per fitted grid point and calibration
     sample): all of them, and those made inside cross_validate."""
     counts = {"all": 0, "cv": 0}
     inside_cv = []
-    real_calibrate, real_cross_validate = benchmark.calibrate_scores, benchmark.cross_validate
+    real_calibrate, real_cross_validate = calibration.calibrate_scores, benchmark.cross_validate
 
     def calibrate(*args, **kwargs):
         counts["all"] += 1
@@ -186,7 +186,7 @@ def calibrations(monkeypatch):
         finally:
             inside_cv.pop()
 
-    monkeypatch.setattr(benchmark, "calibrate_scores", calibrate)
+    monkeypatch.setattr(calibration, "calibrate_scores", calibrate)
     monkeypatch.setattr(benchmark, "cross_validate", cross_validate)
     return counts
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from fairthresh.calibration import (
@@ -109,33 +109,38 @@ class TestEmpiricalUnfairness:
 class TestBreakpoints:
     def test_group1_inversion(self):
         st = group_statistics(FOUR_ROW_SCORES, FOUR_ROW_S)
-        bset = breakpoints(FOUR_ROW_SCORES[:2], FOUR_ROW_SCORES[2:], st)
+        bps = breakpoints(FOUR_ROW_SCORES[:2], FOUR_ROW_SCORES[2:], st)
         expected = 0.275 * (2.0 - 1.0 / 0.9)
-        assert any(t == pytest.approx(expected, abs=1e-15) and g == 1 for t, g in zip(bset.theta, bset.group))
+        assert any(t == pytest.approx(expected, abs=1e-15) for t in bps)
 
     def test_half_score_switches_at_zero(self):
         st = GroupStatistics(p=(0.5, 0.5), mean_score=(0.6, 0.5), joint=(0.3, 0.25))
-        bset = breakpoints(np.array([0.7]), np.array([0.5]), st)
-        assert any(t == 0.0 and g == 0 for t, g in zip(bset.theta, bset.group))
+        bps = breakpoints(np.array([0.7]), np.array([0.5]), st)
+        assert any(t == 0.0 for t in bps)
 
     def test_out_of_range_dropped(self):
         # score at the floor can push the switch point below -2
         st = group_statistics(FOUR_ROW_SCORES, FOUR_ROW_S)
-        bset = breakpoints(np.array([0.1, 0.9]), FOUR_ROW_SCORES[2:], st)
+        bps = breakpoints(np.array([0.1, 0.9]), FOUR_ROW_SCORES[2:], st)
         assert 0.275 * (2.0 - 1.0 / 0.1) == -2.2  # would-be entry
-        assert all(-2.0 <= t <= 2.0 for t in bset.theta)
+        assert all(-2.0 <= t <= 2.0 for t in bps)
 
     def test_piecewise_constancy_between_breakpoints(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             s1, s0, st = random_instance(rng, max_n=120)
-            bps = breakpoints(s1, s0, st).thetas
+            bps = breakpoints(s1, s0, st)
             for k in range(len(bps) - 1):
                 lo, hi = bps[k], bps[k + 1]
                 pts = lo + np.array([0.25, 0.5, 0.75]) * (hi - lo)
                 pts = pts[(pts > lo) & (pts < hi)]
                 vals = [empirical_unfairness(float(t), s1, s0, st) for t in pts]
                 assert all(v == vals[0] for v in vals)
+
+    def test_empty_group_rejected(self):
+        st = group_statistics(FOUR_ROW_SCORES, FOUR_ROW_S)
+        with pytest.raises(GroupCoverageError):
+            breakpoints(FOUR_ROW_SCORES[:2], np.array([]), st)
 
 
 class TestFitTheta:
@@ -200,6 +205,33 @@ class TestPredict:
             scores_s0=np.array([0.6, 0.4]), scores_s1=np.array([0.6, 0.4]), sensitive=np.array([1, 0])
         )
         np.testing.assert_array_equal(pred, [1, 0])
+
+
+ALIGNED = np.array([0.2, 0.6, 0.7, 0.4, 0.9])
+
+
+@pytest.mark.parametrize(
+    "mode, columns",
+    [
+        ("aware", {"scores_s0": ALIGNED[:1], "scores_s1": ALIGNED[:1], "sensitive": np.array([0, 1, 0, 1, 1])}),
+        ("aware", {"scores_s0": ALIGNED, "scores_s1": ALIGNED[:4], "sensitive": np.array([0, 1, 0, 1, 1])}),
+        ("aware", {"scores_s0": ALIGNED, "scores_s1": ALIGNED, "sensitive": np.array([0, 1, 2, 1, 0])}),
+        ("aware", {"scores_s0": ALIGNED, "scores_s1": ALIGNED}),
+        ("blind", {"scores_s0": ALIGNED, "scores_s1": ALIGNED, "marginal": ALIGNED[:3]}),
+        ("blind", {"scores_s0": ALIGNED[:4], "scores_s1": ALIGNED, "marginal": ALIGNED}),
+        ("blind", {"scores_s0": ALIGNED, "scores_s1": ALIGNED[:2], "marginal": ALIGNED}),
+        ("blind", {"scores_s0": ALIGNED, "scores_s1": ALIGNED}),
+    ],
+    ids=["aware_1_score_row_5_sensitive", "aware_s1_short", "aware_sensitive_2", "aware_no_sensitive",
+         "blind_marginal_short", "blind_s0_short", "blind_s1_short", "blind_no_marginal"],
+)
+def test_misaligned_score_columns_are_schema_errors(mode, columns):
+    """calibrate_scores and predict_from_scores share one column check."""
+    with pytest.raises(SchemaError):
+        calibrate_scores(**columns, mode=mode)
+    fitted = calibrate_scores(ALIGNED, ALIGNED[::-1], np.array([0, 1, 0, 1, 1]), ALIGNED, mode=mode)
+    with pytest.raises(SchemaError):
+        fitted.predict_from_scores(**columns)
 
 
 class TestBlind:
@@ -370,10 +402,24 @@ def test_argmin_is_product_form_minimum_over_breakpoints(case):
     stats = group_statistics(scores, S)
     s1, s0 = scores[S == 1], scores[S == 0]
     theta, value = _AwareObjective(s1, s0, stats).argmin()
-    bps = breakpoints(s1, s0, stats).thetas
+    bps = breakpoints(s1, s0, stats)
     cands = np.concatenate([[-2.0, 0.0, 2.0], bps, 0.5 * (bps[:-1] + bps[1:])])
     assert value == pytest.approx(min(brute_unfairness(t, s1, s0, stats) for t in cands), abs=1e-12)
     assert value == empirical_unfairness(theta, s1, s0, stats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(floored_scores())
+@example((np.array([1e-6, 1e-6, 0.1, 0.1, 0.5, 0.5, 0.9, 0.9]), np.array([1, 0, 1, 0, 1, 0, 1, 0])))
+@example((np.array([0.05, 0.05, 0.05, 0.7, 0.7]), np.array([0, 1, 1, 0, 1])))
+def test_breakpoints_equal_per_row_switch_points(case):
+    """breakpoints() against the per-row formula: the distinct switch points within [-2, 2]."""
+    scores, S = case
+    stats = group_statistics(scores, S)
+    s1, s0 = scores[S == 1], scores[S == 0]
+    t = np.concatenate([stats.joint[1] * (2.0 - 1.0 / s1), stats.joint[0] * (1.0 / s0 - 2.0)])
+    expected = np.unique(t[(t >= -2.0) & (t <= 2.0)])
+    np.testing.assert_array_equal(breakpoints(s1, s0, stats), expected)
 
 
 @hst.composite

@@ -5,11 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from conftest import write_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairthresh.cli import main
-from fairthresh.data import write_csv
 from fairthresh.oracle import linear_distribution, sample
 
 DIST = linear_distribution(0.35, 0.3, 0.05, 0.9, 0.5)

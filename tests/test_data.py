@@ -1,18 +1,18 @@
-import json
-
 import numpy as np
 import pytest
+from conftest import write_csv
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from fairthresh.data import (
     LabeledDataset,
     SplitPlan,
     UnlabeledDataset,
+    _apportion,
     load_csv,
     load_features,
     load_scores,
     split,
-    split_manifest,
-    write_csv,
 )
 from fairthresh.errors import (
     ConfigError,
@@ -42,12 +42,6 @@ class TestLoadCsv:
         p = _write(tmp_path, "x1,S,Y\n1.0,0,1\n2.0,2,0\n3.0,1,1\n")
         with pytest.raises(DataValueError, match="row 1"):
             load_csv(p, "S", "Y")
-
-    def test_unlabeled_when_label_col_omitted(self, tmp_path):
-        p = _write(tmp_path, "x1,S\n1.0,0\n2.0,1\n3.0,0\n4.0,1\n")
-        ds = load_csv(p, "S")
-        assert isinstance(ds, UnlabeledDataset)
-        assert ds.n == 4 and ds.d == 1
 
     def test_missing_column_is_schema_error(self, tmp_path):
         p = _write(tmp_path, "x1,S,Y\n1.0,0,1\n")
@@ -89,7 +83,8 @@ class TestLoadCsv:
         lines = [f"{c},{i % 2}" for i, c in enumerate(cells)]
         p = _write(tmp_path, "x1,S\n" + "\n".join(lines) + "\n")
         expected = np.asarray([float(c) for c in cells])
-        np.testing.assert_array_equal(load_csv(p, "S").features[:, 0].view(np.uint64), expected.view(np.uint64))
+        X, _ = load_features(p, "S", "Y")
+        np.testing.assert_array_equal(X[:, 0].view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize(
         "body, error",
@@ -187,15 +182,19 @@ class TestSplit:
         assert all(r.stratified_by_sensitive_only for r in results)
         assert all(r.train.n == 7 for r in results)
 
-    def test_manifest_is_json_serializable(self, ds):
-        results = split(ds, SplitPlan(0.5, 2, seed=9))
-        text = json.dumps(split_manifest(results))
-        loaded = json.loads(text)
-        assert len(loaded) == 2
-        assert sorted(loaded[0]) == ["stratified_by_sensitive_only", "test_indices", "train_indices"]
-
     def test_bad_plan_rejected(self):
         with pytest.raises(ConfigError):
             SplitPlan(1.5, 3, seed=0)
         with pytest.raises(ConfigError):
             SplitPlan(0.5, 0, seed=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.lists(hst.integers(1, 50) | hst.integers(1, 10**9), min_size=1, max_size=6).filter(lambda c: sum(c) > 1),
+       hst.data())
+def test_apportion_takes_sum_to_total_and_fit_their_cells(cells, data):
+    """Largest-remainder takes of any total below the row count fit their cells with nothing left over."""
+    total = data.draw(hst.integers(1, sum(cells) - 1))
+    takes = _apportion(cells, total)
+    assert sum(takes) == total
+    assert all(0 <= t <= c for t, c in zip(takes, cells))

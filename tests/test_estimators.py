@@ -10,7 +10,6 @@ from fairthresh.estimators import (
     LogisticConfig,
     ScoreModel,
     _knn_label_sums,
-    apply_floor,
     fit_knn,
     fit_logistic,
     floor_value,
@@ -19,26 +18,32 @@ from fairthresh.estimators import (
 from fairthresh.oracle import GroupSpec, SyntheticDistribution, exact_scores, linear_distribution, sample
 
 
+def floored(raw, N):
+    """Raw scores floored as a fitted model with N calibration rows floors them."""
+    model = ScoreModel(kind="logistic", mode="aware", group_params=(None, None), floor=floor_value(N))
+    return model._finish(np.asarray(raw, dtype=np.float64), None, 0)
+
+
 class TestFloor:
     def test_floor_inactive_above(self):
-        assert apply_floor(0.8, 10**4) == 0.8
+        assert floored(0.8, 10**4) == 0.8
 
     def test_floor_value_ten_thousand(self):
         # 10^4 ** (-1/4) = 0.1
-        assert apply_floor(0.0, 10**4) == pytest.approx(0.1, abs=1e-15)
+        assert floored(0.0, 10**4) == pytest.approx(0.1, abs=1e-15)
 
     def test_clamp_at_small_sample(self):
         # 16 ** (-1/4) = 0.5 clamps to 0.49
-        assert apply_floor(0.0, 16) == 0.49
+        assert floored(0.0, 16) == 0.49
 
     def test_floor_shifts_score_by_at_most_c(self):
         rng = np.random.default_rng(0)
         raw = rng.random(1000)
         for N in (10, 100, 10**4, 10**8):
             c = floor_value(N)
-            floored = apply_floor(raw, N)
-            assert np.all(floored >= c) and np.all(floored <= 1.0)
-            assert np.all(np.abs(floored - raw) <= c)
+            floored_raw = floored(raw, N)
+            assert np.all(floored_raw >= c) and np.all(floored_raw <= 1.0)
+            assert np.all(np.abs(floored_raw - raw) <= c)
 
     def test_invalid_size(self):
         with pytest.raises(ConfigError):
