@@ -13,9 +13,13 @@ cost of calibration is always measurable.
 
 Every fit scores each row it needs once, at the default floor, through one
 routine (_score_members): k-NN grid points fitted on the same rows share one
-neighbour table per group and query set.  CV fits the whole grid per fold;
-the chosen grid points are refitted once per repeat and, in the sweep, score
-the labeled part and the other rows once for every unlabeled fraction.  The
+neighbour table per group and query set.  CV fits the whole grid per fold,
+except k-NN calibrating on its fit parts: there the folds of a repeat share
+one neighbour order per model slot (_knn_fold_tables): Q_s x (k_max + h_s)
+entries, for Q_s query rows (the slot's group in aware mode, every train row
+in blind mode) and at most h_s of its train rows held out by one fold.  The
+chosen grid points are refitted once per repeat and, in the sweep, score the
+labeled part and the other rows once for every unlabeled fraction.  The
 scores then go through the public calibration API as score columns:
 calibration.calibrate_scores floors a calibration sample's scores with its
 own c (exact: c is never below the default floor) and both arms predict
@@ -34,7 +38,7 @@ from . import calibration
 from .calibration import _fit_estimator, _row_scores, calibrate  # noqa: F401
 from .data import LabeledDataset, SplitPlan, UnlabeledDataset, split
 from .errors import ConfigError, GroupCoverageError
-from .estimators import KnnConfig, LogisticConfig, _knn_path
+from .estimators import FLOOR_MIN, KnnConfig, LogisticConfig, _knn_order, _knn_path
 from .metrics import deo as deo_report
 
 LOGISTIC_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-4, 4, 30))
@@ -206,6 +210,84 @@ def _evaluate(cal, test, mode, methods) -> dict:
     return {m: (deo_report(arms[m].predict_from_scores(**columns), labels, sensitive), arms[m]) for m in methods}
 
 
+def _knn_fold_tables(train: LabeledDataset, folds, mode: str):
+    """For each (held rows, k values) fold, the _row_scores of every train row under the k-NN
+    path model fitted on the fold's other rows, one column per k.
+
+    Each model slot (group 0, group 1 and, blind, the pooled model) orders its
+    query rows against all of its train rows once, to depth k_max + the
+    slot's largest held-out count.  A fold drops its held rows from that order
+    and keeps the first k_max left: its fit part keeps train order, so they
+    are the (distance, row index) neighbours its own model would find.
+    """
+    everyone, groups = np.ones(train.n, bool), [train.sensitive == 0, train.sensitive == 1]
+    # (train rows, query rows) of each slot, in the order _row_scores gives their scores
+    slots = [(g, g) for g in groups] if mode == "aware" else [(rows, everyone) for rows in [everyone, *groups]]
+    # the fold holding each row out (len(folds) for none) and the labels, in the smallest dtypes: a slot
+    # stores both for every neighbour, so they set the tables' size
+    fold_of, labels = np.full(train.n, len(folds), np.min_scalar_type(len(folds))), train.labels.astype(np.int8)
+    for j, (held, _) in enumerate(folds):
+        fold_of[held] = j
+    k_top = max(int(ks.max()) for _, ks in folds)
+    neighbours = []  # per slot: the fold and the label of each query's nearest train rows, nearest first
+    for rows, queries in slots:
+        held_out = np.bincount(fold_of[rows], minlength=len(folds) + 1)[:-1]  # this slot's train rows, per fold
+        depth = min(int(rows.sum()), k_top + int(held_out.max()))
+        order = _knn_order(train.features[queries], train.features[rows], depth)
+        neighbours.append((fold_of[rows][order], labels[rows][order]))
+    del order  # a generator keeps its locals alive until the last fold
+    for j, (_, ks) in enumerate(folds):
+        table = np.empty((train.n, ks.size) if mode == "aware" else (len(slots), train.n, ks.size))
+        for s, ((_, queries), (fold, near_labels)) in enumerate(zip(slots, neighbours)):
+            keep = fold != j
+            kept = keep.sum(axis=1)
+            first = np.cumsum(kept) - kept  # where each query's kept labels start in near_labels[keep]
+            sums = np.cumsum(near_labels[keep][first[:, None] + np.arange(ks.max())], axis=1, dtype=np.int64)
+            (table if mode == "aware" else table[s])[queries] = np.maximum(sums[:, ks - 1] / ks, FLOOR_MIN)
+        yield table
+
+
+def _knn_cv_scores(train, parts, grid, mode, skipped):
+    """_fitted_cv_scores of reuse-mode k-NN, from one neighbour order per model slot (_knn_fold_tables)."""
+    ks = np.array([cfg.k for _, cfg in grid])
+    fitted = []  # (fold, held rows, fit part, held-out part, grid indices fitted)
+    for f, held, part, held_part in parts:
+        fits = ks <= min(part.group_counts())  # fit_knn's limit: k at most each group's size
+        for i in np.flatnonzero(~fits):
+            skipped[i].add(f"fold_{f}_skipped_infeasible")
+        if fits.any():
+            fitted.append((f, held, part, held_part, np.flatnonzero(fits)))
+    if not fitted:
+        return
+    tables = _knn_fold_tables(train, [(held, ks[m]) for _, held, _, _, m in fitted], mode)
+    for (f, held, part, held_part, m), table in zip(fitted, tables):
+        cal, test = np.delete(table, held, axis=-2), np.take(table, held, axis=-2)
+        yield f, part, held_part, {i: (cal[..., j], test[..., j]) for j, i in enumerate(m)}
+
+
+def _fitted_cv_scores(parts, grid, config: BenchmarkConfig, rng, skipped):
+    """(fold, calibration sample, held-out part, {grid index: (calibration scores, held-out scores)})
+    of every fit: the whole grid per fold, or with a held-out unlabeled fraction one fit per
+    (grid point, fold) on its own carve, carves drawn grid-outer."""
+    carve = isinstance(config.unlabeled, float)  # fits: fold -> [(grid indices, fit part, calibration sample)]
+    fits = {f: [] if carve else [(range(len(grid)), part, part)] for f, _, part, _ in parts}
+    for i in range(len(grid)) if carve else ():
+        for f, _, part, _ in parts:
+            try:
+                fits[f].append(([i], *_carve_unlabeled(part, config.unlabeled, rng)))
+            except (GroupCoverageError, ConfigError):
+                skipped[i].add(f"fold_{f}_skipped_infeasible")
+    for f, _, _, held in parts:
+        for indices, part, cal in fits[f]:
+            models = {}
+            for i in indices:
+                try:
+                    models[i] = _fit_estimator(part, grid[i][1], config.mode)
+                except (GroupCoverageError, ConfigError):
+                    skipped[i].add(f"fold_{f}_skipped_infeasible")
+            yield f, cal, held, _score_members(models, [cal, held])
+
+
 def cross_validate(train: LabeledDataset, config: BenchmarkConfig, seed) -> dict[str, list[CvRow]]:
     """k-fold CV of every grid point for every method arm, fold-outer.
 
@@ -218,7 +300,7 @@ def cross_validate(train: LabeledDataset, config: BenchmarkConfig, seed) -> dict
     fold_idx = _cv_partition(train, config.cv_folds, rng)
     grid, all_idx = config.grid(), np.arange(train.n)
     skipped = [set() for _ in grid]
-    parts = []  # (fold, fit part, held-out part) of every fold that can be fitted
+    parts = []  # (fold, held rows, fit part, held-out part) of every fold that can be fitted
     for f, held in enumerate(fold_idx):
         if held.size == 0:
             continue
@@ -227,27 +309,16 @@ def cross_validate(train: LabeledDataset, config: BenchmarkConfig, seed) -> dict
             for flags in skipped:
                 flags.add(f"fold_{f}_skipped_missing_group")
         else:
-            parts.append((f, fit_part, train.take(held)))
-    carve = isinstance(config.unlabeled, float)  # fits: fold -> [(grid indices, fit part, calibration sample)]
-    fits = {f: [] if carve else [(range(len(grid)), part, part)] for f, part, _ in parts}
-    for i in range(len(grid)) if carve else ():
-        for f, part, _ in parts:
-            try:
-                fits[f].append(([i], *_carve_unlabeled(part, config.unlabeled, rng)))
-            except (GroupCoverageError, ConfigError):
-                skipped[i].add(f"fold_{f}_skipped_infeasible")
+            parts.append((f, held, fit_part, train.take(held)))
+    if config.estimator == "knn" and config.unlabeled == "reuse":
+        scored = _knn_cv_scores(train, parts, grid, config.mode, skipped)
+    else:
+        scored = _fitted_cv_scores(parts, grid, config, rng, skipped)
     done = [[] for _ in grid]  # per grid point: (fold, {method: (report, clf)})
-    for f, _, held in parts:
-        for indices, part, cal in fits[f]:
-            models = {}
-            for i in indices:
-                try:
-                    models[i] = _fit_estimator(part, grid[i][1], config.mode)
-                except (GroupCoverageError, ConfigError):
-                    skipped[i].add(f"fold_{f}_skipped_infeasible")
-            for i, (cal_scores, held_scores) in _score_members(models, [cal, held]).items():
-                test = (held_scores, held.labels, held.sensitive)
-                done[i].append((f, _evaluate((cal_scores, cal.sensitive), test, config.mode, config.methods)))
+    for f, cal, held, members in scored:
+        for i, (cal_scores, held_scores) in members.items():
+            test = (held_scores, held.labels, held.sensitive)
+            done[i].append((f, _evaluate((cal_scores, cal.sensitive), test, config.mode, config.methods)))
     rows = {m: [] for m in config.methods}
     for (label, _), flags_i, done_i in zip(grid, skipped, done):
         for m in config.methods:

@@ -143,7 +143,8 @@ def cmd_predict(args) -> int:
         raise SchemaError(f"{args.data}: group-aware prediction needs column {args.sensitive_col!r}")
     pred = _predict(clf, X, S, args.scores)
     if args.out:
-        _write_csv(args.out, ["prediction"], [[int(p)] for p in pred])
+        with _open_output(args.out, newline="") as fh:  # the bytes of csv.writer: \r\n line ends
+            fh.write("\r\n".join(["prediction", *map(str, pred.tolist())]) + "\r\n")
         print(f"predictions written {args.out}")
     print(f"rows           {len(pred)}")
     print(f"positive rate  {float(np.mean(pred)):.6f}")

@@ -260,26 +260,35 @@ def _knn_path(models) -> ScoreModel:
     return replace(first, group_params=tuple(params[:2]), marginal_params=params[2])
 
 
-def _knn_label_sums(queries: np.ndarray, feats: np.ndarray, labels: np.ndarray, k_max: int) -> np.ndarray:
-    """Label sums over the j nearest training rows of each query, j = 1..k_max: a (queries, k_max) int64 table.
+def _knn_order(queries: np.ndarray, feats: np.ndarray, depth: int) -> np.ndarray:
+    """Training row indices of the depth nearest neighbours of each query, nearest first: a (queries, depth) table.
 
     Neighbours are ordered by (distance, training row index), so a distance tie
-    goes to the smaller row index; the k-NN score at k is table[:, k - 1] / k.
+    goes to the smaller row index.
     """
-    out = np.empty((queries.shape[0], k_max), dtype=np.int64)
-    block = max(1, int(2**22 // max(1, feats.shape[0])))
+    out = np.empty((queries.shape[0], depth), dtype=np.intp)
+    # each block's (block, T, d) difference temporary holds about 2**22 float64 entries (32 MiB)
+    block = max(1, int(2**22 // max(1, feats.shape[0] * feats.shape[1])))
     for start in range(0, queries.shape[0], block):
         q = queries[start : start + block]
         d2 = ((q[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
-        near = np.sort(np.argpartition(d2, k_max - 1, axis=1)[:, :k_max], axis=1)
+        near = np.sort(np.argpartition(d2, depth - 1, axis=1)[:, :depth], axis=1)
         by_distance = np.argsort(np.take_along_axis(d2, near, axis=1), axis=1, kind="stable")
         order = np.take_along_axis(near, by_distance, axis=1)
-        # a row left out at the k_max-th distance may hold a smaller index: sort those queries in full
-        tied = (d2 <= np.take_along_axis(d2, order[:, -1:], axis=1)).sum(axis=1) > k_max
+        # a row left out at the depth-th distance may hold a smaller index: sort those queries in full
+        tied = (d2 <= np.take_along_axis(d2, order[:, -1:], axis=1)).sum(axis=1) > depth
         if tied.any():
-            order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k_max]
-        out[start : start + block] = np.cumsum(labels[order], axis=1)
+            order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :depth]
+        out[start : start + block] = order
     return out
+
+
+def _knn_label_sums(queries: np.ndarray, feats: np.ndarray, labels: np.ndarray, k_max: int) -> np.ndarray:
+    """Label sums over the j nearest training rows of each query, j = 1..k_max: a (queries, k_max) int64 table.
+
+    The k-NN score at k is table[:, k - 1] / k.
+    """
+    return np.cumsum(labels[_knn_order(queries, feats, k_max)], axis=1, dtype=np.int64)
 
 
 def fit_logistic(train: LabeledDataset, cfg: LogisticConfig = LogisticConfig(), mode: str = "aware") -> ScoreModel:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from fairthresh import benchmark, calibration
 from fairthresh.benchmark import (
@@ -13,9 +15,10 @@ from fairthresh.benchmark import (
     run_unlabeled_sweep,
     select_hyperparameters,
 )
-from fairthresh.calibration import calibrate
+from fairthresh.calibration import _row_scores, calibrate
 from fairthresh.data import LabeledDataset, SplitPlan, UnlabeledDataset, split
 from fairthresh.errors import ConfigError, GroupCoverageError
+from fairthresh.estimators import KnnConfig, _knn_path, fit_knn
 from fairthresh.metrics import deo
 from fairthresh.oracle import linear_distribution, sample
 
@@ -329,3 +332,35 @@ class TestRunnerEquivalence:
                 point = sweep.points[j * len(cfg.methods) + m]
                 assert (point.unlabeled_fraction, point.method) == (frac, summary.method)
                 assert json.dumps(point.rows[0].to_json()) == json.dumps(summary.rows[0].to_json())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    n=hst.integers(4, 60),
+    d=hst.integers(1, 3),
+    decimals=hst.sampled_from([0, 1]),
+    folds=hst.integers(2, 10),
+    mode=hst.sampled_from(["aware", "blind"]),
+    data=hst.data(),
+)
+def test_knn_fold_tables_equal_path_models_fitted_per_fold(seed, n, d, decimals, folds, mode, data):
+    rng = np.random.default_rng(seed)
+    # rounded features put distance ties among the neighbours and on the k boundary
+    train = LabeledDataset(np.round(rng.normal(size=(n, d)), decimals), np.arange(n) % 2, rng.integers(0, 2, n))
+    cv_folds = []
+    for held in benchmark._cv_partition(train, folds, rng):
+        if held.size == 0:
+            continue
+        fit = train.take(np.setdiff1d(np.arange(n), held))
+        if 0 not in fit.group_counts():
+            top = min(fit.group_counts())  # fit_knn's largest k on this fit part
+            ks = data.draw(hst.lists(hst.integers(1, top), min_size=1, max_size=4) | hst.just([1, top]))
+            cv_folds.append((held, fit, np.array(ks)))
+    if not cv_folds:
+        return
+    tables = benchmark._knn_fold_tables(train, [(held, ks) for held, _, ks in cv_folds], mode)
+    for (held, fit, ks), table in zip(cv_folds, tables):
+        path = _knn_path([fit_knn(fit, KnnConfig(k=int(k)), mode) for k in ks])
+        expected = _row_scores(path, train.features, train.sensitive)
+        assert table.shape == expected.shape and np.array_equal(table, expected)

@@ -9,7 +9,9 @@ from conftest import write_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairthresh.calibration import FairClassifier
 from fairthresh.cli import main
+from fairthresh.data import load_csv
 from fairthresh.oracle import linear_distribution, sample
 
 DIST = linear_distribution(0.35, 0.3, 0.05, 0.9, 0.5)
@@ -123,6 +125,17 @@ class TestEvaluatePredict:
         assert rows[0] == ["prediction"]
         assert len(rows) == 401
         assert set(r[0] for r in rows[1:]) <= {"0", "1"}
+
+    def test_predict_csv_bytes_are_csv_writer_bytes(self, tmp_path, train_csv, test_csv):
+        model = _model(tmp_path, train_csv)
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", model, "--data", test_csv, "--out", str(out)]) == 0
+        data = load_csv(test_csv, "S", "Y")
+        pred = FairClassifier.from_json(json.load(open(model))).predict(data.features, data.sensitive)
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows([["prediction"], *([int(p)] for p in pred)])
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+        assert out.read_bytes().count(b"\r\n") == 401
 
     def test_constant_predictions_have_zero_deo(self, tmp_path, test_csv, capsys):
         # theta far negative makes group-1 always accept and group-0 region empty; use

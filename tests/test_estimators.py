@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -224,6 +226,24 @@ def test_knn_label_sums_across_query_blocks():
     feats = np.round(rng.normal(size=(T, 1)), 2)
     queries = np.concatenate([feats[rng.integers(0, T, Q // 2)], rng.normal(size=(Q - Q // 2, 1))])
     _assert_table_matches_reference(queries, feats, rng.integers(0, 2, T), 3)
+
+
+def test_knn_label_sums_memory_bounded_in_feature_count():
+    # blocks are sized by T * d: a block sized by T alone builds a (4194, 1000, 8) temporary, 256 MiB
+    rng = np.random.default_rng(12)
+    T, Q, d = 1000, 4200, 8
+    feats, queries, labels = rng.normal(size=(T, d)), rng.normal(size=(Q, d)), rng.integers(0, 2, T)
+    tracemalloc.start()
+    try:
+        sums = _knn_label_sums(queries, feats, labels, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    for start in range(0, Q, 600):
+        for k in (1, 5):
+            ref = _knn_scores_reference(queries[start : start + 600], feats, labels, k)
+            assert np.array_equal(sums[start : start + 600, k - 1] / k, ref)
 
 
 class TestScoreModel:
