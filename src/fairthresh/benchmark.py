@@ -13,17 +13,19 @@ cost of calibration is always measurable.
 
 Every fit scores each row it needs once, at the default floor, through one
 routine (_score_members): k-NN grid points fitted on the same rows share one
-neighbour table per group and query set.  CV fits the whole grid per fold,
-except k-NN calibrating on its fit parts: there the folds of a repeat share
-one neighbour order per model slot (_knn_fold_tables): Q_s x (k_max + h_s)
-entries, for Q_s query rows (the slot's group in aware mode, every train row
-in blind mode) and at most h_s of its train rows held out by one fold.  The
-chosen grid points are refitted once per repeat and, in the sweep, score the
-labeled part and the other rows once for every unlabeled fraction.  The
-scores then go through the public calibration API as score columns:
-calibration.calibrate_scores floors a calibration sample's scores with its
-own c (exact: c is never below the default floor) and both arms predict
-with FairClassifier.predict_from_scores on the same test scores.
+neighbour table per group and query set.  CV fits the whole grid per fold and
+calibrates on the fold's fit part or, with a held-out unlabeled fraction, on
+one carve per fold shared by every grid point.  k-NN calibrating on its fit
+parts skips the fits: the folds of a repeat share one neighbour order per
+model slot (_knn_fold_tables): Q_s x (k_max + h_s) entries, for Q_s query rows
+(the slot's group in aware mode, every train row in blind mode) and at most
+h_s of its train rows held out by one fold.  The chosen grid points are
+refitted once per repeat and, in the sweep, score the labeled part and the
+other rows once for every unlabeled fraction.  The scores then go through the
+public calibration API as score columns: calibration.calibrate_scores floors
+a calibration sample's scores with its own c (exact: c is never below the
+default floor) and both arms predict with FairClassifier.predict_from_scores
+on the same test scores.
 """
 
 from __future__ import annotations
@@ -250,70 +252,66 @@ def _knn_fold_tables(train: LabeledDataset, folds, mode: str):
 def _knn_cv_scores(train, parts, grid, mode, skipped):
     """_fitted_cv_scores of reuse-mode k-NN, from one neighbour order per model slot (_knn_fold_tables)."""
     ks = np.array([cfg.k for _, cfg in grid])
-    fitted = []  # (fold, held rows, fit part, held-out part, grid indices fitted)
-    for f, held, part, held_part in parts:
+    fitted = []  # (fold, held rows, calibration sample, held-out part, grid indices fitted)
+    for f, held, part, cal, held_part in parts:
         fits = ks <= min(part.group_counts())  # fit_knn's limit: k at most each group's size
         for i in np.flatnonzero(~fits):
             skipped[i].add(f"fold_{f}_skipped_infeasible")
         if fits.any():
-            fitted.append((f, held, part, held_part, np.flatnonzero(fits)))
+            fitted.append((f, held, cal, held_part, np.flatnonzero(fits)))
     if not fitted:
         return
     tables = _knn_fold_tables(train, [(held, ks[m]) for _, held, _, _, m in fitted], mode)
-    for (f, held, part, held_part, m), table in zip(fitted, tables):
-        cal, test = np.delete(table, held, axis=-2), np.take(table, held, axis=-2)
-        yield f, part, held_part, {i: (cal[..., j], test[..., j]) for j, i in enumerate(m)}
+    for (f, held, cal, held_part, m), table in zip(fitted, tables):
+        cal_scores, test = np.delete(table, held, axis=-2), np.take(table, held, axis=-2)
+        yield f, cal, held_part, {i: (cal_scores[..., j], test[..., j]) for j, i in enumerate(m)}
 
 
-def _fitted_cv_scores(parts, grid, config: BenchmarkConfig, rng, skipped):
+def _fitted_cv_scores(parts, grid, mode, skipped):
     """(fold, calibration sample, held-out part, {grid index: (calibration scores, held-out scores)})
-    of every fit: the whole grid per fold, or with a held-out unlabeled fraction one fit per
-    (grid point, fold) on its own carve, carves drawn grid-outer."""
-    carve = isinstance(config.unlabeled, float)  # fits: fold -> [(grid indices, fit part, calibration sample)]
-    fits = {f: [] if carve else [(range(len(grid)), part, part)] for f, _, part, _ in parts}
-    for i in range(len(grid)) if carve else ():
-        for f, _, part, _ in parts:
+    of every fold, the whole grid fitted on the fold's fit part."""
+    for f, _, part, cal, held in parts:
+        models = {}
+        for i, (_, est) in enumerate(grid):
             try:
-                fits[f].append(([i], *_carve_unlabeled(part, config.unlabeled, rng)))
+                models[i] = _fit_estimator(part, est, mode)
             except (GroupCoverageError, ConfigError):
                 skipped[i].add(f"fold_{f}_skipped_infeasible")
-    for f, _, _, held in parts:
-        for indices, part, cal in fits[f]:
-            models = {}
-            for i in indices:
-                try:
-                    models[i] = _fit_estimator(part, grid[i][1], config.mode)
-                except (GroupCoverageError, ConfigError):
-                    skipped[i].add(f"fold_{f}_skipped_infeasible")
-            yield f, cal, held, _score_members(models, [cal, held])
+        yield f, cal, held, _score_members(models, [cal, held])
 
 
 def cross_validate(train: LabeledDataset, config: BenchmarkConfig, seed) -> dict[str, list[CvRow]]:
     """k-fold CV of every grid point for every method arm, fold-outer.
 
-    With a held-out unlabeled fraction each (grid point, fold) draws its own
-    carve, in grid-outer order.  A fold whose fit part misses a group, or a
-    grid point that cannot be fitted on a fold, is skipped with a flag; an
-    undefined fold DEO counts as 0 with a flag.
+    With a held-out unlabeled fraction each fold draws one carve, in fold
+    order, shared by every grid point.  A fold whose fit part misses a group
+    or cannot be carved, or a grid point that cannot be fitted on a fold, is
+    skipped with a flag; an undefined fold DEO counts as 0 with a flag.
     """
     rng = np.random.default_rng(seed)
     fold_idx = _cv_partition(train, config.cv_folds, rng)
     grid, all_idx = config.grid(), np.arange(train.n)
     skipped = [set() for _ in grid]
-    parts = []  # (fold, held rows, fit part, held-out part) of every fold that can be fitted
+    parts = []  # (fold, held rows, fit part, calibration sample, held-out part) of every fold that can be fitted
     for f, held in enumerate(fold_idx):
         if held.size == 0:
             continue
-        fit_part = train.take(np.setdiff1d(all_idx, held))
-        if 0 in fit_part.group_counts():
+        fit_part = cal = train.take(np.setdiff1d(all_idx, held))
+        skip = "missing_group" if 0 in fit_part.group_counts() else None
+        if not skip and isinstance(config.unlabeled, float):  # reuse mode calibrates on the fit part itself
+            try:
+                fit_part, cal = _carve_unlabeled(fit_part, config.unlabeled, rng)
+            except (GroupCoverageError, ConfigError):
+                skip = "infeasible"
+        if skip:
             for flags in skipped:
-                flags.add(f"fold_{f}_skipped_missing_group")
+                flags.add(f"fold_{f}_skipped_{skip}")
         else:
-            parts.append((f, held, fit_part, train.take(held)))
+            parts.append((f, held, fit_part, cal, train.take(held)))
     if config.estimator == "knn" and config.unlabeled == "reuse":
         scored = _knn_cv_scores(train, parts, grid, config.mode, skipped)
     else:
-        scored = _fitted_cv_scores(parts, grid, config, rng, skipped)
+        scored = _fitted_cv_scores(parts, grid, config.mode, skipped)
     done = [[] for _ in grid]  # per grid point: (fold, {method: (report, clf)})
     for f, cal, held, members in scored:
         for i, (cal_scores, held_scores) in members.items():
@@ -394,10 +392,14 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Full protocol over repeated splits, or a single pass on a fixed test set.
 
-    An explicit unlabeled dataset overrides the config's unlabeled source.
-    With a fixed test set (Adult-style) the split loop is skipped and the
-    std columns are absent from the summaries.
+    An explicit unlabeled dataset calibrates the final refits and cannot be
+    combined with a held-out unlabeled fraction.  With a fixed test set
+    (Adult-style) the split loop is skipped and the std columns are absent
+    from the summaries.
     """
+    carve = isinstance(config.unlabeled, float)
+    if carve and unlabeled_ds is not None:
+        raise ConfigError("give one unlabeled source: an unlabeled dataset or an unlabeled fraction, not both")
     if test is not None:
         pairs = [(ds, test)]
         meta_splits = "fixed-test"
@@ -408,7 +410,7 @@ def run_benchmark(
     rows = []
     for r, (train, held) in enumerate(pairs):
         fit_part, cal = train, unlabeled_ds if unlabeled_ds is not None else train
-        if unlabeled_ds is None and isinstance(config.unlabeled, float):  # the same carve for every arm
+        if carve:  # the same carve for every arm
             fit_part, cal = _carve_unlabeled(train, config.unlabeled, np.random.default_rng([config.seed, r, 7]))
         rows.append(_run_repeat(train, fit_part, [cal, held], [((0, None), (1, None))], config, r)[0])
     summaries = [_summarize(m, [row[m] for row in rows], with_std=test is None) for m in config.methods]

@@ -31,6 +31,19 @@ def _as_binary(values: np.ndarray, what: str) -> np.ndarray:
     return out.astype(np.int64)
 
 
+def _feature_matrix(features) -> np.ndarray:
+    """features as a float64 (n, d) matrix of finite values, n >= 1; a 1-D array is one column."""
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.shape[0] < 1:
+        raise SchemaError("dataset needs at least one row")
+    if not np.isfinite(X).all():
+        row = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
+        raise ParseError(f"non-finite feature value in row {row}")
+    return X
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Feature matrix with a binary sensitive attribute and binary labels."""
@@ -44,20 +57,13 @@ class LabeledDataset:
     require_both_groups: InitVar[bool] = True
 
     def __post_init__(self, require_both_groups):
-        X = np.asarray(self.features, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = _feature_matrix(self.features)
         s = _as_binary(self.sensitive, "sensitive")
         y = _as_binary(self.labels, "label")
         if X.shape[0] != s.shape[0] or X.shape[0] != y.shape[0]:
             raise SchemaError(
                 f"row counts differ: features {X.shape[0]}, sensitive {s.shape[0]}, labels {y.shape[0]}"
             )
-        if X.shape[0] < 1:
-            raise SchemaError("dataset needs at least one row")
-        if not np.isfinite(X).all():
-            row = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
-            raise ParseError(f"non-finite feature value in row {row}")
         if require_both_groups:
             for g in (0, 1):
                 if not (s == g).any():
@@ -96,27 +102,16 @@ class UnlabeledDataset:
     sensitive: np.ndarray | None = None
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[:, None]
-        if X.shape[0] < 1:
-            raise SchemaError("dataset needs at least one row")
-        if not np.isfinite(X).all():
-            row = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
-            raise ParseError(f"non-finite feature value in row {row}")
+        X = _feature_matrix(self.features)
         object.__setattr__(self, "features", X)
         if self.sensitive is not None:
             s = _as_binary(self.sensitive, "sensitive")
             if s.shape[0] != X.shape[0]:
-                raise SchemaError(
-                    f"row counts differ: features {X.shape[0]}, sensitive {s.shape[0]}"
-                )
+                raise SchemaError(f"row counts differ: features {X.shape[0]}, sensitive {s.shape[0]}")
             # mirrors the two-per-group minimum the estimators rely on
             for g in (0, 1):
                 if int((s == g).sum()) < 2:
-                    raise GroupCoverageError(
-                        f"unlabeled sample needs at least 2 rows in sensitive group {g}"
-                    )
+                    raise GroupCoverageError(f"unlabeled sample needs at least 2 rows in sensitive group {g}")
             object.__setattr__(self, "sensitive", s)
 
     @property

@@ -175,7 +175,7 @@ def _acceptance_threshold(group: GroupSpec, factor: float) -> float:
     return float(group.eta_inverse(1.0 / factor))
 
 
-def _region_starts(dist: SyntheticDistribution, theta: float, means, joints):
+def _region_starts(dist: SyntheticDistribution, theta: float, joints):
     f1 = 2.0 - theta / joints[1]
     f0 = 2.0 + theta / joints[0]
     return (_acceptance_threshold(dist.groups[0], f0), _acceptance_threshold(dist.groups[1], f1))
@@ -262,7 +262,7 @@ def solve_theta_star(
             hi = mid
     theta = 0.5 * (lo + hi)
     means, joints = _closed_form_joints(dist)
-    regions = _region_starts(dist, theta, means, joints)
+    regions = _region_starts(dist, theta, joints)
     tpr1 = float(dist.groups[1].suffix_integral(regions[1])) / means[1]
     return OracleSolution(
         theta_star=theta,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from fairthresh import benchmark, calibration
+from fairthresh import benchmark, calibration, estimators
 from fairthresh.benchmark import (
     BenchmarkConfig,
     CvRow,
@@ -214,6 +214,25 @@ class TestOneFitPerFold:
         assert calibrations["cv"] == one_fraction == 2 * 2 * 3
 
 
+@pytest.mark.parametrize("mode, slots", [("aware", 2), ("blind", 3)])
+def test_carve_cv_orders_neighbours_once_per_fold_slot_and_query_set(ds, monkeypatch, mode, slots):
+    """Every k of the grid shares its fold's carve and so one k-NN kernel call per model slot
+    (each group, and blind the pooled model) and query set (calibration sample, held-out part)."""
+    calls, real_order = [], estimators._knn_order
+
+    def order(*args):
+        calls.append(args)
+        return real_order(*args)
+
+    monkeypatch.setattr(estimators, "_knn_order", order)
+    monkeypatch.setattr(benchmark, "_knn_order", order)
+    folds = 3
+    cfg = small_config(estimator="knn", knn_grid=(1, 5, 15, 41), cv_folds=folds, mode=mode, unlabeled=0.3)
+    rows = cross_validate(ds, cfg, [2])["plugin"]
+    assert all(r.folds_used == folds for r in rows)
+    assert len(calls) == folds * slots * 2
+
+
 class TestSweep:
     def test_unlabeled_fraction_config_rejected(self, ds):
         with pytest.raises(ConfigError, match="unlabeled"):
@@ -254,20 +273,28 @@ def _two_feature_sample(n, seed):
 
 
 def _cv_reference(train, cfg, seed):
-    """CV rows from public calibrate and predict, one (grid point, fold) at a time, grid-outer."""
+    """CV rows from public calibrate and predict, one (grid point, fold) at a time, grid-outer;
+    with an unlabeled fraction each fold draws one carve, in fold order, for every grid point."""
     rng = np.random.default_rng(seed)
     folds = benchmark._cv_partition(train, cfg.cv_folds, rng)
+    carves = []  # per fold: (fit part, unlabeled sample or None), or None when the carve fails
+    for held in folds:
+        fit = train.take(np.setdiff1d(np.arange(train.n), held))
+        assert 0 not in fit.group_counts()
+        try:
+            carves.append(benchmark._carve_unlabeled(fit, cfg.unlabeled, rng)
+                          if isinstance(cfg.unlabeled, float) else (fit, None))
+        except (ConfigError, GroupCoverageError):
+            carves.append(None)
     rows = {m: [] for m in cfg.methods}
     for label, est in cfg.grid():
         reports, flags = {m: [] for m in cfg.methods}, set()
         for f, held in enumerate(folds):
-            fit, test = train.take(np.setdiff1d(np.arange(train.n), held)), train.take(held)
-            assert 0 not in fit.group_counts()
+            test = train.take(held)
             try:
-                unl = None
-                if isinstance(cfg.unlabeled, float):
-                    fit, unl = benchmark._carve_unlabeled(fit, cfg.unlabeled, rng)
-                clf = calibrate(fit, unl, estimator=est, mode=cfg.mode)
+                if carves[f] is None:
+                    raise ConfigError("fold cannot be carved")
+                clf = calibrate(*carves[f], estimator=est, mode=cfg.mode)
             except (ConfigError, GroupCoverageError):
                 flags.add(f"fold_{f}_skipped_infeasible")
                 continue
@@ -298,6 +325,7 @@ RUNNER_CASES = [
     ("knn", "aware", "reuse"),
     ("knn", "blind", "reuse"),
     ("knn", "aware", 0.3),
+    ("knn", "blind", 0.3),
     ("logistic", "aware", "reuse"),
     ("logistic", "blind", 0.3),
 ]

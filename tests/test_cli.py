@@ -193,6 +193,14 @@ class TestBenchmarkCommands:
         cfg = _write(tmp_path / "cfg.json", json.dumps({"sensitive_col": "G", "logistic_grid": [1e-4], "n_repeats": 1}))
         assert main(["benchmark", "--data", data, "--config", cfg]) == 0
 
+    def test_benchmark_two_unlabeled_sources_exit_5(self, tmp_path, train_csv, capsys):
+        # a pool file and a carved fraction would calibrate the final refit and the CV on different sources
+        cfg = _write(tmp_path / "cfg.json", json.dumps({"logistic_grid": [1e-4], "n_repeats": 1}))
+        code = main(["benchmark", "--data", train_csv, "--config", cfg, "--unlabeled", train_csv,
+                     "--unlabeled-fraction", "0.3"])
+        assert code == 5
+        assert "unlabeled" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--train-fraction", "--unlabeled-fraction"])
     def test_sweep_has_no_benchmark_only_flag(self, train_csv, flag):
         # the sweep sets both the labeled and the unlabeled part itself
