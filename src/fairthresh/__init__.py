@@ -12,7 +12,6 @@ from .calibration import (
     fit_theta,
     fit_theta_blind,
     group_statistics,
-    unfairness_curve,
 )
 from .data import (
     LabeledDataset,
@@ -45,7 +44,6 @@ from .oracle import (
     OracleSolution,
     SyntheticDistribution,
     consistency_run,
-    exact_moments,
     linear_distribution,
     sample,
     solve_theta_star,

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import calibration
 # calibrate is not called here, but perfbench/spans.py wraps fairthresh.benchmark.calibrate by name
-from .calibration import _fit_estimator, _row_scores, calibrate  # noqa: F401
+from .calibration import _columns, _fit_estimator, _row_scores, calibrate  # noqa: F401
 from .data import LabeledDataset, SplitPlan, UnlabeledDataset, split
 from .errors import ConfigError, GroupCoverageError
 from .estimators import FLOOR_MIN, KnnConfig, LogisticConfig, _knn_order, _knn_path
@@ -193,13 +193,6 @@ def _score_members(models: dict, queries) -> dict:
         tables = [_row_scores(_knn_path(list(models.values())), q.features, q.sensitive) for q in queries]
         return {i: [t[..., j] for t in tables] for j, i in enumerate(models)}
     return {i: [_row_scores(model, q.features, q.sensitive) for q in queries] for i, model in models.items()}
-
-
-def _columns(scores, sensitive, mode) -> dict:
-    """Scores in the form _row_scores gives them as the score columns of the calibration API."""
-    if mode == "aware":  # aware calibration and prediction read only each row's own group column
-        return {"scores_s0": scores, "scores_s1": scores, "sensitive": sensitive}
-    return {"scores_s0": scores[1], "scores_s1": scores[2], "marginal": scores[0]}
 
 
 def _evaluate(cal, test, mode, methods) -> dict:

@@ -26,15 +26,17 @@ over the unlabeled sample; theta is unbounded there.
 Each mode has one objective object (_AwareObjective, _BlindObjective) that
 sorts the switch points once and exposes .breakpoints, .value(thetas) and
 .argmin() -> (theta, value); fit_theta, fit_theta_blind, empirical_unfairness,
-unfairness_curve, blind_unfairness and breakpoints are one-liners over them.
+blind_unfairness and breakpoints are one-liners over them.
 calibrate scores the calibration sample with the fitted estimator;
 calibrate_scores and predict_from_scores take score columns, which one
-adapter (_column_scores) checks for alignment and puts in the same form.
-Calibration floors the scores once and hands them to one core, so the two
+adapter (_column_scores) checks for alignment and puts in the same form;
+_columns is its inverse, turning row scores into score columns.  Calibration
+floors the scores once and hands them to one core, so the two
 paths give the same theta_hat on the same scores, and the classifier carries
 the objective value at theta_hat.  FairClassifier._decide is the one decision
-rule of predict and predict_from_scores; the benchmark calls the public
-calibrate_scores and predict_from_scores with its own score columns.
+rule of predict and predict_from_scores; the benchmark and the oracle's
+consistency experiment call the public calibrate_scores and
+predict_from_scores with the score columns _columns gives them.
 """
 
 from __future__ import annotations
@@ -72,10 +74,18 @@ class GroupStatistics:
 
     @staticmethod
     def from_json(obj: dict) -> "GroupStatistics":
-        vectors = [tuple(float(v) for v in obj[key]) for key in ("p", "mean_score", "joint")]
+        vectors = [_positive(obj[key], f"stats.{key}") for key in ("p", "mean_score", "joint")]
         if any(len(v) != 2 for v in vectors):
             raise SchemaError("stats p, mean_score and joint need one value per group")
         return GroupStatistics(*vectors)
+
+
+def _positive(values, field: str) -> tuple[float, ...]:
+    """A model file's number vector as floats; SchemaError naming the field unless each is finite and > 0."""
+    out = tuple(float(v) for v in values)
+    if not all(0.0 < v < np.inf for v in out):
+        raise SchemaError(f"{field} must be finite and > 0, got {list(out)}")
+    return out
 
 
 def group_statistics(scores: np.ndarray, sensitive: np.ndarray) -> GroupStatistics:
@@ -226,11 +236,6 @@ def empirical_unfairness(theta: float, scores1, scores0, stats: GroupStatistics)
     return float(_AwareObjective(scores1, scores0, stats).value([theta])[0])
 
 
-def unfairness_curve(thetas, scores1, scores0, stats: GroupStatistics) -> np.ndarray:
-    """empirical_unfairness evaluated on a whole array of theta values."""
-    return _AwareObjective(scores1, scores0, stats).value(thetas)
-
-
 def fit_theta(scores1, scores0, stats: GroupStatistics) -> float:
     """Exact minimizer of the empirical unfairness over theta in [-2, 2].
 
@@ -289,6 +294,13 @@ def _column_scores(mode: str, scores_s0, scores_s1, sensitive, marginal) -> np.n
     return np.where(third == 1, s1, s0)
 
 
+def _columns(scores, sensitive, mode) -> dict:
+    """Scores in the form _row_scores gives them as the score columns of the calibration API."""
+    if mode == "aware":  # aware calibration and prediction read only each row's own group column
+        return {"scores_s0": scores, "scores_s1": scores, "sensitive": sensitive}
+    return {"scores_s0": scores[1], "scores_s1": scores[2], "marginal": scores[0]}
+
+
 @dataclass(frozen=True)
 class FairClassifier:
     """Score model plus calibrated threshold shift.
@@ -299,7 +311,7 @@ class FairClassifier:
     calibration objective at theta_hat (None when not recorded).
     """
 
-    model: ScoreModel | None
+    model: ScoreModel
     theta_hat: float
     stats: GroupStatistics | None
     mode: str
@@ -308,7 +320,7 @@ class FairClassifier:
 
     def predict(self, X, S=None) -> np.ndarray:
         """Binary predictions for feature rows (S required in aware mode)."""
-        if self.model is None or self.model.kind == "external":
+        if self.model.kind == "external":
             raise SchemaError("external-score classifier: use predict_from_scores")
         if self.mode == "aware" and S is None:
             raise SchemaError("group-aware prediction needs the sensitive attribute")
@@ -316,9 +328,8 @@ class FairClassifier:
 
     def predict_from_scores(self, scores_s0=None, scores_s1=None, sensitive=None, marginal=None):
         """Predictions from precomputed raw score columns, row-aligned and floored with the model floor."""
-        c = self.model.floor if self.model is not None else 0.0
         scores = _column_scores(self.mode, scores_s0, scores_s1, sensitive, marginal)
-        return self._decide(np.maximum(scores, c), sensitive)
+        return self._decide(np.maximum(scores, self.model.floor), sensitive)
 
     def _decide(self, scores: np.ndarray, sensitive=None) -> np.ndarray:
         """0/1 decisions from floored scores in the form _row_scores gives them."""
@@ -341,12 +352,13 @@ class FairClassifier:
             "unfairness_hat": self.unfairness_hat,
             "stats": self.stats.to_json() if self.stats is not None else None,
             "blind_means": list(self.blind_means) if self.blind_means is not None else None,
-            "model": self.model.to_json() if self.model is not None else None,
+            "model": self.model.to_json(),
         }
 
     @staticmethod
     def from_json(obj: dict) -> "FairClassifier":
-        """Inverse of to_json; SchemaError when the version, mode, theta_hat or the statistics are invalid.
+        """Inverse of to_json; SchemaError when the version, mode, theta_hat, the statistics,
+        the blind means or the score model are invalid.
 
         A file without format_version is read as version 1.
         """
@@ -361,14 +373,16 @@ class FairClassifier:
         if not np.isfinite(theta):
             raise SchemaError(f"theta_hat must be finite, got {theta!r}")
         stats = GroupStatistics.from_json(obj["stats"]) if obj.get("stats") else None
-        means = tuple(float(v) for v in obj["blind_means"]) if obj.get("blind_means") else None
+        means = _positive(obj["blind_means"], "blind_means") if obj.get("blind_means") else None
         if mode == "aware" and stats is None:
             raise SchemaError("aware model needs stats")
         if mode == "blind" and (means is None or len(means) != 2):
             raise SchemaError("blind model needs two blind_means")
+        if not (isinstance(obj.get("model"), dict) and obj["model"]):
+            raise SchemaError("model file needs a score model")
         unfairness = obj.get("unfairness_hat")
         return FairClassifier(
-            model=ScoreModel.from_json(obj["model"]) if obj.get("model") else None,
+            model=ScoreModel.from_json(obj["model"]),
             theta_hat=theta,
             stats=stats,
             mode=mode,

@@ -112,7 +112,7 @@ def cmd_calibrate(args) -> int:
     print(f"unfairness_hat  {clf.unfairness_hat:.10g}")
     if clf.stats is not None:
         print(f"joint           s0={clf.stats.joint[0]:.6g} s1={clf.stats.joint[1]:.6g}")
-    if clf.model is not None and not clf.model.converged:
+    if not clf.model.converged:
         print("warning: estimator did not converge within max_iters", file=sys.stderr)
     if args.out:
         print(f"model written   {args.out}")

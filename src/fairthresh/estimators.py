@@ -227,13 +227,19 @@ class ScoreModel:
             if payload is None:
                 return None
             if kind == "logistic":
-                return (np.asarray(payload["weights"], dtype=np.float64), float(payload["intercept"]))
+                w, b = np.asarray(payload["weights"], dtype=np.float64), float(payload["intercept"])
+                if not (np.isfinite(w).all() and np.isfinite(b)):
+                    raise SchemaError("logistic weights and intercept must be finite")
+                return w, b
             feats = np.asarray(payload["features"], dtype=np.float64)
             labels, k = np.asarray(payload["labels"], dtype=np.int64), int(payload["k"])
             if not 1 <= k <= labels.shape[0] == feats.shape[0]:
                 raise SchemaError(f"k-NN model needs 1 <= k <= its row count and one label per row, got k={k}")
             return feats, labels, k
 
+        floor = float(obj["floor"])
+        if not FLOOR_MIN <= floor <= FLOOR_MAX:
+            raise SchemaError(f"floor must lie in [{FLOOR_MIN}, {FLOOR_MAX}], got {floor!r}")
         jitter = float(obj.get("jitter_amplitude", 0.0))
         if not 0.0 <= jitter < np.inf:
             raise SchemaError(f"jitter_amplitude must be finite and >= 0, got {jitter!r}")
@@ -242,7 +248,7 @@ class ScoreModel:
             mode=mode,
             group_params=tuple(unpack(p) for p in groups),
             marginal_params=unpack(obj.get("marginal")),
-            floor=float(obj["floor"]),
+            floor=floor,
             jitter_amplitude=jitter,
             converged=bool(obj.get("converged", True)),
         )

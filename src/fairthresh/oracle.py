@@ -12,12 +12,14 @@ precision.  These serve as the ground truth for consistency experiments.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import FairClassifier, GroupStatistics, calibrate, calibrate_scores
+# calibrate is not called here, but perfbench/spans.py wraps fairthresh.oracle.calibrate by name
+from .calibration import _columns, _fit_estimator, calibrate, calibrate_scores  # noqa: F401
 from .data import LabeledDataset, UnlabeledDataset, read_text
 from .errors import ConfigError, NumericError, SchemaError
 from .metrics import deo as deo_report
@@ -132,53 +134,25 @@ def linear_distribution(
     return SyntheticDistribution(pi_1, (g0, g1))
 
 
-def _simpson(fn, a: float, b: float, n_points: int) -> float:
-    if n_points < 3 or n_points % 2 == 0:
-        raise ConfigError(f"Simpson rule needs an odd point count >= 3, got {n_points}")
-    if b <= a:
-        return 0.0
-    x = np.linspace(a, b, n_points)
-    y = fn(x)
-    w = np.ones(n_points)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h = (b - a) / (n_points - 1)
-    return float(h / 3.0 * (w @ y))
-
-
-@dataclass(frozen=True)
-class Moments:
-    """Exact first moments of the synthetic law, indexed by s."""
-
-    mean_eta: tuple[float, float]  # E[eta(X, s) | S = s]
-    joint: tuple[float, float]  # P(Y = 1, S = s)
-    p_positive: float  # P(Y = 1)
-
-
-def exact_moments(dist: SyntheticDistribution, n_points: int = 2**17 + 1) -> Moments:
-    """Group means of eta and joint positives via composite Simpson quadrature."""
-    means = tuple(_simpson(g.eta, 0.0, 1.0, n_points) for g in dist.groups)
-    joint = tuple(m * p for m, p in zip(means, dist.pi))
-    return Moments(mean_eta=means, joint=joint, p_positive=sum(joint))
-
-
 def _closed_form_joints(dist: SyntheticDistribution):
     means = tuple(g.mean_eta() for g in dist.groups)
     joints = tuple(m * p for m, p in zip(means, dist.pi))
     return means, joints
 
 
-def _acceptance_threshold(group: GroupSpec, factor: float) -> float:
-    """Lower end u* of the region where 1 <= eta(u) * factor (1.0 if empty)."""
-    if factor <= 0.0:
-        return 1.0
-    return float(group.eta_inverse(1.0 / factor))
+def _region_starts(dist: SyntheticDistribution, theta, joints):
+    """Lower ends (u_0, u_1) of the regions where 1 <= eta_s(u) * (2 -/+ theta / joint_s), 1.0 where empty.
 
-
-def _region_starts(dist: SyntheticDistribution, theta: float, joints):
-    f1 = 2.0 - theta / joints[1]
-    f0 = 2.0 + theta / joints[0]
-    return (_acceptance_threshold(dist.groups[0], f0), _acceptance_threshold(dist.groups[1], f1))
+    Group 1 takes the minus sign.  Accepts a scalar or an array of theta values.
+    """
+    th = np.asarray(theta, dtype=np.float64)
+    starts = []
+    for s, sign in ((0, 1.0), (1, -1.0)):
+        factor = 2.0 + sign * th / joints[s]
+        accepting = factor > 0.0  # otherwise the acceptance region is empty
+        tau = 1.0 / np.where(accepting, factor, 1.0)
+        starts.append(np.where(accepting, dist.groups[s].eta_inverse(tau), 1.0))
+    return tuple(starts)
 
 
 def tpr_gap(theta, dist: SyntheticDistribution):
@@ -188,16 +162,8 @@ def tpr_gap(theta, dist: SyntheticDistribution):
     a scalar or an array of theta values.
     """
     means, joints = _closed_form_joints(dist)
-    th = np.asarray(theta, dtype=np.float64)
-    tprs = []
-    for s, sign in ((1, -1.0), (0, 1.0)):
-        g = dist.groups[s]
-        factor = 2.0 + sign * th / joints[s]
-        accepting = factor > 0.0  # otherwise the acceptance region is empty
-        tau = 1.0 / np.where(accepting, factor, 1.0)
-        integral = np.where(accepting, g.suffix_integral(g.eta_inverse(tau)), 0.0)
-        tprs.append(integral / means[s])
-    out = tprs[0] - tprs[1]
+    u0, u1 = _region_starts(dist, theta, joints)
+    out = dist.groups[1].suffix_integral(u1) / means[1] - dist.groups[0].suffix_integral(u0) / means[0]
     return float(out) if np.ndim(theta) == 0 else out
 
 
@@ -214,33 +180,19 @@ def risk_of_threshold_rule(dist: SyntheticDistribution, region_starts) -> float:
     return total
 
 
-def risk_direct_quadrature(dist: SyntheticDistribution, region_starts, n_points: int = 4097) -> float:
-    """Misclassification probability by quadrature on each decision region."""
-    total = 0.0
-    for s, g in enumerate(dist.groups):
-        u = min(max(region_starts[s], 0.0), 1.0)
-        miss = _simpson(g.eta, 0.0, u, n_points) + _simpson(lambda x: 1.0 - g.eta(x), u, 1.0, n_points)
-        total += dist.pi[s] * miss
-    return total
-
-
 @dataclass(frozen=True)
 class OracleSolution:
     """Optimal threshold shift and the exact optimum it induces."""
 
     theta_star: float
     joint: tuple[float, float]
-    tpr_common: float
     risk_star: float
     bisection_tolerance: float
     bracket_width: float
     region_starts: tuple[float, float]  # per-group lower end of the accept region
 
 
-def solve_theta_star(
-    dist: SyntheticDistribution,
-    tolerance: float = DEFAULT_BISECTION_TOL,
-) -> OracleSolution:
+def solve_theta_star(dist: SyntheticDistribution, tolerance: float = DEFAULT_BISECTION_TOL) -> OracleSolution:
     """Bisection for the theta equalizing the exact group TPRs on [-2, 2].
 
     The gap is monotone, so the bracket shrinks unconditionally; when the
@@ -261,13 +213,11 @@ def solve_theta_star(
         else:
             hi = mid
     theta = 0.5 * (lo + hi)
-    means, joints = _closed_form_joints(dist)
-    regions = _region_starts(dist, theta, joints)
-    tpr1 = float(dist.groups[1].suffix_integral(regions[1])) / means[1]
+    _, joints = _closed_form_joints(dist)
+    regions = tuple(float(u) for u in _region_starts(dist, theta, joints))
     return OracleSolution(
         theta_star=theta,
         joint=joints,
-        tpr_common=tpr1,
         risk_star=risk_of_threshold_rule(dist, regions),
         bisection_tolerance=tolerance,
         bracket_width=hi - lo,
@@ -306,14 +256,7 @@ def exact_group_scores(dist: SyntheticDistribution, X, s: int) -> np.ndarray:
 
 def exact_scores(dist: SyntheticDistribution, X, S) -> np.ndarray:
     """Exact eta(x_i, s_i) for each row of a sample."""
-    x = np.asarray(X, dtype=np.float64).reshape(-1)
-    S = np.asarray(S)
-    out = np.empty(x.shape[0])
-    for s in (0, 1):
-        mask = S == s
-        if mask.any():
-            out[mask] = exact_group_scores(dist, x[mask], s)
-    return out
+    return np.where(np.asarray(S) == 1, exact_group_scores(dist, X, 1), exact_group_scores(dist, X, 0))
 
 
 def exact_marginal_scores(dist: SyntheticDistribution, X) -> np.ndarray:
@@ -330,14 +273,6 @@ def exact_marginal_scores(dist: SyntheticDistribution, X) -> np.ndarray:
         den += np.where(inside, dens, 0.0)
         fallback += dist.pi[s] * eta
     return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), fallback)
-
-
-def plugin_at_infinite_data(dist: SyntheticDistribution) -> FairClassifier:
-    """The plug-in rule fed with exact scores and exact group statistics."""
-    sol = solve_theta_star(dist)
-    means, joints = _closed_form_joints(dist)
-    stats = GroupStatistics(p=dist.pi, mean_score=means, joint=joints)
-    return FairClassifier(model=None, theta_hat=sol.theta_star, stats=stats, mode="aware")
 
 
 @dataclass(frozen=True)
@@ -366,16 +301,16 @@ def consistency_run(
 ) -> list[ConsistencyCell]:
     """Full-pipeline fairness/risk consistency table over (n, N) grid cells.
 
-    estimator "exact" injects the true regression curve as scores; n is then
-    carried through to the output but unused (pass 0 by convention).
+    estimator "exact" takes the true regression curve as the scores; n is
+    then carried through to the output but unused (pass 0 by convention).
     Otherwise a LogisticConfig or KnnConfig fits on a fresh labeled sample of
-    size n.  Every cell draws its own calibration sample of size N and a
-    fresh labeled test sample, runs the calibration pipeline, and records the
-    test DEO and the risk excess over the exact optimum, averaged over the
-    repeats.
+    size n and its row scores are the scores.  Every cell draws its own
+    calibration sample of size N, which needs two rows per group, and a fresh
+    labeled test sample; either score source feeds calibrate_scores and
+    predict_from_scores, and the cell records the test DEO and the risk
+    excess over the exact optimum, averaged over the repeats.
     """
-    n_grid = list(n_grid)
-    N_grid = list(N_grid)
+    n_grid, N_grid = list(n_grid), list(N_grid)
     if not n_grid or not N_grid or repeats < 1:
         raise ConfigError("n_grid and N_grid must be nonempty and repeats positive")
     if seed < 0:
@@ -388,28 +323,15 @@ def consistency_run(
             for rep in range(repeats):
                 base = [seed, i_n, i_N, rep]
                 unl = sample(dist, N, base + [1])
+                cal = UnlabeledDataset(unl.features, unl.sensitive)
                 test = sample(dist, test_size, base + [2])
                 if estimator == "exact":
-                    clf = calibrate_scores(
-                        scores_s0=exact_group_scores(dist, unl.features, 0),
-                        scores_s1=exact_group_scores(dist, unl.features, 1),
-                        sensitive=unl.sensitive,
-                        mode="aware",
-                    )
-                    pred = clf.predict_from_scores(
-                        scores_s0=exact_group_scores(dist, test.features, 0),
-                        scores_s1=exact_group_scores(dist, test.features, 1),
-                        sensitive=test.sensitive,
-                    )
+                    score = functools.partial(exact_scores, dist)
                 else:
-                    train = sample(dist, n, base + [0])
-                    clf = calibrate(
-                        train,
-                        UnlabeledDataset(unl.features, unl.sensitive),
-                        estimator=estimator,
-                        mode="aware",
-                    )
-                    pred = clf.predict(test.features, test.sensitive)
+                    score = _fit_estimator(sample(dist, n, base + [0]), estimator, "aware").score_rowwise
+                clf = calibrate_scores(**_columns(score(cal.features, cal.sensitive), cal.sensitive, "aware"))
+                test_scores = score(test.features, test.sensitive)
+                pred = clf.predict_from_scores(**_columns(test_scores, test.sensitive, "aware"))
                 report = deo_report(pred, test.labels, test.sensitive)
                 deos.append(report.deo if report.deo is not None else 0.0)
                 excesses.append((1.0 - report.accuracy) - sol.risk_star)
@@ -428,23 +350,3 @@ def consistency_run(
                 )
             )
     return cells
-
-
-def random_distribution(rng: np.random.Generator) -> SyntheticDistribution:
-    """Random valid distribution (used by property tests and demos)."""
-    pi_1 = float(rng.uniform(0.25, 0.75))
-    groups = []
-    for _ in range(2):
-        k = int(rng.integers(2, 6))
-        du = rng.uniform(0.2, 1.0, size=k - 1)
-        u = np.concatenate([[0.0], np.cumsum(du) / du.sum()])
-        u[-1] = 1.0
-        lo = float(rng.uniform(0.02, 0.40))
-        hi = float(rng.uniform(0.55, 0.98))
-        de = rng.uniform(0.05, 1.0, size=k - 1)
-        e = lo + (hi - lo) * np.concatenate([[0.0], np.cumsum(de) / de.sum()])
-        e[-1] = hi
-        loc = float(rng.uniform(-1.0, 1.0))
-        scale = float(rng.uniform(0.5, 2.0))
-        groups.append(GroupSpec(loc, scale, tuple((float(a), float(b)) for a, b in zip(u, e))))
-    return SyntheticDistribution(pi_1, tuple(groups))

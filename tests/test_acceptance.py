@@ -7,14 +7,15 @@ lines; the whole suite is deterministic and finishes in a few minutes.
 import time
 
 import numpy as np
+from oracle_reference import random_distribution, risk_direct_quadrature
 
 from fairthresh.benchmark import BenchmarkConfig, run_benchmark, run_unlabeled_sweep
 from fairthresh.calibration import (
+    _AwareObjective,
     calibrate_scores,
     empirical_unfairness,
     fit_theta,
     group_statistics,
-    unfairness_curve,
 )
 from fairthresh.estimators import LogisticConfig, floor_value
 from fairthresh.metrics import deo
@@ -25,8 +26,6 @@ from fairthresh.oracle import (
     exact_group_scores,
     exact_marginal_scores,
     linear_distribution,
-    random_distribution,
-    risk_direct_quadrature,
     risk_of_threshold_rule,
     sample,
     solve_theta_star,
@@ -150,7 +149,7 @@ def test_criterion_05_argmin_exactness():
         s1, s0, stats = random_calibration_instance(rng)
         theta = fit_theta(s1, s0, stats)
         at_theta = empirical_unfairness(theta, s1, s0, stats)
-        ok &= at_theta <= unfairness_curve(grid, s1, s0, stats).min()
+        ok &= at_theta <= _AwareObjective(s1, s0, stats).value(grid).min()
     check(5, "theta_hat never beaten by a 1e5-point grid on 100 instances (exact)", ok)
 
 
@@ -170,7 +169,7 @@ def test_criterion_06_piecewise_constancy():
             pts = lo + rng.uniform(0.05, 0.95, lo.size) * (hi - lo)
             inside = (pts > lo) & (pts < hi)
             pts[~inside] = 0.5 * (lo[~inside] + hi[~inside])
-            samples.append(unfairness_curve(pts, s1, s0, stats))
+            samples.append(_AwareObjective(s1, s0, stats).value(pts))
         valid = (0.5 * (lo + hi) > lo) & (0.5 * (lo + hi) < hi)
         for other in samples[1:]:
             ok &= bool(np.all(samples[0][valid] == other[valid]))

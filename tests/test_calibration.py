@@ -18,7 +18,7 @@ from fairthresh.calibration import (
 )
 from fairthresh.data import LabeledDataset, UnlabeledDataset
 from fairthresh.errors import GroupCoverageError, SchemaError
-from fairthresh.estimators import KnnConfig, LogisticConfig, floor_value
+from fairthresh.estimators import KnnConfig, LogisticConfig, external_score_model, floor_value
 
 
 def brute_unfairness(theta, scores1, scores0, stats):
@@ -181,7 +181,7 @@ class TestFitTheta:
 class TestPredict:
     def test_theta_zero_is_bayes_rule(self):
         st = group_statistics(FOUR_ROW_SCORES, FOUR_ROW_S)
-        clf = FairClassifier(model=None, theta_hat=0.0, stats=st, mode="aware")
+        clf = FairClassifier(model=external_score_model(), theta_hat=0.0, stats=st, mode="aware")
         pred = clf.predict_from_scores(
             scores_s0=np.array([0.4, 0.5, 0.6]),
             scores_s1=np.array([0.4, 0.5, 0.6]),
@@ -192,7 +192,7 @@ class TestPredict:
     def test_boundary_breakpoint_is_active(self):
         st = group_statistics(FOUR_ROW_SCORES, FOUR_ROW_S)
         theta = st.joint[1] * (2.0 - 1.0 / 0.9)  # = 0.2444..., product form gives exactly 1.0
-        clf = FairClassifier(model=None, theta_hat=float(theta), stats=st, mode="aware")
+        clf = FairClassifier(model=external_score_model(), theta_hat=float(theta), stats=st, mode="aware")
         pred = clf.predict_from_scores(
             scores_s0=np.array([0.9]), scores_s1=np.array([0.9]), sensitive=np.array([1])
         )
@@ -200,7 +200,7 @@ class TestPredict:
 
     def test_bayes_thresholds(self):
         st = group_statistics(FOUR_ROW_SCORES, FOUR_ROW_S)
-        clf = FairClassifier(model=None, theta_hat=0.0, stats=st, mode="aware")
+        clf = FairClassifier(model=external_score_model(), theta_hat=0.0, stats=st, mode="aware")
         pred = clf.predict_from_scores(
             scores_s0=np.array([0.6, 0.4]), scores_s1=np.array([0.6, 0.4]), sensitive=np.array([1, 0])
         )

@@ -242,6 +242,19 @@ class TestConsistencyCommand:
             contents.append(out.read_bytes())
         assert contents[0] == contents[1]
 
+    @pytest.mark.parametrize("estimator", ["exact", "logistic", "knn"])
+    def test_calibration_sample_needs_two_rows_per_group(self, tmp_path, capsys, estimator):
+        # at seed 1 the first calibration draw of N=4 rows from this law has a group with one row
+        law = {"pi_1": 0.5, "groups": [
+            {"location": 0.0, "scale": 1.0, "knots": [[0, 0.35], [1, 0.65]]},
+            {"location": 0.0, "scale": 1.0, "knots": [[0, 0.05], [1, 0.95]]},
+        ]}
+        dist = _write(tmp_path / "dist.json", json.dumps(law))
+        argv = ["consistency", "--dist", dist, "--estimator", estimator, "--N-grid", "4", "--seed", "1",
+                "--repeats", "1", "--test-size", "1000"]
+        assert main(argv) == 3
+        assert "at least 2 rows" in capsys.readouterr().err
+
 
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -340,20 +353,44 @@ def test_probed_input_defects(tmp_path, train_csv, test_csv, capsys, case, code)
         assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "path, value",
-    [(("theta_hat",), "abc"), (("stats", "joint"), [0.45]), (("model",), [1, 2])],
-    ids=["theta_hat_abc", "one_element_joint", "model_list"],
-)
-def test_malformed_model_file_exit_2(tmp_path, train_csv, test_csv, path, value):
+BAD_NUMBERS = {"zero": 0.0, "negative": -0.5, "nan": float("nan"), "inf": float("inf")}
+# id: (path to a field of an aware model file, its bad value ("absent" deletes the field), a fragment of the
+# error message or None); every case from model_absent on used to load, and to predict or evaluate with exit 0
+MODEL_FILE_CASES = {
+    "theta_hat_abc": (("theta_hat",), "abc", None),
+    "one_element_joint": (("stats", "joint"), [0.45], None),
+    "model_list": (("model",), [1, 2], None),
+    **{f"model_{name}": (("model",), v, "needs a score model")
+       for name, v in {"absent": "absent", "null": None, "empty": {}, "zero": 0}.items()},
+    **{f"{key}_{name}": (("stats", key, 0), v, f"stats.{key}")
+       for key in ("joint", "mean_score") for name, v in BAD_NUMBERS.items()},
+    **{f"blind_means_{name}": (("blind_means",), [0.5, v], "blind_means") for name, v in BAD_NUMBERS.items()},
+    "floor_nan": (("model", "floor"), float("nan"), "floor"),
+    "floor_negative": (("model", "floor"), -0.1, "floor"),
+    "weight_nan": (("model", "groups", 0, "weights", 0), float("nan"), "logistic weights"),
+    "intercept_inf": (("model", "groups", 1, "intercept"), float("inf"), "logistic weights"),
+}
+
+
+@pytest.mark.parametrize("case", list(MODEL_FILE_CASES))
+def test_malformed_model_file_exit_2(tmp_path, train_csv, test_csv, capsys, case):
+    path, value, message = MODEL_FILE_CASES[case]
     model = json.load(open(_model(tmp_path, train_csv)))
     node = model
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value == "absent":
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     bad = _write(tmp_path / "bad.json", json.dumps(model))
-    assert main(["predict", "--model", bad, "--data", test_csv]) == 2
-    assert main(["evaluate", "--model", bad, "--test", test_csv]) == 2
+    scores = _write(tmp_path / "scores.csv", "score_s0,score_s1\n" + "0.5,0.5\n" * 400)  # aligned with test_csv
+    capsys.readouterr()
+    for flags in ([], ["--scores", scores]):  # also when the model's own scores go unused
+        assert main(["predict", "--model", bad, "--data", test_csv, *flags]) == 2
+        assert main(["evaluate", "--model", bad, "--test", test_csv, *flags]) == 2
+    if message:
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -439,7 +476,9 @@ JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=5), s
 def broken_model(draw, base):
     """Model JSON text made malformed by one drawn corruption of a valid aware model."""
     model = json.loads(json.dumps(base))
-    how = draw(st.sampled_from(["version", "mode", "theta", "stats", "vector", "model", "weights", "drop", "whole"]))
+    how = draw(st.sampled_from(
+        ["version", "mode", "theta", "stats", "vector", "numbers", "model", "weights", "drop", "whole"]
+    ))
     if how == "version":
         model["format_version"] = draw(JUNK.filter(lambda v: v != 1 or isinstance(v, bool)))
     elif how == "mode":
@@ -454,6 +493,17 @@ def broken_model(draw, base):
             st.lists(st.floats(0, 1), max_size=4).filter(lambda v: len(v) != 2)
             | st.sampled_from([["a", "b"], None, "ab", 3, {}])
         )
+    elif how == "numbers":  # a number the decision rule reads, made zero, negative or not finite
+        bad = draw(st.sampled_from([0.0, -0.5, float("nan"), float("inf")]))
+        where = draw(st.sampled_from(["joint", "mean_score", "blind_means", "floor", "weights"]))
+        if where in ("joint", "mean_score"):
+            model["stats"][where][draw(st.integers(0, 1))] = bad
+        elif where == "blind_means":
+            model["blind_means"] = [bad, 0.5]
+        elif where == "floor":
+            model["model"]["floor"] = bad
+        else:  # zero and negative weights are valid
+            model["model"]["groups"][draw(st.integers(0, 1))]["weights"][0] = draw(st.sampled_from([np.nan, np.inf]))
     elif how == "model":
         model["model"] = draw(st.one_of(JUNK, st.just({})))
     elif how == "weights":

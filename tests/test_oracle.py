@@ -1,19 +1,29 @@
 import numpy as np
 import pytest
+from oracle_reference import (
+    exact_moments,
+    plugin_at_infinite_data,
+    random_distribution,
+    region_starts_scalar,
+    risk_direct_quadrature,
+)
 
+from fairthresh.calibration import calibrate, calibrate_scores
+from fairthresh.data import UnlabeledDataset
 from fairthresh.errors import ConfigError, NumericError, SchemaError
+from fairthresh.estimators import KnnConfig, LogisticConfig
+from fairthresh.metrics import deo
 from fairthresh.oracle import (
+    ConsistencyCell,
     GroupSpec,
     SyntheticDistribution,
+    _closed_form_joints,
+    _region_starts,
     consistency_run,
     exact_group_scores,
     exact_marginal_scores,
-    exact_moments,
     linear_distribution,
     load_distribution,
-    plugin_at_infinite_data,
-    random_distribution,
-    risk_direct_quadrature,
     risk_of_threshold_rule,
     sample,
     solve_theta_star,
@@ -100,6 +110,18 @@ class TestTprGap:
             dist = random_distribution(rng)
             gaps = tpr_gap(np.linspace(-2, 2, 101), dist)
             assert np.all(np.diff(gaps) <= 1e-12)
+
+
+class TestRegionStarts:
+    def test_vectorised_matches_scalar_reference(self):
+        rng = np.random.default_rng(4)
+        thetas = np.linspace(-2.0, 2.0, 101)  # at -2 and at 2 one group's region is empty
+        for _ in range(200):
+            dist = random_distribution(rng)
+            _, joints = _closed_form_joints(dist)
+            got = np.column_stack(_region_starts(dist, thetas, joints))
+            want = np.array([region_starts_scalar(dist, float(t), joints) for t in thetas])
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSolve:
@@ -208,3 +230,43 @@ class TestConsistencyRun:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             consistency_run(ASYM, [], [10], repeats=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "estimator", ["exact", LogisticConfig(l2_lambda=1e-4), KnnConfig(k=7)], ids=["exact", "logistic", "knn"]
+    )
+    def test_cells_match_the_two_branch_reference(self, estimator):
+        args = (ASYM, [60, 150], [40, 300], 2, 4, estimator, 3000)
+        assert [repr(c) for c in consistency_run(*args)] == [repr(c) for c in _two_branch_reference(*args)]
+
+
+def _two_branch_reference(dist, n_grid, N_grid, repeats, seed, estimator, test_size):
+    """consistency_run with one branch per score source: exact per-group score columns through
+    calibrate_scores, or a fitted estimator through calibrate and FairClassifier.predict."""
+    sol = solve_theta_star(dist)
+    cells = []
+    for i_n, n in enumerate(n_grid):
+        for i_N, N in enumerate(N_grid):
+            deos, excesses, terrs = [], [], []
+            for rep in range(repeats):
+                base = [seed, i_n, i_N, rep]
+                unl = sample(dist, N, base + [1])
+                test = sample(dist, test_size, base + [2])
+                if estimator == "exact":
+                    columns = [exact_group_scores(dist, unl.features, s) for s in (0, 1)]
+                    clf = calibrate_scores(*columns, sensitive=unl.sensitive)
+                    test_columns = [exact_group_scores(dist, test.features, s) for s in (0, 1)]
+                    pred = clf.predict_from_scores(*test_columns, sensitive=test.sensitive)
+                else:
+                    cal = UnlabeledDataset(unl.features, unl.sensitive)
+                    clf = calibrate(sample(dist, n, base + [0]), cal, estimator=estimator)
+                    pred = clf.predict(test.features, test.sensitive)
+                report = deo(pred, test.labels, test.sensitive)
+                deos.append(report.deo if report.deo is not None else 0.0)
+                excesses.append((1.0 - report.accuracy) - sol.risk_star)
+                terrs.append(abs(clf.theta_hat - sol.theta_star))
+            ddof = 1 if repeats > 1 else 0
+            cells.append(ConsistencyCell(
+                n, N, repeats, float(np.mean(deos)), float(np.std(deos, ddof=ddof)), float(np.mean(excesses)),
+                float(np.std(excesses, ddof=ddof)), float(np.mean(terrs)),
+            ))
+    return cells
