@@ -58,6 +58,7 @@ from .estimators import (
 )
 
 THETA_BOUND = 2.0
+_CANDIDATE_BLOCK = 1 << 14  # breakpoints per block of the argmin walk, each with the midpoint to its successor
 FORMAT_VERSION = 1  # of the model JSON written by FairClassifier.to_json
 
 
@@ -121,14 +122,19 @@ def _pick_candidate(objective, bps: np.ndarray, probes) -> tuple[float, float]:
     """Exact argmin of a piecewise-constant objective and its value there.
 
     Candidates are the probes, every breakpoint and the midpoint of every
-    pair of consecutive breakpoints, which covers each constant piece.
+    pair of consecutive breakpoints, which covers each constant piece.  They
+    are evaluated a block of breakpoints at a time, so memory stays bounded.
     """
-    cands = np.concatenate([np.asarray(probes, dtype=np.float64), bps, 0.5 * (bps[:-1] + bps[1:])])
-    values = objective.value(cands)
-    best = values.min()
-    tied = cands[values == best]
-    # least intervention first: smallest |theta|, then smaller theta
-    return float(tied[np.lexsort((tied, np.abs(tied)))[0]]), float(best)
+    best = (np.inf, np.inf, np.inf)  # (value, |theta|, theta) of the best candidate so far
+    for lo in range(0, max(bps.size, 1), _CANDIDATE_BLOCK):
+        part = bps[lo : lo + _CANDIDATE_BLOCK + 1]  # the block and the breakpoint after it
+        cands = np.concatenate([probes if lo == 0 else [], part[:_CANDIDATE_BLOCK], 0.5 * (part[:-1] + part[1:])])
+        values = objective.value(cands)
+        tied = cands[values == values.min()]
+        # least intervention first: smallest |theta|, then smaller theta; the earlier of equal candidates
+        theta = tied[np.lexsort((tied, np.abs(tied)))[0]]
+        best = min(best, (values.min(), abs(theta), theta))
+    return float(best[2]), float(best[0])
 
 
 class _AwareObjective:
@@ -198,7 +204,8 @@ class _BlindObjective:
         self.means = (float(s0.mean()), float(s1.mean()))
         d, bp = _blind_direction(m, s0, s1, self.means)
         # w = -d / N up to rounding, so rows that never switch add nothing
-        w = s1 / s1.sum() - s0 / s0.sum()
+        w = s1 / s1.sum()
+        w -= s0 / s0.sum()
         finite = np.isfinite(bp)
         pos = (d > 0) & finite
         neg = (d < 0) & finite
@@ -449,4 +456,5 @@ def calibrate_scores(scores_s0, scores_s1, sensitive=None, marginal=None, mode: 
     """
     scores = _column_scores(mode, scores_s0, scores_s1, sensitive, marginal)
     c = floor_value(scores.shape[-1])
-    return _calibrate(external_score_model(floor=c, mode=mode), np.maximum(scores, c), sensitive)
+    # _column_scores returns a new array, so it can be floored in place
+    return _calibrate(external_score_model(floor=c, mode=mode), np.maximum(scores, c, out=scores), sensitive)

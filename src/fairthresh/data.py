@@ -1,20 +1,25 @@
-"""Dataset containers, CSV ingestion and seeded stratified splitting.
+r"""Dataset containers, CSV ingestion and seeded stratified splitting.
 
 Every input CSV (datasets, calibration and prediction files, score files) is
-parsed by one routine, ``_read_table``: UTF-8, a mandatory header row, ``,``
-as separator and ``.`` as decimal separator, no quoting in data rows.  Header
-names are non-blank and distinct, each data row has one cell per header name
-and each cell is a real number; the sensitive and label columns hold 0/1,
-score columns lie in [0, 1] and every other cell is finite.  Any violation
-raises a SchemaError subclass naming the file and the 0-based data row.  The
-label column is never a feature, and missing values are rejected rather than
+parsed by one routine, ``_read_table``, which streams the file into the
+parser and so holds its values only: UTF-8 with an optional byte-order mark,
+a mandatory header row, ``,`` as separator and ``.`` as decimal separator, no
+quoting in data rows, lines cut as ``str.splitlines`` cuts them (``\n``,
+``\r\n`` or a lone ``\r``; the last line need not end).  Header names are
+non-blank and distinct, each data row has one cell per header name and each
+cell is a real number; the sensitive and label columns hold 0/1, score
+columns lie in [0, 1] and every other cell is finite.  Any violation raises
+a SchemaError subclass naming the file and the 0-based data row.  The label
+column is never a feature, and missing values are rejected rather than
 imputed.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -124,21 +129,47 @@ class UnlabeledDataset:
 
 
 SCORE_COLUMNS = ("score_s0", "score_s1", "score_marginal")
+_READ_CHARS = 1 << 16  # characters of an input CSV decoded at a time
 
 
-def read_text(path) -> str:
-    """Whole text of a UTF-8 input file (CSV or JSON); the one place input files are opened.
+@contextmanager
+def _input_file(path):
+    """An input file (CSV or JSON) opened as UTF-8 text; the one place input files are opened.
 
-    A file that cannot be opened or read raises SchemaError, one that is not
-    UTF-8 raises ParseError.
+    A leading byte-order mark is skipped.  A file that cannot be opened or
+    read raises SchemaError, one that is not UTF-8 raises ParseError.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read the file: {exc.strerror or exc}") from None
+
+
+def read_text(path) -> str:
+    """Whole text of an input file; _input_file names its errors."""
+    with _input_file(path) as fh:
+        return fh.read()
+
+
+def _line_blocks(fh, sizes: list):
+    r"""The lines of fh as str.splitlines() cuts its whole text, one list per block of decoded text.
+
+    One list per block, chained into the parser, costs less than a generator
+    step per line.  The length of each list is appended to sizes.
+    """
+    carry = ""
+    while block := fh.read(_READ_CHARS):
+        text = carry + block
+        # cut after the last \n, or the last \r unless it ends the block and may open a \r\n
+        cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
+        carry, lines = text[cut:], text[:cut].splitlines()
+        sizes.append(len(lines))
+        yield lines
+    sizes.append(len(lines := carry.splitlines()))
+    yield lines
 
 
 def _first_bad_cell(path, header, body, binary) -> None:
@@ -163,26 +194,28 @@ def _read_table(path, binary=(), unit=()):
     unit must lie in [0, 1], all others must be finite.  Errors name the file
     and the 0-based data row.
     """
-    lines = read_text(path).splitlines()
-    try:
-        header = [h.strip() for h in next(csv.reader(lines[:1]), [])]
-    except csv.Error as exc:
-        raise SchemaError(f"{path}: unreadable header row: {exc}") from None
-    if not header:
-        raise SchemaError(f"{path}: empty file, header row required")
-    if "" in header or len(set(header)) < len(header):
-        raise SchemaError(f"{path}: header names must be non-blank and distinct, got {header}")
-    body = lines[1:]
-    if not body:
-        raise SchemaError(f"{path}: no data rows")
+    sizes = []  # lines per block, header included
     reason = "row count or width differs from the header"
-    try:
-        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        values, reason = None, str(exc)
+    with _input_file(path) as fh:
+        lines = itertools.chain.from_iterable(_line_blocks(fh, sizes))
+        try:
+            header = [h.strip() for h in next(csv.reader([next(lines, "")]), [])]
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: unreadable header row: {exc}") from None
+        if not header:
+            raise SchemaError(f"{path}: empty file, header row required")
+        if "" in header or len(set(header)) < len(header):
+            raise SchemaError(f"{path}: header names must be non-blank and distinct, got {header}")
+        first = next(lines, None)
+        if first is None:
+            raise SchemaError(f"{path}: no data rows")
+        try:
+            values = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:  # also text that is not UTF-8, which read_text below reports
+            values, reason = None, str(exc)
     # loadtxt skips blank lines and takes the width from the rows, so check both
-    if values is None or values.shape != (len(body), len(header)):
-        _first_bad_cell(path, header, body, binary)
+    if values is None or values.shape != (sum(sizes) - 1, len(header)):
+        _first_bad_cell(path, header, read_text(path).splitlines()[1:], binary)
         raise ParseError(f"{path}: cannot parse the data rows: {reason}")
 
     bad = ~np.isfinite(values)

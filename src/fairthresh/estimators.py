@@ -222,6 +222,8 @@ class ScoreModel:
         kind, mode, groups = obj["kind"], obj["mode"], obj["groups"]
         if kind not in ("logistic", "knn", "external") or mode not in ("aware", "blind") or len(groups) != 2:
             raise SchemaError(f"bad score model: kind {kind!r}, mode {mode!r}, {len(groups)} groups")
+        if kind != "external" and any(g is None for g in groups):
+            raise SchemaError(f"a {kind} score model needs the parameters of both groups")
 
         def unpack(payload):
             if payload is None:

@@ -1,11 +1,16 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from fairthresh import calibration
 from fairthresh.calibration import (
     FairClassifier,
     GroupStatistics,
+    _AwareObjective,
     _BlindObjective,
     blind_unfairness,
     breakpoints,
@@ -396,8 +401,6 @@ def floored_scores(draw):
 @settings(max_examples=200, deadline=None)
 @given(floored_scores())
 def test_argmin_is_product_form_minimum_over_breakpoints(case):
-    from fairthresh.calibration import _AwareObjective
-
     scores, S = case
     stats = group_statistics(scores, S)
     s1, s0 = scores[S == 1], scores[S == 0]
@@ -447,3 +450,43 @@ def test_unfairness_hat_is_the_objective_at_theta_hat(case, mode):
             clf.theta_hat, model.score_marginal(X), model.score_group(X, 0), model.score_group(X, 1)
         )
     assert clf.unfairness_hat == expected
+
+
+def whole_argmin(objective, bps, probes):
+    """Reference argmin: every candidate evaluated at once, ties to the smallest |theta|, then the smaller."""
+    cands = np.concatenate([np.asarray(probes, dtype=np.float64), bps, 0.5 * (bps[:-1] + bps[1:])])
+    values = objective.value(cands)
+    tied = cands[values == values.min()]
+    return float(tied[np.lexsort((tied, np.abs(tied)))[0]]), float(values.min())
+
+
+@settings(max_examples=200, deadline=None)
+@given(floored_scores(), hst.sampled_from(["aware", "blind"]), hst.integers(1, 5))
+def test_blocked_argmin_equals_whole_candidate_argmin(case, mode, block):
+    """The argmin walked in candidate blocks of any size returns the bits of the all-at-once argmin."""
+    scores, S = case
+    if mode == "aware":
+        objective = _AwareObjective(scores[S == 1], scores[S == 0], group_statistics(scores, S))
+        probes = [-2.0, 0.0, 2.0]
+    else:  # rows pair up the drawn values in three rotations, so the blind scores keep their ties
+        objective = _BlindObjective(scores, np.roll(scores, 1), np.roll(scores, 2))
+        bps = objective.breakpoints
+        probes = [0.0, bps[0] - 1.0, bps[-1] + 1.0] if bps.size else [0.0]
+    with mock.patch.object(calibration, "_CANDIDATE_BLOCK", block):
+        got = objective.argmin()
+    want = whole_argmin(objective, objective.breakpoints, probes)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_calibrate_scores_transient_memory_is_bounded():
+    """Aware calibration of N rows allocates at most 10 float64 per row on top of its inputs."""
+    rng = np.random.default_rng(5)
+    n = 200_000
+    s0, s1, S = rng.random(n), rng.random(n), (rng.random(n) < 0.4).astype(np.int64)
+    tracemalloc.start()
+    try:
+        calibrate_scores(s0, s1, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 8 * n

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,14 @@ def test_csv(tmp_path_factory):
     return str(p)
 
 
+def _read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _read_csv(path) -> list[list[str]]:
+    return list(csv.reader(Path(path).read_text(encoding="utf-8").splitlines()))
+
+
 def _model(tmp_path, train_csv, *extra):
     out = str(tmp_path / "model.json")
     assert main(["calibrate", "--train", train_csv, "--out", out, *extra]) == 0
@@ -42,7 +51,7 @@ class TestCalibrate:
         out = _model(tmp_path, train_csv)
         text = capsys.readouterr().out
         assert "theta_hat" in text and "unfairness_hat" in text
-        model = json.load(open(out))
+        model = _read_json(out)
         assert model["mode"] == "aware"
         assert abs(model["theta_hat"]) <= 2.0
 
@@ -65,7 +74,7 @@ class TestCalibrate:
             "--mode", "blind", "--out", out,
         ])
         assert code == 0
-        assert json.load(open(out))["stats"] is None
+        assert _read_json(out)["stats"] is None
 
     def test_blind_ignores_sensitive_group_sizes(self, tmp_path, train_csv):
         # one S=1 row: too few for aware calibration, and blind calibration never reads S
@@ -74,7 +83,7 @@ class TestCalibrate:
         assert main(["calibrate", "--train", train_csv, "--unlabeled", unl]) == 3
 
     def test_model_records_format_version_and_unfairness_hat(self, tmp_path, train_csv, capsys):
-        model = json.load(open(_model(tmp_path, train_csv)))
+        model = _read_json(_model(tmp_path, train_csv))
         assert model["format_version"] == 1
         assert f"unfairness_hat  {model['unfairness_hat']:.10g}\n" in capsys.readouterr().out
 
@@ -94,7 +103,7 @@ class TestCalibrate:
             w.writerows([[f"{a:.6f}", f"{b:.6f}"] for a, b in rng.random((n, 2))])
         out = str(tmp_path / "ext.json")
         assert main(["calibrate", "--train", train_csv, "--scores", str(scores), "--out", out]) == 0
-        assert json.load(open(out))["model"]["kind"] == "external"
+        assert _read_json(out)["model"]["kind"] == "external"
 
 
 class TestEvaluatePredict:
@@ -121,7 +130,7 @@ class TestEvaluatePredict:
         model = _model(tmp_path, train_csv)
         out = tmp_path / "pred.csv"
         assert main(["predict", "--model", model, "--data", test_csv, "--out", str(out)]) == 0
-        rows = list(csv.reader(open(out)))
+        rows = _read_csv(out)
         assert rows[0] == ["prediction"]
         assert len(rows) == 401
         assert set(r[0] for r in rows[1:]) <= {"0", "1"}
@@ -131,7 +140,7 @@ class TestEvaluatePredict:
         out = tmp_path / "pred.csv"
         assert main(["predict", "--model", model, "--data", test_csv, "--out", str(out)]) == 0
         data = load_csv(test_csv, "S", "Y")
-        pred = FairClassifier.from_json(json.load(open(model))).predict(data.features, data.sensitive)
+        pred = FairClassifier.from_json(_read_json(model)).predict(data.features, data.sensitive)
         expected = io.StringIO(newline="")
         csv.writer(expected).writerows([["prediction"], *([int(p)] for p in pred)])
         assert out.read_bytes() == expected.getvalue().encode("utf-8")
@@ -167,7 +176,7 @@ class TestBenchmarkCommands:
             "--out", str(out_json), "--csv", str(out_csv),
         ])
         assert code == 0
-        rows = list(csv.reader(open(out_csv)))
+        rows = _read_csv(out_csv)
         assert rows[0][:4] == ["method", "repeat", "param", "acc"]
         assert len(rows) == 1 + 3 * 2  # two methods, three repeats
 
@@ -189,7 +198,7 @@ class TestBenchmarkCommands:
         assert code == 5
 
     def test_config_column_names_apply_without_flags(self, tmp_path, train_csv):
-        data = _write(tmp_path / "g.csv", open(train_csv).read().replace("x1,S,Y", "x1,G,Y", 1))
+        data = _write(tmp_path / "g.csv", Path(train_csv).read_text(encoding="utf-8").replace("x1,S,Y", "x1,G,Y", 1))
         cfg = _write(tmp_path / "cfg.json", json.dumps({"sensitive_col": "G", "logistic_grid": [1e-4], "n_repeats": 1}))
         assert main(["benchmark", "--data", data, "--config", cfg]) == 0
 
@@ -225,7 +234,7 @@ class TestConsistencyCommand:
             "--repeats", "2", "--test-size", "1000", "--out", str(out),
         ])
         assert code == 0
-        rows = list(csv.reader(open(out)))
+        rows = _read_csv(out)
         assert rows[0][0:2] == ["n", "N"]
         assert len(rows) == 3
 
@@ -314,7 +323,7 @@ def _probed_argv(case, tmp_path, train_csv, test_csv):
     if case in ("calibrate_jitter_nan", "calibrate_jitter_negative"):
         return ["calibrate", "--train", train_csv, "--jitter", "nan" if case.endswith("nan") else "-0.1"]
     if case == "predict_model_jitter_nan":
-        model = json.load(open(_model(tmp_path, train_csv, "--estimator", "knn")))
+        model = _read_json(_model(tmp_path, train_csv, "--estimator", "knn"))
         model["model"]["jitter_amplitude"] = float("nan")
         return ["predict", "--model", _write(tmp_path / "bad.json", json.dumps(model)), "--data", test_csv]
     assert case == "calibrate_unlabeled_with_label"
@@ -375,7 +384,7 @@ MODEL_FILE_CASES = {
 @pytest.mark.parametrize("case", list(MODEL_FILE_CASES))
 def test_malformed_model_file_exit_2(tmp_path, train_csv, test_csv, capsys, case):
     path, value, message = MODEL_FILE_CASES[case]
-    model = json.load(open(_model(tmp_path, train_csv)))
+    model = _read_json(_model(tmp_path, train_csv))
     node = model
     for key in path[:-1]:
         node = node[key]
@@ -477,7 +486,7 @@ def broken_model(draw, base):
     """Model JSON text made malformed by one drawn corruption of a valid aware model."""
     model = json.loads(json.dumps(base))
     how = draw(st.sampled_from(
-        ["version", "mode", "theta", "stats", "vector", "numbers", "model", "weights", "drop", "whole"]
+        ["version", "mode", "theta", "stats", "vector", "numbers", "model", "weights", "null_group", "drop", "whole"]
     ))
     if how == "version":
         model["format_version"] = draw(JUNK.filter(lambda v: v != 1 or isinstance(v, bool)))
@@ -508,6 +517,8 @@ def broken_model(draw, base):
         model["model"] = draw(st.one_of(JUNK, st.just({})))
     elif how == "weights":
         model["model"]["groups"][draw(st.integers(0, 1))]["weights"] = draw(st.sampled_from([[], [0.1, 0.2]]))
+    elif how == "null_group":
+        model["model"]["groups"][draw(st.integers(0, 1))] = None
     elif how == "drop":
         del model[draw(st.sampled_from(["mode", "theta_hat", "stats"]))]
     else:
@@ -521,7 +532,7 @@ def property_inputs(tmp_path_factory, train_csv):
     model = str(d / "model.json")
     assert main(["calibrate", "--train", train_csv, "--out", model]) == 0
     data = _write(d / "data.csv", "\n".join(",".join(r) for r in [["x1", "S", "Y"], *ROWS]) + "\n")
-    return {"dir": d, "model": model, "data": data, "train": train_csv, "base_model": json.load(open(model))}
+    return {"dir": d, "model": model, "data": data, "train": train_csv, "base_model": _read_json(model)}
 
 
 def _dataset_case(inp):

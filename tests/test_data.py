@@ -1,14 +1,21 @@
+import tracemalloc
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+import reader_reference
 from conftest import write_csv
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from fairthresh import data
 from fairthresh.data import (
     LabeledDataset,
     SplitPlan,
     UnlabeledDataset,
     _apportion,
+    _read_table,
     load_csv,
     load_features,
     load_scores,
@@ -127,6 +134,128 @@ class TestLoadScores:
     def test_blind_needs_marginal(self, tmp_path):
         with pytest.raises(SchemaError, match="score_marginal"):
             load_scores(_write(tmp_path, "score_s0,score_s1\n0.5,0.5\n"), need_marginal=True)
+
+
+def _bits(a):
+    """An array's bytes with its dtype and shape: equal only for bit-identical arrays."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+MIXED_TABLE = [
+    ["x1", "score_s0", "score_s1", "score_marginal", "S", "Y"],
+    ["1.5", "0.25", "0.75", "0.5", "0", "1"],
+    ["-3.0000000000000004", "1", "0", "0.1", "1", "0"],
+    ["2.2250738585072014e-308", "0.30000000000000004", "1e-06", "0.999999", "1", "1"],
+    ["1e300", "0.5", "0.5", "0.5", "0", "0"],
+]
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("final_newline", [True, False], ids=["final_newline", "no_final_newline"])
+def test_line_endings_give_bit_identical_arrays(tmp_path, ending, final_newline):
+    """Every loader returns the same bits whatever the line ending and whether the last line ends."""
+    def load_all(path):
+        ds = load_csv(path, "S", "Y")
+        return [_bits(a) for a in (ds.features, ds.sensitive, ds.labels, *load_features(path, "S", "Y"),
+                                   *load_scores(path, need_marginal=True))]
+
+    lines = [",".join(row) for row in MIXED_TABLE]
+    expected = load_all(_write(tmp_path, "\n".join(lines) + "\n", "lf.csv"))
+    p = tmp_path / "data.csv"
+    p.write_bytes((ending.join(lines) + (ending if final_newline else "")).encode("utf-8"))
+    assert load_all(p) == expected
+
+
+def test_byte_order_mark_is_ignored(tmp_path):
+    """A UTF-8 byte-order mark (as spreadsheet programs write it) is not part of the first header name."""
+    text = "S,x1,Y\n0,1.5,1\n1,2.5,0\n"
+    plain = load_csv(_write(tmp_path, text, "plain.csv"), "S", "Y")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    ds = load_csv(marked, "S", "Y")
+    assert ds.feature_names == plain.feature_names == ("x1",)
+    for got, want in zip((ds.features, ds.sensitive, ds.labels), (plain.features, plain.sensitive, plain.labels)):
+        assert _bits(got) == _bits(want)
+
+
+NAMES = ("x1", "x2", "S", "Y", "score_s0", "score_s1")
+BINARY, UNIT = ("S", "Y"), ("score_s0", "score_s1")
+BAD_CELLS = ("abc", "", " ", "nan", "inf", "1e999", "2", "-0.5", "1.5", "1_0", "0x1", "1,5")
+
+
+def _cell(name):
+    if name in BINARY:
+        return hst.sampled_from(["0", "1", "1.0", " 0"])
+    finite = hst.floats(0, 1) if name in UNIT else hst.floats(allow_nan=False, allow_infinity=False)
+    return hst.builds(lambda v, fmt: fmt(v), finite, hst.sampled_from([repr, "{:.17g}".format, "{:g}".format]))
+
+
+@hst.composite
+def table_text(draw):
+    """A valid table, or one with a single corruption, written with a drawn line ending."""
+    header = draw(hst.lists(hst.sampled_from(NAMES), min_size=1, max_size=4, unique=True))
+    rows = draw(hst.lists(hst.tuples(*(_cell(n) for n in header)).map(list), min_size=1, max_size=6))
+    how = draw(hst.sampled_from(["none", "blank_line", "ragged", "bad_cell", "\x0c", "\u2028", "trailing_blank"]))
+    r = draw(hst.integers(0, len(rows) - 1))
+    if how == "ragged":
+        rows[r] = rows[r][:-1] if draw(hst.booleans()) else rows[r] + ["0"]
+    elif how == "bad_cell":
+        rows[r][draw(hst.integers(0, len(header) - 1))] = draw(hst.sampled_from(BAD_CELLS))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if how == "blank_line":
+        lines.insert(r + 1, "")
+    elif how in ("\x0c", "\u2028"):  # further line breaks to str.splitlines, not to a CSV reader
+        at = draw(hst.integers(0, len(lines[r + 1])))
+        lines[r + 1] = lines[r + 1][:at] + how + lines[r + 1][at:]
+    elif how == "trailing_blank":
+        lines.append("")
+    ending = draw(hst.sampled_from(["\n", "\r\n", "\r"]))
+    final = how == "trailing_blank" or draw(hst.booleans())
+    return ending.join(lines) + (ending if final else "")
+
+
+@pytest.fixture(scope="module")
+def reader_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader")
+
+
+def _outcome(read, path):
+    """Header and array bits of a read, or the class and message of its exception."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on a body of blank lines
+        try:
+            header, values = read(path, binary=BINARY, unit=UNIT)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return header, _bits(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=table_text(), block=hst.sampled_from([1, 2, 3, 5, 8, 1 << 16]))
+def test_read_table_matches_whole_text_reader(reader_dir, text, block):
+    """The streamed reader returns what the whole-text reader returns, or fails as it fails,
+    whatever the size of the blocks it decodes (so a block may end inside a row or a \\r\\n)."""
+    p = reader_dir / "table.csv"
+    p.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(data, "_READ_CHARS", block):
+        got = _outcome(_read_table, p)
+    assert got == _outcome(reader_reference.read_table, p)
+
+
+def test_load_scores_peak_memory_is_bounded_by_its_arrays(tmp_path):
+    """Reading a score file holds neither the whole text nor a list of its lines."""
+    rng = np.random.default_rng(4)
+    p = tmp_path / "scores.csv"
+    np.savetxt(p, rng.random((50_000, 3)), fmt="%.17g", delimiter=",",
+               header="score_s0,score_s1,score_marginal", comments="")
+    tracemalloc.start()
+    try:
+        arrays = load_scores(p, need_marginal=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sum(a.nbytes for a in arrays) + 2**20
 
 
 class TestDatasetInvariants:
