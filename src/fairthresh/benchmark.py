@@ -17,11 +17,13 @@ neighbour table per group and query set.  CV fits the whole grid per fold and
 calibrates on the fold's fit part or, with a held-out unlabeled fraction, on
 one carve per fold shared by every grid point.  k-NN calibrating on its fit
 parts skips the fits: the folds of a repeat share one neighbour order per
-model slot (_knn_fold_tables): Q_s x (k_max + h_s) entries, for Q_s query rows
-(the slot's group in aware mode, every train row in blind mode) and at most
-h_s of its train rows held out by one fold.  The chosen grid points are
-refitted once per repeat and, in the sweep, score the labeled part and the
-other rows once for every unlabeled fraction.  The scores then go through the
+model slot (_knn_fold_tables) of at most Q_s x (2 k_max + 16) entries, for
+Q_s query rows (the slot's group in aware mode, every train row in blind
+mode); the rare query that keeps too few neighbours in some fold is ordered
+again to depth k_max + h_s, with at most h_s of the slot's train rows held
+out by one fold.  The chosen grid points are refitted once per repeat and,
+in the sweep, score the labeled part and the other rows once for every
+unlabeled fraction.  The scores then go through the
 public calibration API as score columns: calibration.calibrate_scores floors
 a calibration sample's scores with its own c (exact: c is never below the
 default floor) and both arms predict with FairClassifier.predict_from_scores
@@ -210,10 +212,13 @@ def _knn_fold_tables(train: LabeledDataset, folds, mode: str):
     path model fitted on the fold's other rows, one column per k.
 
     Each model slot (group 0, group 1 and, blind, the pooled model) orders its
-    query rows against all of its train rows once, to depth k_max + the
-    slot's largest held-out count.  A fold drops its held rows from that order
-    and keeps the first k_max left: its fit part keeps train order, so they
-    are the (distance, row index) neighbours its own model would find.
+    query rows against all of its train rows once, to a shallow depth of at
+    most 2 k_max + 16.  A fold drops its held rows from that order and keeps
+    the first k_max left: its fit part keeps train order, so they are the
+    (distance, row index) neighbours its own model would find.  The few
+    queries that keep fewer than a fold's k_max are ordered again, in a table
+    of their own, to k_max + the slot's largest held-out count, which always
+    keeps enough.
     """
     everyone, groups = np.ones(train.n, bool), [train.sensitive == 0, train.sensitive == 1]
     # (train rows, query rows) of each slot, in the order _row_scores gives their scores
@@ -223,22 +228,33 @@ def _knn_fold_tables(train: LabeledDataset, folds, mode: str):
     fold_of, labels = np.full(train.n, len(folds), np.min_scalar_type(len(folds))), train.labels.astype(np.int8)
     for j, (held, _) in enumerate(folds):
         fold_of[held] = j
-    k_top = max(int(ks.max()) for _, ks in folds)
-    neighbours = []  # per slot: the fold and the label of each query's nearest train rows, nearest first
+    k_fold = [int(ks.max()) for _, ks in folds]
+    k_top = max(k_fold)
+    neighbours = []  # per slot: (query rows, fold and label of their nearest train rows, nearest first) parts
     for rows, queries in slots:
         held_out = np.bincount(fold_of[rows], minlength=len(folds) + 1)[:-1]  # this slot's train rows, per fold
-        depth = min(int(rows.sum()), k_top + int(held_out.max()))
-        order = _knn_order(train.features[queries], train.features[rows], depth)
-        neighbours.append((fold_of[rows][order], labels[rows][order]))
-    del order  # a generator keeps its locals alive until the last fold
+        full = min(int(rows.sum()), k_top + int(held_out.max()))
+        parts, todo, depth = [], np.flatnonzero(queries), min(full, 2 * k_top + 16)
+        while todo.size:  # a second pass, to the full depth, orders the queries the shallow one left short
+            order = _knn_order(train.features[todo], train.features[rows], depth)
+            near = fold_of[rows][order]
+            short = np.zeros(todo.size, bool)
+            for j, k_max in enumerate(k_fold):
+                short |= (near != j).sum(axis=1) < k_max
+            keep = np.flatnonzero(~short) if short.any() else slice(None)  # views when no query is short
+            parts.append((todo[keep], near[keep], labels[rows][order[keep]]))
+            todo, depth = todo[short], full
+        neighbours.append(parts)
+    del order, near  # a generator keeps its locals alive until the last fold
     for j, (_, ks) in enumerate(folds):
         table = np.empty((train.n, ks.size) if mode == "aware" else (len(slots), train.n, ks.size))
-        for s, ((_, queries), (fold, near_labels)) in enumerate(zip(slots, neighbours)):
-            keep = fold != j
-            kept = keep.sum(axis=1)
-            first = np.cumsum(kept) - kept  # where each query's kept labels start in near_labels[keep]
-            sums = np.cumsum(near_labels[keep][first[:, None] + np.arange(ks.max())], axis=1, dtype=np.int64)
-            (table if mode == "aware" else table[s])[queries] = np.maximum(sums[:, ks - 1] / ks, FLOOR_MIN)
+        for s, parts in enumerate(neighbours):
+            for queries, fold, near_labels in parts:
+                keep = fold != j
+                kept = keep.sum(axis=1)
+                first = np.cumsum(kept) - kept  # where each query's kept labels start in near_labels[keep]
+                sums = np.cumsum(near_labels[keep][first[:, None] + np.arange(ks.max())], axis=1, dtype=np.int64)
+                (table if mode == "aware" else table[s])[queries] = np.maximum(sums[:, ks - 1] / ks, FLOOR_MIN)
         yield table
 
 

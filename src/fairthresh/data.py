@@ -209,10 +209,12 @@ def _read_table(path, binary=(), unit=()):
         first = next(lines, None)
         if first is None:
             raise SchemaError(f"{path}: no data rows")
-        try:
-            values = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:  # also text that is not UTF-8, which read_text below reports
-            values, reason = None, str(exc)
+        values = None  # a blank row is reported below; loadtxt would skip it, and warn if no row followed
+        if first.strip():
+            try:
+                values = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:  # also text that is not UTF-8, which read_text below reports
+                reason = str(exc)
     # loadtxt skips blank lines and takes the width from the rows, so check both
     if values is None or values.shape != (sum(sizes) - 1, len(header)):
         _first_bad_cell(path, header, read_text(path).splitlines()[1:], binary)

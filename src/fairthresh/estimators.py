@@ -275,8 +275,9 @@ def _knn_order(queries: np.ndarray, feats: np.ndarray, depth: int) -> np.ndarray
     goes to the smaller row index.
     """
     out = np.empty((queries.shape[0], depth), dtype=np.intp)
-    # each block's (block, T, d) difference temporary holds about 2**22 float64 entries (32 MiB)
-    block = max(1, int(2**22 // max(1, feats.shape[0] * feats.shape[1])))
+    # each block's (block, T, d) difference temporary holds about 2**16 float64 entries (0.5 MiB), so it and
+    # the block's distance, argpartition and tie temporaries stay in cache
+    block = max(1, int(2**16 // max(1, feats.shape[0] * feats.shape[1])))
     for start in range(0, queries.shape[0], block):
         q = queries[start : start + block]
         d2 = ((q[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)

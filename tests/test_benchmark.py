@@ -387,6 +387,35 @@ def test_knn_fold_tables_equal_path_models_fitted_per_fold(seed, n, d, decimals,
             cv_folds.append((held, fit, np.array(ks)))
     if not cv_folds:
         return
+    _assert_fold_tables_equal_per_fold_path_models(train, cv_folds, mode)
+
+
+@pytest.mark.parametrize("mode, slots", [("aware", 2), ("blind", 3)])
+def test_knn_fold_tables_reorder_short_queries_to_full_depth(monkeypatch, mode, slots):
+    # one fold holds the 60 rows nearest row 0, so row 0 and its neighbours keep none of their
+    # 2 k_max + 16 = 26 shallow neighbours in that fold: each slot orders them again, deeper
+    rng = np.random.default_rng(41)
+    n = 200
+    train = LabeledDataset(np.round(rng.normal(size=(n, 1)), 2), np.arange(n) % 2, rng.integers(0, 2, n))
+    nearest = np.argsort(np.abs(train.features[:, 0] - train.features[0, 0]), kind="stable")
+    rest = rng.permutation(nearest[60:])
+    cv_folds = [(np.sort(held), train.take(np.setdiff1d(np.arange(n), held)), np.array([1, 3, 5]))
+                for held in [nearest[:60]] + [rest[f::4] for f in range(4)]]
+    calls, real_order = [], benchmark._knn_order
+
+    def order(queries, feats, depth):
+        calls.append((queries.shape[0], depth))
+        return real_order(queries, feats, depth)
+
+    monkeypatch.setattr(benchmark, "_knn_order", order)
+    _assert_fold_tables_equal_per_fold_path_models(train, cv_folds, mode)
+    assert len(calls) == 2 * slots
+    for (shallow_queries, shallow), (deep_queries, deep) in zip(calls[::2], calls[1::2]):
+        assert shallow == 26 < deep and 0 < deep_queries < shallow_queries
+
+
+def _assert_fold_tables_equal_per_fold_path_models(train, cv_folds, mode):
+    """_knn_fold_tables over (held rows, fit part, k values) folds equals a k-NN path model fitted per fold."""
     tables = benchmark._knn_fold_tables(train, [(held, ks) for held, _, ks in cv_folds], mode)
     for (held, fit, ks), table in zip(cv_folds, tables):
         path = _knn_path([fit_knn(fit, KnnConfig(k=int(k)), mode) for k in ks])

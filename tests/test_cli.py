@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,16 @@ def test_missing_input_file_exit_2(tmp_path, train_csv, test_csv, capsys, argv):
     paths = {"{missing}": str(tmp_path / "missing"), "{train}": train_csv, "{test}": test_csv}
     assert main([paths.get(a, a) for a in argv]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_blank_data_lines_print_only_the_error(tmp_path, capsys):
+    # numpy's loadtxt warns when every data line is blank; that warning used to print ahead of the error
+    path = _write(tmp_path / "t.csv", "x1,S,Y\n\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["calibrate", "--train", path]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: {path}: row 0 has 1 cells, header has 3\n"
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from fairthresh.estimators import (
     LogisticConfig,
     ScoreModel,
     _knn_label_sums,
+    _knn_order,
     fit_knn,
     fit_logistic,
     floor_value,
@@ -220,7 +221,7 @@ def test_knn_label_sums_equal_per_k_stable_argsort(seed, T, Q, d, decimals, copi
 
 
 def test_knn_label_sums_across_query_blocks():
-    # 2**22 // T = 2048 query rows per block, fewer than Q; rounding leaves some queries tied
+    # 2**16 // T = 32 query rows per block, far fewer than Q; rounding leaves some queries tied
     rng = np.random.default_rng(11)
     T, Q = 2**11, 2100
     feats = np.round(rng.normal(size=(T, 1)), 2)
@@ -244,6 +245,22 @@ def test_knn_label_sums_memory_bounded_in_feature_count():
         for k in (1, 5):
             ref = _knn_scores_reference(queries[start : start + 600], feats, labels, k)
             assert np.array_equal(sums[start : start + 600, k - 1] / k, ref)
+
+
+def test_knn_order_memory_stays_near_its_block_budget():
+    # blocks of about 2**16 (query, train row) entries: blocks of 2**22 held several 32 MiB temporaries (85 MiB)
+    rng = np.random.default_rng(13)
+    T, Q, depth = 1200, 6000, 60
+    feats, queries, labels = rng.normal(size=(T, 1)), rng.normal(size=(Q, 1)), rng.integers(0, 2, T)
+    tracemalloc.start()
+    try:
+        order = _knn_order(queries, feats, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    for k in (1, 7, depth):
+        assert np.array_equal(labels[order[:, :k]].mean(axis=1), _knn_scores_reference(queries, feats, labels, k)), k
 
 
 class TestScoreModel:
