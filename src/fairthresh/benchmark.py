@@ -99,6 +99,9 @@ class BenchmarkConfig:
         methods = self.methods
         if not isinstance(methods, (tuple, list)) or not methods or any(m not in METHODS for m in methods):
             raise ConfigError(f"methods must be a nonempty list from {METHODS}, got {self.methods!r}")
+        if len(set(methods)) < len(methods):
+            dup = next(m for i, m in enumerate(methods) if m in methods[:i])
+            raise ConfigError(f"methods must be distinct, {dup!r} is listed more than once in {self.methods!r}")
         if self.unlabeled != "reuse" and not (isinstance(self.unlabeled, float) and 0.0 < self.unlabeled < 1.0):
             raise ConfigError(f"unlabeled must be 'reuse' or a fraction in (0, 1), got {self.unlabeled!r}")
 
@@ -305,7 +308,7 @@ def cross_validate(train: LabeledDataset, config: BenchmarkConfig, seed) -> dict
     for f, held in enumerate(fold_idx):
         if held.size == 0:
             continue
-        fit_part = cal = train.take(np.setdiff1d(all_idx, held))
+        fit_part = cal = train.take(np.delete(all_idx, held))
         skip = "missing_group" if 0 in fit_part.group_counts() else None
         if not skip and isinstance(config.unlabeled, float):  # reuse mode calibrates on the fit part itself
             try:

@@ -26,7 +26,9 @@ over the unlabeled sample; theta is unbounded there.
 Each mode has one objective object (_AwareObjective, _BlindObjective) that
 sorts the switch points once and exposes .breakpoints, .value(thetas) and
 .argmin() -> (theta, value); fit_theta, fit_theta_blind, empirical_unfairness,
-blind_unfairness and breakpoints are one-liners over them.
+blind_unfairness and breakpoints are one-liners over them.  _distinct is the
+one dedup of both objectives' switch points: np.unique's array by sort and
+mask, without the numpy.ma import that numpy's set routines make.
 calibrate scores the calibration sample with the fitted estimator;
 calibrate_scores and predict_from_scores take score columns, which one
 adapter (_column_scores) checks for alignment and puts in the same form;
@@ -118,6 +120,14 @@ def _group0_breakpoints(scores0: np.ndarray, joint_0: float) -> np.ndarray:
     return joint_0 * (1.0 / scores0 - 2.0)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique of a finite 1-D array (possibly empty): the first entry of each run of equal sorted values."""
+    s = np.sort(values)
+    keep = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def _pick_candidate(objective, bps: np.ndarray, probes) -> tuple[float, float]:
     """Exact argmin of a piecewise-constant objective and its value there.
 
@@ -162,7 +172,7 @@ class _AwareObjective:
     def breakpoints(self) -> np.ndarray:
         """Distinct switch points inside [-2, 2], ascending."""
         t = np.concatenate([self.t1, self.t0])
-        return np.unique(t[(t >= -THETA_BOUND) & (t <= THETA_BOUND)])
+        return _distinct(t[(t >= -THETA_BOUND) & (t <= THETA_BOUND)])
 
     def tpr_pair(self, thetas):
         thetas = np.asarray(thetas, dtype=np.float64)
@@ -218,7 +228,7 @@ class _BlindObjective:
 
     @property
     def breakpoints(self) -> np.ndarray:
-        return np.unique(np.concatenate([self.bp_pos, self.bp_neg]))
+        return _distinct(np.concatenate([self.bp_pos, self.bp_neg]))
 
     def value(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=np.float64)

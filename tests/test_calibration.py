@@ -12,6 +12,7 @@ from fairthresh.calibration import (
     GroupStatistics,
     _AwareObjective,
     _BlindObjective,
+    _distinct,
     blind_unfairness,
     breakpoints,
     calibrate,
@@ -269,6 +270,13 @@ class TestBlind:
             grid_best = _BlindObjective(m, s0, s1).value(grid).min()
             assert val <= grid_best + 1e-12
 
+    def test_zero_direction_everywhere_has_no_breakpoints(self):
+        # identical group columns make d(x) = 0 on every row, so no row ever switches
+        s = np.array([0.7, 0.4, 0.6, 0.2])
+        assert _BlindObjective(s, s, s).breakpoints.size == 0
+        clf = calibrate_scores(s, s, marginal=s, mode="blind")
+        assert clf.theta_hat == 0.0
+
     def test_matches_product_form(self):
         rng = np.random.default_rng(6)
         n = 100
@@ -490,3 +498,30 @@ def test_calibrate_scores_transient_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * 8 * n
+
+
+BLOCK = calibration._CANDIDATE_BLOCK
+
+
+@hst.composite
+def finite_arrays(draw):
+    """Finite float64 arrays drawn from a small pool (heavy duplication, -0.0 beside 0.0), some sized
+    around the argmin's block, optionally with every other entry replaced by a distinct value."""
+    pool = draw(hst.lists(hst.sampled_from([0.0, -0.0]) | hst.floats(allow_nan=False, allow_infinity=False),
+                          min_size=1, max_size=8))
+    size = draw(hst.integers(0, 40) | hst.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    values = rng.choice(np.array(pool, dtype=np.float64), size)
+    if draw(hst.booleans()):
+        values[::2] = rng.normal(size=values[::2].size)
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_arrays())
+@example(np.array([]))
+@example(np.array([0.0, -0.0, 0.0, -0.0, 1.0]))
+def test_distinct_is_np_unique_bitwise(values):
+    got, want = _distinct(values), np.unique(values)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # signbit of every zero included

@@ -94,6 +94,14 @@ class TestCalibrate:
         code = main(["calibrate", "--train", train_csv, "--unlabeled", str(unl)])
         assert code == 3
 
+    def test_blind_scores_without_breakpoints_pick_zero(self, tmp_path, train_csv):
+        # score_s0 == score_s1 makes the blind direction 0 on every row: no breakpoints at all
+        rows = "".join(f"{v},{v},{v}\n" for v in np.linspace(0.1, 0.9, 800))
+        scores = _write(tmp_path / "scores.csv", "score_s0,score_s1,score_marginal\n" + rows)
+        out = str(tmp_path / "blind.json")
+        assert main(["calibrate", "--train", train_csv, "--scores", scores, "--mode", "blind", "--out", out]) == 0
+        assert _read_json(out)["theta_hat"] == 0.0
+
     def test_external_scores_path(self, tmp_path, train_csv):
         n = 800
         rng = np.random.default_rng(1)
@@ -190,6 +198,10 @@ class TestBenchmarkCommands:
             assert main(["benchmark", "--data", train_csv, "--config", str(cfg), "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_duplicate_methods_exit_5(self, train_csv, capsys):
+        assert main(["benchmark", "--data", train_csv, "--methods", "plugin,bayes,plugin"]) == 5
+        assert "'plugin' is listed more than once" in capsys.readouterr().err
 
     def test_sweep_bad_fractions_exit_5(self, tmp_path, train_csv):
         code = main([
