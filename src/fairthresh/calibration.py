@@ -12,33 +12,28 @@ row's indicator flips at exactly one theta (its breakpoint), the objective is
 piecewise constant and the argmin is found exactly by enumerating breakpoints
 and midpoints.
 
-The indicators are evaluated in breakpoint form (theta <= joint_1*(2 - 1/eta)
-for group 1, theta >= joint_0*(1/eta - 2) for group 0), which is the same
-inequality rearranged for eta > 0 and keeps a row at its own breakpoint on the
-"predict 1" side.  In floating point the product form can round the other way
-within a few ulps of a breakpoint; the objective and the predictions both use
-the breakpoint form, so they agree exactly.
-
 The sensitive-blind variant decides 1 <= 2*eta_hat(x) + theta*d(x) with the
 direction d(x) = eta_hat(x,0)/E0 - eta_hat(x,1)/E1, where E_s are pooled means
 over the unlabeled sample; theta is unbounded there.
 
-Each mode has one objective object (_AwareObjective, _BlindObjective) that
-sorts the switch points once and exposes .breakpoints, .value(thetas) and
-.argmin() -> (theta, value); fit_theta, fit_theta_blind, empirical_unfairness,
-blind_unfairness and breakpoints are one-liners over them.  _distinct is the
-one dedup of both objectives' switch points: np.unique's array by sort and
-mask, without the numpy.ma import that numpy's set routines make.
-calibrate scores the calibration sample with the fitted estimator;
-calibrate_scores and predict_from_scores take score columns, which one
-adapter (_column_scores) checks for alignment and puts in the same form;
-_columns is its inverse, turning row scores into score columns.  Calibration
-floors the scores once and hands them to one core, so the two
-paths give the same theta_hat on the same scores, and the classifier carries
-the objective value at theta_hat.  FairClassifier._decide is the one decision
-rule of predict and predict_from_scores; the benchmark and the oracle's
-consistency experiment call the public calibrate_scores and
-predict_from_scores with the score columns _columns gives them.
+Both modes are one rule: every row predicts 1 on one side of its own switch
+point, and _switch_points gives each row that point and its side ("rising":
+theta >= bp, "falling": theta <= bp).  Aware switch points keep the form
+joint_1*(2 - 1/eta) and joint_0*(1/eta - 2): the product form can round the
+other way within a few ulps, and the objective and FairClassifier._decide
+(one expression) both read the switch points, so they agree exactly.  One
+objective class, _Objective, walks the rising rows as prefix sums and the
+falling ones as suffix sums and exposes .breakpoints, .value(thetas) and
+.argmin() -> (theta, value); the modes differ only in the constants, weights
+and bound its constructor sets up.  fit_theta, fit_theta_blind,
+empirical_unfairness, blind_unfairness and breakpoints are one-liners over
+it.  _distinct dedups the switch points without numpy.ma, which numpy's set
+routines import.  calibrate scores the calibration sample with the fitted
+estimator; calibrate_scores and predict_from_scores take score columns, which
+one adapter (_column_scores) checks and puts in the same form; _columns is its
+inverse.  Both calibrations floor the scores once and hand them to one core,
+so they give the same theta_hat on the same scores, and the classifier
+carries the objective value at theta_hat.
 """
 
 from __future__ import annotations
@@ -50,6 +45,7 @@ import numpy as np
 from .data import LabeledDataset, UnlabeledDataset
 from .errors import ConfigError, GroupCoverageError, SchemaError
 from .estimators import (
+    JITTER_MAX,
     KnnConfig,
     LogisticConfig,
     ScoreModel,
@@ -110,16 +106,6 @@ def group_statistics(scores: np.ndarray, sensitive: np.ndarray) -> GroupStatisti
     return GroupStatistics(tuple(p), tuple(mean), tuple(joint))
 
 
-def _group1_breakpoints(scores1: np.ndarray, joint_1: float) -> np.ndarray:
-    # active (predict 1) for theta <= breakpoint
-    return joint_1 * (2.0 - 1.0 / scores1)
-
-
-def _group0_breakpoints(scores0: np.ndarray, joint_0: float) -> np.ndarray:
-    # active (predict 1) for theta >= breakpoint
-    return joint_0 * (1.0 / scores0 - 2.0)
-
-
 def _distinct(values: np.ndarray) -> np.ndarray:
     """np.unique of a finite 1-D array (possibly empty): the first entry of each run of equal sorted values."""
     s = np.sort(values)
@@ -128,120 +114,112 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
-def _pick_candidate(objective, bps: np.ndarray, probes) -> tuple[float, float]:
-    """Exact argmin of a piecewise-constant objective and its value there.
+def _switch_points(mode: str, scores, sensitive, constants) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's switch point bp and side: a rising row predicts 1 for theta >= bp, a falling one for theta <= bp.
 
-    Candidates are the probes, every breakpoint and the midpoint of every
-    pair of consecutive breakpoints, which covers each constant piece.  They
-    are evaluated a block of breakpoints at a time, so memory stays bounded.
+    Aware rows (scores eta_hat(x_i, s_i), constants the joints J_s): group 0 rises at J_0 (1/eta - 2),
+    any other row falls at J_1 (2 - 1/eta).  Blind rows (scores (marginal, s0, s1), constants the pooled
+    means E_s): bp = (1 - 2 eta_hat(x)) / d(x), rising where d >= 0.  A blind row with d = 0 never
+    switches: its bp is +-inf, or -inf for 0/0, so it predicts 1 iff 1 <= 2 eta_hat(x) at every finite theta.
     """
-    best = (np.inf, np.inf, np.inf)  # (value, |theta|, theta) of the best candidate so far
-    for lo in range(0, max(bps.size, 1), _CANDIDATE_BLOCK):
-        part = bps[lo : lo + _CANDIDATE_BLOCK + 1]  # the block and the breakpoint after it
-        cands = np.concatenate([probes if lo == 0 else [], part[:_CANDIDATE_BLOCK], 0.5 * (part[:-1] + part[1:])])
-        values = objective.value(cands)
-        tied = cands[values == values.min()]
-        # least intervention first: smallest |theta|, then smaller theta; the earlier of equal candidates
-        theta = tied[np.lexsort((tied, np.abs(tied)))[0]]
-        best = min(best, (values.min(), abs(theta), theta))
-    return float(best[2]), float(best[0])
-
-
-class _AwareObjective:
-    """Piecewise-constant empirical unfairness, evaluated by sorted prefix sums.
-
-    A switch point is monotone in its row's score (rising in group 1, falling
-    in group 0, also after rounding), so sorting the scores sorts the switch
-    points.  Both groups accumulate their score sums in descending-score
-    order, so two groups carrying identical score multisets produce
-    bitwise-identical group terms and an exactly zero objective at theta = 0.
-    """
-
-    def __init__(self, scores1, scores0, stats: GroupStatistics):
-        desc1 = np.sort(np.asarray(scores1, dtype=np.float64))[::-1]
-        desc0 = np.sort(np.asarray(scores0, dtype=np.float64))[::-1]
-        if desc1.size == 0 or desc0.size == 0:
-            raise GroupCoverageError("both groups need at least one calibration row")
-        self.t1 = _group1_breakpoints(desc1[::-1], stats.joint[1])
-        self.t0 = _group0_breakpoints(desc0, stats.joint[0])
-        # cum[m] is the score sum of the m highest-scored rows of a group
-        self.cum1 = np.concatenate([[0.0], np.cumsum(desc1)])
-        self.cum0 = np.concatenate([[0.0], np.cumsum(desc0)])
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        """Distinct switch points inside [-2, 2], ascending."""
-        t = np.concatenate([self.t1, self.t0])
-        return _distinct(t[(t >= -THETA_BOUND) & (t <= THETA_BOUND)])
-
-    def tpr_pair(self, thetas):
-        thetas = np.asarray(thetas, dtype=np.float64)
-        # active rows: group 1 with t1 >= theta, group 0 with t0 <= theta
-        m1 = self.t1.size - np.searchsorted(self.t1, thetas, side="left")
-        m0 = np.searchsorted(self.t0, thetas, side="right")
-        return self.cum1[m1] / self.cum1[-1], self.cum0[m0] / self.cum0[-1]
-
-    def value(self, thetas) -> np.ndarray:
-        t1, t0 = self.tpr_pair(thetas)
-        return np.abs(t1 - t0)
-
-    def argmin(self) -> tuple[float, float]:
-        """Exact minimizer over [-2, 2] (0 and both ends are candidates too)."""
-        return _pick_candidate(self, self.breakpoints, [-THETA_BOUND, 0.0, THETA_BOUND])
-
-
-def _blind_direction(marginal: np.ndarray, scores_s0: np.ndarray, scores_s1: np.ndarray, means):
-    """Direction d(x) and switch point (1 - 2 eta_hat(x)) / d(x) of every row.
-
-    A row with d = 0, or whose switch point is not finite, never switches: it
-    predicts 1 iff 1 <= 2 eta_hat(x) for every finite theta.
-    """
-    d = scores_s0 / means[0] - scores_s1 / means[1]
+    if mode == "aware":
+        rising = np.asarray(sensitive) != 1
+        bp = 1.0 / scores  # both forms in place, so a decision holds one row-sized float buffer
+        np.subtract(2.0, bp, out=bp, where=~rising)
+        np.subtract(bp, 2.0, out=bp, where=rising)
+        bp *= np.where(rising, constants[0], constants[1])
+        return bp, rising
+    marginal, scores_s0, scores_s1 = scores
+    d = scores_s0 / constants[0] - scores_s1 / constants[1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bp = (1.0 - 2.0 * marginal) / d
-    return d, bp
+    bp[np.isnan(bp)] = -np.inf
+    return bp, d >= 0.0
 
 
-class _BlindObjective:
-    """Piecewise-constant blind unfairness over pooled unlabeled scores."""
+class _Objective:
+    """Piecewise-constant unfairness |F(theta) - R(theta)| of a calibration sample, in either mode.
 
-    def __init__(self, marginal, scores_s0, scores_s1):
-        m = np.asarray(marginal, dtype=np.float64)
-        s0 = np.asarray(scores_s0, dtype=np.float64)
-        s1 = np.asarray(scores_s1, dtype=np.float64)
-        if not (m.shape == s0.shape == s1.shape):
-            raise SchemaError("marginal and per-group score arrays must align")
-        self.means = (float(s0.mean()), float(s1.mean()))
-        d, bp = _blind_direction(m, s0, s1, self.means)
-        # w = -d / N up to rounding, so rows that never switch add nothing
-        w = s1 / s1.sum()
-        w -= s0 / s0.sum()
-        finite = np.isfinite(bp)
-        pos = (d > 0) & finite
-        neg = (d < 0) & finite
-        op = np.argsort(bp[pos], kind="stable")
-        on = np.argsort(bp[neg], kind="stable")
-        self.bp_pos = bp[pos][op]
-        self.cum_pos = np.concatenate([[0.0], np.cumsum(w[pos][op])])
-        self.bp_neg = bp[neg][on]
-        self.suf_neg = np.concatenate([np.cumsum(w[neg][on][::-1])[::-1], [0.0]])
+    R sums the weights of the rising rows with bp <= theta and F those of the falling rows with
+    bp >= theta, as prefix and suffix sums over each side in ascending switch-point order; rows with
+    tied switch points sum in the order they come in.  The modes differ only in the data set up here:
+
+    - aware: columns (scores1, scores0) and the joints J_s; the weights are the scores, and each side
+      is divided by its own sum, so F and R are the group TPRs; theta in [-2, 2].  A switch point
+      rises with the score in group 1 and falls with it in group 0, also after rounding, so group 1
+      comes in ascending and group 0 in descending score order.  Each group then sums in descending
+      score order, also across tied switch points, so identical group multisets give exactly 0 at
+      theta = 0.
+    - blind: columns (marginal, scores_s0, scores_s1); the weights are s1/S1 - s0/S0 (S_s the column
+      sums), negated on rising rows; theta unbounded.  Rows whose switch point is not finite never
+      switch and are left out (their weights, about |d|/N, are next to nothing), and the others are
+      sorted stably by switch point.
+
+    constants holds what the switch points read: the joints, or the pooled means (E_0, E_1).
+    """
+
+    def __init__(self, mode: str, columns, joint=None):
+        if mode == "aware":
+            scores1, scores0 = (np.asarray(c, dtype=np.float64) for c in columns)
+            if scores1.size == 0 or scores0.size == 0:
+                raise GroupCoverageError("both groups need at least one calibration row")
+            weights = np.concatenate([np.sort(scores1), np.sort(scores0)[::-1]])
+            self.constants, self.bound = tuple(joint), THETA_BOUND
+            bp, rising = _switch_points(mode, weights, np.arange(weights.size) < scores1.size, joint)
+        else:
+            marginal, s0, s1 = (np.asarray(c, dtype=np.float64) for c in columns)
+            if not (marginal.shape == s0.shape == s1.shape):
+                raise SchemaError("marginal and per-group score arrays must align")
+            self.constants, self.bound = (float(s0.mean()), float(s1.mean())), np.inf
+            bp, rising = _switch_points(mode, (marginal, s0, s1), None, self.constants)
+            weights = s1 / s1.sum()
+            weights -= s0 / s0.sum()
+            np.negative(weights, out=weights, where=rising)
+            order = np.flatnonzero(np.isfinite(bp))
+            order = order[np.argsort(bp[order], kind="stable")]
+            bp, rising, weights = bp[order], rising[order], weights[order]
+        falling = ~rising
+        self.bp_rising, self.bp_falling = bp[rising], bp[falling]
+        self.prefix = np.concatenate([[0.0], np.cumsum(weights[rising])])
+        self.suffix = np.concatenate([np.cumsum(weights[falling][::-1])[::-1], [0.0]])
+        if mode == "aware":
+            self.prefix /= self.prefix[-1]
+            self.suffix /= self.suffix[0]
 
     @property
     def breakpoints(self) -> np.ndarray:
-        return _distinct(np.concatenate([self.bp_pos, self.bp_neg]))
+        """Distinct switch points within [-bound, bound], ascending."""
+        t = np.concatenate([self.bp_rising, self.bp_falling])
+        return _distinct(t[(t >= -self.bound) & (t <= self.bound)])
 
     def value(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=np.float64)
-        # active rows: d > 0 with bp <= theta, d < 0 with bp >= theta
-        mp = np.searchsorted(self.bp_pos, thetas, side="right")
-        mn = np.searchsorted(self.bp_neg, thetas, side="left")
-        return np.abs(self.cum_pos[mp] + self.suf_neg[mn])
+        rising = self.prefix[np.searchsorted(self.bp_rising, thetas, side="right")]
+        falling = self.suffix[np.searchsorted(self.bp_falling, thetas, side="left")]
+        return np.abs(falling - rising)
 
     def argmin(self) -> tuple[float, float]:
-        """Exact minimizer over the real line; probes one unit past both extreme breakpoints."""
+        """Exact minimizer and the value there; ties break toward the smallest |theta|, then the smaller theta.
+
+        Candidates are 0, both bounds (one unit past both extreme breakpoints when unbounded), every
+        breakpoint and the midpoint of every pair of consecutive breakpoints, which covers each constant
+        piece.  They are evaluated a block of breakpoints at a time, so memory stays bounded.
+        """
         bps = self.breakpoints
-        probes = [0.0, bps[0] - 1.0, bps[-1] + 1.0] if bps.size else [0.0]
-        return _pick_candidate(self, bps, probes)
+        if self.bound < np.inf:
+            probes = [0.0, -self.bound, self.bound]
+        else:
+            probes = [0.0, bps[0] - 1.0, bps[-1] + 1.0] if bps.size else [0.0]
+        best = (np.inf, np.inf, np.inf)  # (value, |theta|, theta) of the best candidate so far
+        for lo in range(0, max(bps.size, 1), _CANDIDATE_BLOCK):
+            part = bps[lo : lo + _CANDIDATE_BLOCK + 1]  # the block and the breakpoint after it
+            cands = np.concatenate([probes if lo == 0 else [], part[:_CANDIDATE_BLOCK], 0.5 * (part[:-1] + part[1:])])
+            values = self.value(cands)
+            tied = cands[values == values.min()]
+            # least intervention first: smallest |theta|, then smaller theta; the earlier of equal candidates
+            theta = tied[np.lexsort((tied, np.abs(tied)))[0]]
+            best = min(best, (values.min(), abs(theta), theta))
+        return float(best[2]), float(best[0])
 
 
 def empirical_unfairness(theta: float, scores1, scores0, stats: GroupStatistics) -> float:
@@ -250,7 +228,7 @@ def empirical_unfairness(theta: float, scores1, scores0, stats: GroupStatistics)
     Any real theta is accepted; values outside [-2, 2] simply evaluate the
     same formula.
     """
-    return float(_AwareObjective(scores1, scores0, stats).value([theta])[0])
+    return float(_Objective("aware", (scores1, scores0), stats.joint).value([theta])[0])
 
 
 def fit_theta(scores1, scores0, stats: GroupStatistics) -> float:
@@ -258,12 +236,12 @@ def fit_theta(scores1, scores0, stats: GroupStatistics) -> float:
 
     Ties break toward the smallest |theta|, then the smaller theta.
     """
-    return _AwareObjective(scores1, scores0, stats).argmin()[0]
+    return _Objective("aware", (scores1, scores0), stats.joint).argmin()[0]
 
 
 def blind_unfairness(theta: float, marginal, scores_s0, scores_s1) -> float:
     """Blind-mode unfairness surrogate at a given theta (pooled expectations)."""
-    return float(_BlindObjective(marginal, scores_s0, scores_s1).value([theta])[0])
+    return float(_Objective("blind", (marginal, scores_s0, scores_s1)).value([theta])[0])
 
 
 def fit_theta_blind(marginal, scores_s0, scores_s1) -> float:
@@ -271,7 +249,7 @@ def fit_theta_blind(marginal, scores_s0, scores_s1) -> float:
 
     Ties break toward the smallest |theta|, then the smaller theta.
     """
-    return _BlindObjective(marginal, scores_s0, scores_s1).argmin()[0]
+    return _Objective("blind", (marginal, scores_s0, scores_s1)).argmin()[0]
 
 
 def breakpoints(scores1, scores0, stats: GroupStatistics) -> np.ndarray:
@@ -279,7 +257,7 @@ def breakpoints(scores1, scores0, stats: GroupStatistics) -> np.ndarray:
 
     Raises GroupCoverageError when either group has no rows.
     """
-    return _AwareObjective(scores1, scores0, stats).breakpoints
+    return _Objective("aware", (scores1, scores0), stats.joint).breakpoints
 
 
 def _row_scores(model: ScoreModel, X, S=None) -> np.ndarray:
@@ -350,16 +328,9 @@ class FairClassifier:
 
     def _decide(self, scores: np.ndarray, sensitive=None) -> np.ndarray:
         """0/1 decisions from floored scores in the form _row_scores gives them."""
-        theta = self.theta_hat
-        if self.mode == "aware":
-            g1 = np.asarray(sensitive) == 1
-            out = np.zeros(scores.shape[0], dtype=np.int64)
-            out[g1] = theta <= _group1_breakpoints(scores[g1], self.stats.joint[1])
-            out[~g1] = theta >= _group0_breakpoints(scores[~g1], self.stats.joint[0])
-            return out
-        marginal, scores_s0, scores_s1 = scores
-        d, bp = _blind_direction(marginal, scores_s0, scores_s1, self.blind_means)
-        return np.select([d > 0, d < 0], [theta >= bp, theta <= bp], 1.0 <= 2.0 * marginal).astype(np.int64)
+        constants = self.stats.joint if self.mode == "aware" else self.blind_means
+        bp, rising = _switch_points(self.mode, scores, sensitive, constants)
+        return np.where(rising, self.theta_hat >= bp, self.theta_hat <= bp).astype(np.int64)
 
     def to_json(self) -> dict:
         return {
@@ -410,14 +381,21 @@ class FairClassifier:
 
 def _calibrate(model: ScoreModel, scores: np.ndarray, sensitive) -> FairClassifier:
     """The calibration core: floored calibration scores, in the form _row_scores gives them, to a classifier."""
+    stats = None
     if model.mode == "aware":
         sensitive = np.asarray(sensitive)
         stats = group_statistics(scores, sensitive)
-        theta, value = _AwareObjective(scores[sensitive == 1], scores[sensitive == 0], stats).argmin()
-        return FairClassifier(model=model, theta_hat=theta, stats=stats, mode="aware", unfairness_hat=value)
-    objective = _BlindObjective(*scores)
+        objective = _Objective("aware", (scores[sensitive == 1], scores[sensitive == 0]), stats.joint)
+    else:
+        objective = _Objective("blind", scores)
     theta, value = objective.argmin()
-    return FairClassifier(model, theta, None, "blind", blind_means=objective.means, unfairness_hat=value)
+    means = objective.constants if stats is None else None
+    return FairClassifier(model, theta, stats, model.mode, blind_means=means, unfairness_hat=value)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("aware", "blind"):
+        raise ConfigError(f"mode must be 'aware' or 'blind', got {mode!r}")
 
 
 def _fit_estimator(train: LabeledDataset, estimator, mode: str) -> ScoreModel:
@@ -443,10 +421,9 @@ def calibrate(
     calibration.  mode "aware" requires the unlabeled sample to carry the
     sensitive attribute; mode "blind" does not.
     """
-    if mode not in ("aware", "blind"):
-        raise ConfigError(f"mode must be 'aware' or 'blind', got {mode!r}")
-    if not 0.0 <= jitter_amplitude <= 0.5:
-        raise ConfigError(f"jitter amplitude must be finite and in [0, 0.5], got {jitter_amplitude}")
+    _check_mode(mode)
+    if not 0.0 <= jitter_amplitude <= JITTER_MAX:
+        raise ConfigError(f"jitter amplitude must be finite and in [0, {JITTER_MAX}], got {jitter_amplitude}")
     cal = train if unlabeled is None else unlabeled
     X_u, S_u = cal.features, cal.sensitive
     if mode == "aware" and S_u is None:
@@ -464,6 +441,7 @@ def calibrate_scores(scores_s0, scores_s1, sensitive=None, marginal=None, mode: 
     with c = floor_value(N), N the number of rows.  Aware calibration reads
     only the column of each row's own group.
     """
+    _check_mode(mode)
     scores = _column_scores(mode, scores_s0, scores_s1, sensitive, marginal)
     c = floor_value(scores.shape[-1])
     # _column_scores returns a new array, so it can be floored in place

@@ -22,6 +22,7 @@ from .errors import ConfigError, GroupCoverageError, SchemaError
 
 FLOOR_MIN = 1e-6
 FLOOR_MAX = 0.49
+JITTER_MAX = 0.5  # largest amplitude of the tie-breaking jitter
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 BACKTRACK = 0.5  # step shrink factor of the line search
 
@@ -243,8 +244,8 @@ class ScoreModel:
         if not FLOOR_MIN <= floor <= FLOOR_MAX:
             raise SchemaError(f"floor must lie in [{FLOOR_MIN}, {FLOOR_MAX}], got {floor!r}")
         jitter = float(obj.get("jitter_amplitude", 0.0))
-        if not 0.0 <= jitter < np.inf:
-            raise SchemaError(f"jitter_amplitude must be finite and >= 0, got {jitter!r}")
+        if not 0.0 <= jitter <= JITTER_MAX:
+            raise SchemaError(f"jitter_amplitude must lie in [0, {JITTER_MAX}], got {jitter!r}")
         return ScoreModel(
             kind=kind,
             mode=mode,

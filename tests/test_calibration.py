@@ -2,6 +2,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import objective_reference as reference
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
@@ -10,9 +11,8 @@ from fairthresh import calibration
 from fairthresh.calibration import (
     FairClassifier,
     GroupStatistics,
-    _AwareObjective,
-    _BlindObjective,
     _distinct,
+    _Objective,
     blind_unfairness,
     breakpoints,
     calibrate,
@@ -23,7 +23,7 @@ from fairthresh.calibration import (
     group_statistics,
 )
 from fairthresh.data import LabeledDataset, UnlabeledDataset
-from fairthresh.errors import GroupCoverageError, SchemaError
+from fairthresh.errors import ConfigError, GroupCoverageError, SchemaError
 from fairthresh.estimators import KnnConfig, LogisticConfig, external_score_model, floor_value
 
 
@@ -173,13 +173,12 @@ class TestFitTheta:
             assert empirical_unfairness(th, s1, s0, st) <= empirical_unfairness(0.0, s1, s0, st)
 
     def test_monotone_group_terms(self):
-        from fairthresh.calibration import _AwareObjective
-
         rng = np.random.default_rng(4)
         s1, s0, st = random_instance(rng, max_n=500)
-        obj = _AwareObjective(s1, s0, st)
+        obj = _Objective("aware", (s1, s0), st.joint)
         thetas = np.sort(rng.uniform(-2, 2, 50))
-        t1, t0 = obj.tpr_pair(thetas)
+        t1 = obj.suffix[np.searchsorted(obj.bp_falling, thetas, side="left")]
+        t0 = obj.prefix[np.searchsorted(obj.bp_rising, thetas, side="right")]
         assert np.all(np.diff(t1) <= 1e-15)
         assert np.all(np.diff(t0) >= -1e-15)
 
@@ -240,6 +239,11 @@ def test_misaligned_score_columns_are_schema_errors(mode, columns):
         fitted.predict_from_scores(**columns)
 
 
+def test_calibrate_scores_rejects_an_unknown_mode():
+    with pytest.raises(ConfigError, match="'Aware'"):
+        calibrate_scores(ALIGNED, ALIGNED, np.array([0, 1, 0, 1, 1]), ALIGNED, mode="Aware")
+
+
 class TestBlind:
     def test_all_zero_direction_picks_zero(self):
         m = np.array([0.7, 0.4, 0.6])
@@ -247,13 +251,11 @@ class TestBlind:
         assert fit_theta_blind(m, s, s) == 0.0
 
     def test_breakpoint_inversion(self):
-        from fairthresh.calibration import _BlindObjective
-
         # engineered so row 0 has direction exactly +0.5
         s0 = np.array([0.6, 0.2])  # ratios 1.5, 0.5
         s1 = np.array([0.5, 0.5])  # ratios 1.0, 1.0
         m = np.array([0.4, 0.9])
-        obj = _BlindObjective(m, s0, s1)
+        obj = _Objective("blind", (m, s0, s1))
         expected = (1.0 - 2.0 * 0.4) / 0.5
         assert any(bp == pytest.approx(expected, abs=1e-15) for bp in obj.breakpoints)
 
@@ -267,13 +269,13 @@ class TestBlind:
             th = fit_theta_blind(m, s0, s1)
             val = blind_unfairness(th, m, s0, s1)
             grid = np.linspace(-50.0, 50.0, 20_001)
-            grid_best = _BlindObjective(m, s0, s1).value(grid).min()
+            grid_best = _Objective("blind", (m, s0, s1)).value(grid).min()
             assert val <= grid_best + 1e-12
 
     def test_zero_direction_everywhere_has_no_breakpoints(self):
         # identical group columns make d(x) = 0 on every row, so no row ever switches
         s = np.array([0.7, 0.4, 0.6, 0.2])
-        assert _BlindObjective(s, s, s).breakpoints.size == 0
+        assert _Objective("blind", (s, s, s)).breakpoints.size == 0
         clf = calibrate_scores(s, s, marginal=s, mode="blind")
         assert clf.theta_hat == 0.0
 
@@ -412,7 +414,7 @@ def test_argmin_is_product_form_minimum_over_breakpoints(case):
     scores, S = case
     stats = group_statistics(scores, S)
     s1, s0 = scores[S == 1], scores[S == 0]
-    theta, value = _AwareObjective(s1, s0, stats).argmin()
+    theta, value = _Objective("aware", (s1, s0), stats.joint).argmin()
     bps = breakpoints(s1, s0, stats)
     cands = np.concatenate([[-2.0, 0.0, 2.0], bps, 0.5 * (bps[:-1] + bps[1:])])
     assert value == pytest.approx(min(brute_unfairness(t, s1, s0, stats) for t in cands), abs=1e-12)
@@ -474,10 +476,10 @@ def test_blocked_argmin_equals_whole_candidate_argmin(case, mode, block):
     """The argmin walked in candidate blocks of any size returns the bits of the all-at-once argmin."""
     scores, S = case
     if mode == "aware":
-        objective = _AwareObjective(scores[S == 1], scores[S == 0], group_statistics(scores, S))
+        objective = _Objective("aware", (scores[S == 1], scores[S == 0]), group_statistics(scores, S).joint)
         probes = [-2.0, 0.0, 2.0]
     else:  # rows pair up the drawn values in three rotations, so the blind scores keep their ties
-        objective = _BlindObjective(scores, np.roll(scores, 1), np.roll(scores, 2))
+        objective = _Objective("blind", (scores, np.roll(scores, 1), np.roll(scores, 2)))
         bps = objective.breakpoints
         probes = [0.0, bps[0] - 1.0, bps[-1] + 1.0] if bps.size else [0.0]
     with mock.patch.object(calibration, "_CANDIDATE_BLOCK", block):
@@ -525,3 +527,63 @@ def test_distinct_is_np_unique_bitwise(values):
     got, want = _distinct(values), np.unique(values)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()  # signbit of every zero included
+
+
+@hst.composite
+def switch_point_cases(draw):
+    """Calibration rows in the form _row_scores gives them, drawn to stress the switch points.
+
+    Scores come from a small pool of floored values, 1/k lattice points and floats, optionally each
+    beside the next three floats up (adjacent scores often round to one switch point).  Aware samples may
+    give both groups one multiset; blind samples may make s1 a rotation of s0 on dyadic values, so
+    the means are equal and every row with s0 == s1 has d = 0 and a switch point that is not finite.
+    """
+    mode, n = draw(hst.sampled_from(["aware", "blind"])), draw(hst.integers(2, 40))
+    c, k = floor_value(n), draw(hst.integers(1, 12))
+    value = hst.sampled_from([c, 0.5, 1.0]) | hst.integers(0, k).map(lambda j: max(j / k, c)) | hst.floats(c, 1.0)
+    pool = draw(hst.lists(value, min_size=1, max_size=6))
+    if draw(hst.booleans()):
+        pool = [float(v + j * np.spacing(v)) for v in pool for j in range(4)]
+    rows = np.array(draw(hst.lists(hst.sampled_from(pool), min_size=3 * n, max_size=3 * n))).reshape(3, n)
+    if mode == "aware":
+        S = np.array(draw(hst.lists(hst.integers(0, 1), min_size=n, max_size=n)))
+        S[:2] = (0, 1)
+        if n % 2 == 0 and draw(hst.booleans()):  # identical group multisets
+            S = np.arange(n) % 2
+            rows[0, 1::2] = rows[0, : n // 2 * 2 : 2][::-1]
+        return mode, rows[0], S
+    if draw(hst.booleans()):
+        rows[1] = np.array(draw(hst.lists(hst.integers(1, 16), min_size=n, max_size=n))) / 16
+        rows[2] = rows[1]
+        m = draw(hst.integers(0, n))
+        rows[2, :m] = np.roll(rows[1, :m], 1)
+    return mode, rows, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(switch_point_cases())
+# one group holds 0.497 and the next float up, whose switch points round to one value
+@example(("aware", np.array([0.97, 0.497, np.nextafter(0.497, 2.0), 0.3, 0.6]), np.array([1, 1, 1, 0, 0])))
+@example(("aware", np.array([0.97, 0.497, np.nextafter(0.497, 2.0), 0.3, 0.6]), np.array([0, 0, 0, 1, 1])))
+@example(("blind", np.array([[0.5, 0.2, 0.7], [0.25, 0.5, 0.5], [0.25, 0.5, 0.5]]), None))
+def test_one_objective_and_decision_equal_the_per_mode_ones_bitwise(case):
+    """_Objective and _decide give the bits of the per-mode objectives and decision branches they replaced."""
+    mode, scores, S = case
+    if mode == "aware":
+        stats = group_statistics(scores, S)
+        columns = (scores[S == 1], scores[S == 0])
+        new, old = _Objective(mode, columns, stats.joint), reference._AwareObjective(*columns, stats)
+        means, probes = None, [-2.0, 0.0, 2.0]
+    else:
+        stats, new, old = None, _Objective(mode, scores), reference._BlindObjective(*scores)
+        means, bps = old.means, old.breakpoints
+        probes = [0.0, bps[0] - 1.0, bps[-1] + 1.0] if bps.size else [0.0]
+        assert np.array(new.constants).tobytes() == np.array(means).tobytes()
+    bps = old.breakpoints
+    assert new.breakpoints.tobytes() == bps.tobytes()
+    cands = np.concatenate([probes, bps, 0.5 * (bps[:-1] + bps[1:])])
+    assert new.value(cands).tobytes() == old.value(cands).tobytes()
+    assert np.array(new.argmin()).tobytes() == np.array(old.argmin()).tobytes()
+    for theta in cands:
+        clf = FairClassifier(external_score_model(mode=mode), float(theta), stats, mode, blind_means=means)
+        assert clf._decide(scores, S).tobytes() == reference.decide(clf, scores, S).tobytes()

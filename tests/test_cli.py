@@ -391,6 +391,7 @@ MODEL_FILE_CASES = {
     "floor_negative": (("model", "floor"), -0.1, "floor"),
     "weight_nan": (("model", "groups", 0, "weights", 0), float("nan"), "logistic weights"),
     "intercept_inf": (("model", "groups", 1, "intercept"), float("inf"), "logistic weights"),
+    "jitter_above_half": (("model", "jitter_amplitude"), 3.0, "jitter_amplitude"),
 }
 
 
@@ -509,7 +510,8 @@ def broken_model(draw, base):
     """Model JSON text made malformed by one drawn corruption of a valid aware model."""
     model = json.loads(json.dumps(base))
     how = draw(st.sampled_from(
-        ["version", "mode", "theta", "stats", "vector", "numbers", "model", "weights", "null_group", "drop", "whole"]
+        ["version", "mode", "theta", "stats", "vector", "numbers", "model", "weights", "null_group", "jitter", "drop",
+         "whole"]
     ))
     if how == "version":
         model["format_version"] = draw(JUNK.filter(lambda v: v != 1 or isinstance(v, bool)))
@@ -542,6 +544,8 @@ def broken_model(draw, base):
         model["model"]["groups"][draw(st.integers(0, 1))]["weights"] = draw(st.sampled_from([[], [0.1, 0.2]]))
     elif how == "null_group":
         model["model"]["groups"][draw(st.integers(0, 1))] = None
+    elif how == "jitter":  # calibrate only writes amplitudes in [0, 0.5]
+        model["model"]["jitter_amplitude"] = draw(st.floats(0.5, 1e300, exclude_min=True) | st.just(-0.1))
     elif how == "drop":
         del model[draw(st.sampled_from(["mode", "theta_hat", "stats"]))]
     else:
