@@ -42,7 +42,7 @@ from . import calibration
 from .calibration import _columns, _fit_estimator, _row_scores, calibrate  # noqa: F401
 from .data import LabeledDataset, SplitPlan, UnlabeledDataset, split
 from .errors import ConfigError, GroupCoverageError
-from .estimators import FLOOR_MIN, KnnConfig, LogisticConfig, _knn_order, _knn_path
+from .estimators import FLOOR_MIN, KnnConfig, LogisticConfig, _knn_order, _knn_path, _slots
 from .metrics import deo as deo_report
 
 LOGISTIC_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-4, 4, 30))
@@ -214,7 +214,8 @@ def _knn_fold_tables(train: LabeledDataset, folds, mode: str):
     """For each (held rows, k values) fold, the _row_scores of every train row under the k-NN
     path model fitted on the fold's other rows, one column per k.
 
-    Each model slot (group 0, group 1 and, blind, the pooled model) orders its
+    Each model slot (estimators._slots: group 0, group 1 and, blind, the
+    pooled model, which is also the order of a blind table's rows) orders its
     query rows against all of its train rows once, to a shallow depth of at
     most 2 k_max + 16.  A fold drops its held rows from that order and keeps
     the first k_max left: its fit part keeps train order, so they are the
@@ -223,9 +224,8 @@ def _knn_fold_tables(train: LabeledDataset, folds, mode: str):
     of their own, to k_max + the slot's largest held-out count, which always
     keeps enough.
     """
-    everyone, groups = np.ones(train.n, bool), [train.sensitive == 0, train.sensitive == 1]
-    # (train rows, query rows) of each slot, in the order _row_scores gives their scores
-    slots = [(g, g) for g in groups] if mode == "aware" else [(rows, everyone) for rows in [everyone, *groups]]
+    # (train rows, query rows) of each slot: aware slots score their own group, blind ones every row
+    slots = [(rows, rows if mode == "aware" else np.ones(train.n, bool)) for rows in _slots(train.sensitive, mode)]
     # the fold holding each row out (len(folds) for none) and the labels, in the smallest dtypes: a slot
     # stores both for every neighbour, so they set the tables' size
     fold_of, labels = np.full(train.n, len(folds), np.min_scalar_type(len(folds))), train.labels.astype(np.int8)

@@ -118,8 +118,8 @@ def _switch_points(mode: str, scores, sensitive, constants) -> tuple[np.ndarray,
     """Every row's switch point bp and side: a rising row predicts 1 for theta >= bp, a falling one for theta <= bp.
 
     Aware rows (scores eta_hat(x_i, s_i), constants the joints J_s): group 0 rises at J_0 (1/eta - 2),
-    any other row falls at J_1 (2 - 1/eta).  Blind rows (scores (marginal, s0, s1), constants the pooled
-    means E_s): bp = (1 - 2 eta_hat(x)) / d(x), rising where d >= 0.  A blind row with d = 0 never
+    any other row falls at J_1 (2 - 1/eta).  Blind rows (scores (s0, s1, marginal), in slot order, constants
+    the pooled means E_s): bp = (1 - 2 eta_hat(x)) / d(x), rising where d >= 0.  A blind row with d = 0 never
     switches: its bp is +-inf, or -inf for 0/0, so it predicts 1 iff 1 <= 2 eta_hat(x) at every finite theta.
     """
     if mode == "aware":
@@ -129,7 +129,7 @@ def _switch_points(mode: str, scores, sensitive, constants) -> tuple[np.ndarray,
         np.subtract(bp, 2.0, out=bp, where=rising)
         bp *= np.where(rising, constants[0], constants[1])
         return bp, rising
-    marginal, scores_s0, scores_s1 = scores
+    scores_s0, scores_s1, marginal = scores
     d = scores_s0 / constants[0] - scores_s1 / constants[1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bp = (1.0 - 2.0 * marginal) / d
@@ -150,7 +150,7 @@ class _Objective:
       comes in ascending and group 0 in descending score order.  Each group then sums in descending
       score order, also across tied switch points, so identical group multisets give exactly 0 at
       theta = 0.
-    - blind: columns (marginal, scores_s0, scores_s1); the weights are s1/S1 - s0/S0 (S_s the column
+    - blind: columns (scores_s0, scores_s1, marginal); the weights are s1/S1 - s0/S0 (S_s the column
       sums), negated on rising rows; theta unbounded.  Rows whose switch point is not finite never
       switch and are left out (their weights, about |d|/N, are next to nothing), and the others are
       sorted stably by switch point.
@@ -167,11 +167,11 @@ class _Objective:
             self.constants, self.bound = tuple(joint), THETA_BOUND
             bp, rising = _switch_points(mode, weights, np.arange(weights.size) < scores1.size, joint)
         else:
-            marginal, s0, s1 = (np.asarray(c, dtype=np.float64) for c in columns)
-            if not (marginal.shape == s0.shape == s1.shape):
+            s0, s1, marginal = columns = [np.asarray(c, dtype=np.float64) for c in columns]
+            if not (s0.shape == s1.shape == marginal.shape):
                 raise SchemaError("marginal and per-group score arrays must align")
             self.constants, self.bound = (float(s0.mean()), float(s1.mean())), np.inf
-            bp, rising = _switch_points(mode, (marginal, s0, s1), None, self.constants)
+            bp, rising = _switch_points(mode, columns, None, self.constants)
             weights = s1 / s1.sum()
             weights -= s0 / s0.sum()
             np.negative(weights, out=weights, where=rising)
@@ -241,7 +241,7 @@ def fit_theta(scores1, scores0, stats: GroupStatistics) -> float:
 
 def blind_unfairness(theta: float, marginal, scores_s0, scores_s1) -> float:
     """Blind-mode unfairness surrogate at a given theta (pooled expectations)."""
-    return float(_Objective("blind", (marginal, scores_s0, scores_s1)).value([theta])[0])
+    return float(_Objective("blind", (scores_s0, scores_s1, marginal)).value([theta])[0])
 
 
 def fit_theta_blind(marginal, scores_s0, scores_s1) -> float:
@@ -249,7 +249,7 @@ def fit_theta_blind(marginal, scores_s0, scores_s1) -> float:
 
     Ties break toward the smallest |theta|, then the smaller theta.
     """
-    return _Objective("blind", (marginal, scores_s0, scores_s1)).argmin()[0]
+    return _Objective("blind", (scores_s0, scores_s1, marginal)).argmin()[0]
 
 
 def breakpoints(scores1, scores0, stats: GroupStatistics) -> np.ndarray:
@@ -261,10 +261,10 @@ def breakpoints(scores1, scores0, stats: GroupStatistics) -> np.ndarray:
 
 
 def _row_scores(model: ScoreModel, X, S=None) -> np.ndarray:
-    """Floored scores as _decide takes them: eta_hat(x_i, s_i) (aware), rows (marginal, s=0, s=1) (blind)."""
+    """Floored scores as _decide takes them: eta_hat(x_i, s_i) (aware), slot rows (s=0, s=1, marginal) (blind)."""
     if model.mode == "aware":
         return model.score_rowwise(X, S)
-    return np.stack([model.score_marginal(X), model.score_group(X, 0), model.score_group(X, 1)])
+    return np.stack([model.score_group(X, 0), model.score_group(X, 1), model.score_marginal(X)])
 
 
 def _column_scores(mode: str, scores_s0, scores_s1, sensitive, marginal) -> np.ndarray:
@@ -283,7 +283,7 @@ def _column_scores(mode: str, scores_s0, scores_s1, sensitive, marginal) -> np.n
         shapes = ", ".join(f"{n} {c.shape}" for n, c in zip(names, columns))
         raise SchemaError(f"score columns must be one-dimensional and row-aligned, got {shapes}")
     if mode == "blind":
-        return np.stack([third, s0, s1])
+        return np.stack(columns)
     if not ((third == 0) | (third == 1)).all():
         raise SchemaError("sensitive values must be 0 or 1")
     return np.where(third == 1, s1, s0)
@@ -293,7 +293,7 @@ def _columns(scores, sensitive, mode) -> dict:
     """Scores in the form _row_scores gives them as the score columns of the calibration API."""
     if mode == "aware":  # aware calibration and prediction read only each row's own group column
         return {"scores_s0": scores, "scores_s1": scores, "sensitive": sensitive}
-    return {"scores_s0": scores[1], "scores_s1": scores[2], "marginal": scores[0]}
+    return dict(zip(("scores_s0", "scores_s1", "marginal"), scores))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Two built-in estimator families are provided: regularized logistic regression
 fitted by damped Newton steps (IRLS), and a k-nearest-neighbour positive-rate
-estimator.  Group-aware models fit one estimator per sensitive group; blind
-models additionally fit a marginal estimator on the features alone.
+estimator.  Every model fits one estimator per slot of _slots: group 0,
+group 1 and, in blind mode, a pooled (marginal) estimator on every row.
 
 Every score is clamped from below by the floor c = N^(-1/4) (clipped to
 [1e-6, 0.49]) so that group mean scores stay bounded away from zero no matter
@@ -138,15 +138,15 @@ def _row_hash_fractions(X: np.ndarray, salt: int) -> np.ndarray:
 class ScoreModel:
     """A fitted score estimator plus the floor/jitter post-processing.
 
-    group_params[s] holds the parameters of the estimator for group s;
-    marginal_params is present only in blind mode.  Scoring is deterministic,
-    including the optional jitter, which is a pure function of the row bytes.
+    params holds the parameters of each slot's estimator in slot order:
+    group 0, group 1 and, blind models only, the marginal one (None for
+    every group of an external model).  Scoring is deterministic, including
+    the optional jitter, which is a pure function of the row bytes.
     """
 
     kind: str  # "logistic" | "knn" | "external"
     mode: str  # "aware" | "blind"
-    group_params: tuple
-    marginal_params: object | None = None
+    params: tuple
     floor: float = FLOOR_MIN
     jitter_amplitude: float = 0.0
     converged: bool = True
@@ -173,10 +173,13 @@ class ScoreModel:
             raw = np.clip(raw, 0.0, 1.0)
         return np.maximum(raw, self.floor)
 
+    def _score(self, X, slot: int) -> np.ndarray:
+        X = _as_matrix(X)
+        return self._finish(self._raw(X, self.params[slot]), X, slot)
+
     def score_group(self, X, s: int) -> np.ndarray:
         """Floored score eta_hat(x, s) for every row of X."""
-        X = _as_matrix(X)
-        return self._finish(self._raw(X, self.group_params[s]), X, s)
+        return self._score(X, s)
 
     def score_rowwise(self, X, S) -> np.ndarray:
         """Floored score eta_hat(x_i, s_i) using each row's own group."""
@@ -193,10 +196,9 @@ class ScoreModel:
 
     def score_marginal(self, X) -> np.ndarray:
         """Floored marginal score eta_hat(x); blind-mode models only."""
-        if self.marginal_params is None:
+        if len(self.params) < 3:
             raise SchemaError("model has no marginal estimator; refit with mode='blind'")
-        X = _as_matrix(X)
-        return self._finish(self._raw(X, self.marginal_params), X, 2)
+        return self._score(X, 2)
 
     def to_json(self) -> dict:
         def pack(params):
@@ -214,8 +216,8 @@ class ScoreModel:
             "floor": self.floor,
             "jitter_amplitude": self.jitter_amplitude,
             "converged": self.converged,
-            "groups": [pack(p) for p in self.group_params],
-            "marginal": pack(self.marginal_params),
+            "groups": [pack(p) for p in self.params[:2]],
+            "marginal": pack(self.params[2]) if len(self.params) > 2 else None,
         }
 
     @staticmethod
@@ -246,11 +248,11 @@ class ScoreModel:
         jitter = float(obj.get("jitter_amplitude", 0.0))
         if not 0.0 <= jitter <= JITTER_MAX:
             raise SchemaError(f"jitter_amplitude must lie in [0, {JITTER_MAX}], got {jitter!r}")
+        marginal = [] if obj.get("marginal") is None else [obj["marginal"]]
         return ScoreModel(
             kind=kind,
             mode=mode,
-            group_params=tuple(unpack(p) for p in groups),
-            marginal_params=unpack(obj.get("marginal")),
+            params=tuple(unpack(p) for p in [*groups, *marginal]),
             floor=floor,
             jitter_amplitude=jitter,
             converged=bool(obj.get("converged", True)),
@@ -259,14 +261,13 @@ class ScoreModel:
 
 def external_score_model(floor: float = FLOOR_MIN, mode: str = "aware") -> ScoreModel:
     """Placeholder model for calibrations built from precomputed score files."""
-    return ScoreModel(kind="external", mode=mode, group_params=(None, None), floor=floor)
+    return ScoreModel(kind="external", mode=mode, params=(None, None), floor=floor)
 
 
 def _knn_path(models) -> ScoreModel:
     """One model scoring the k-NN models (fitted on the same rows) at once, one score column per model."""
-    first, ks = models[0], np.array([m.group_params[0][2] for m in models])
-    params = [None if p is None else (p[0], p[1], ks) for p in (*first.group_params, first.marginal_params)]
-    return replace(first, group_params=tuple(params[:2]), marginal_params=params[2])
+    ks = np.array([m.params[0][2] for m in models])
+    return replace(models[0], params=tuple((feats, labels, ks) for feats, labels, _ in models[0].params))
 
 
 def _knn_order(queries: np.ndarray, feats: np.ndarray, depth: int) -> np.ndarray:
@@ -301,39 +302,35 @@ def _knn_label_sums(queries: np.ndarray, feats: np.ndarray, labels: np.ndarray, 
     return np.cumsum(labels[_knn_order(queries, feats, k_max)], axis=1, dtype=np.int64)
 
 
-def fit_logistic(train: LabeledDataset, cfg: LogisticConfig = LogisticConfig(), mode: str = "aware") -> ScoreModel:
-    """Fit per-group logistic scores (plus a marginal model on every row in blind mode)."""
-    masks = [train.sensitive == 0, train.sensitive == 1] + ([np.ones(train.n, bool)] if mode == "blind" else [])
-    params, converged = [], True
-    for s, mask in enumerate(masks):
+def _slots(sensitive: np.ndarray, mode: str) -> list[np.ndarray]:
+    """Row masks of the model slots, in slot order: group 0, group 1 and, blind, every row (the marginal model)."""
+    masks = [sensitive == 0, sensitive == 1]
+    return masks + [np.ones(sensitive.shape[0], bool)] if mode == "blind" else masks
+
+
+def _fit_slots(train: LabeledDataset, mode: str, fit) -> list:
+    """fit(features, labels, slot) on each slot's rows, in slot order; a slot is checked for rows just before."""
+    params = []
+    for s, mask in enumerate(_slots(train.sensitive, mode)):
         if not mask.any():
             raise GroupCoverageError(f"cannot fit group {s}: no rows")
-        w, b, ok, _ = logistic_descent(train.features[mask], train.labels[mask].astype(np.float64), cfg)
-        params.append((w, b))
-        converged &= ok
-    return ScoreModel(
-        kind="logistic",
-        mode=mode,
-        group_params=tuple(params[:2]),
-        marginal_params=params[2] if mode == "blind" else None,
-        converged=converged,
-    )
+        params.append(fit(train.features[mask], train.labels[mask], s))
+    return params
+
+
+def fit_logistic(train: LabeledDataset, cfg: LogisticConfig = LogisticConfig(), mode: str = "aware") -> ScoreModel:
+    """Fit one logistic score per model slot (_slots)."""
+    fits = _fit_slots(train, mode, lambda X, y, s: logistic_descent(X, y.astype(np.float64), cfg))
+    params, converged = tuple((w, b) for w, b, _, _ in fits), all(ok for _, _, ok, _ in fits)
+    return ScoreModel(kind="logistic", mode=mode, params=params, converged=converged)
 
 
 def fit_knn(train: LabeledDataset, cfg: KnnConfig = KnnConfig(), mode: str = "aware") -> ScoreModel:
-    """Fit per-group k-NN positive-rate scores (plus pooled k-NN in blind mode)."""
-    params = []
-    for s in (0, 1):
-        mask = train.sensitive == s
-        size = int(mask.sum())
-        if size == 0:
-            raise GroupCoverageError(f"cannot fit group {s}: no rows")
-        if cfg.k > size:
-            raise ConfigError(f"k={cfg.k} exceeds group {s} size {size}")
-        params.append((train.features[mask].copy(), train.labels[mask].copy(), cfg.k))
-    marginal = None
-    if mode == "blind":
-        if cfg.k > train.n:
-            raise ConfigError(f"k={cfg.k} exceeds sample size {train.n}")
-        marginal = (train.features.copy(), train.labels.copy(), cfg.k)
-    return ScoreModel(kind="knn", mode=mode, group_params=tuple(params), marginal_params=marginal)
+    """Fit one k-NN positive-rate score per model slot (_slots)."""
+
+    def fit(X, y, s):
+        if cfg.k > y.size:
+            raise ConfigError(f"k={cfg.k} exceeds group {s} size {y.size}")
+        return X, y, cfg.k
+
+    return ScoreModel(kind="knn", mode=mode, params=tuple(_fit_slots(train, mode, fit)))

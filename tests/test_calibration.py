@@ -255,7 +255,7 @@ class TestBlind:
         s0 = np.array([0.6, 0.2])  # ratios 1.5, 0.5
         s1 = np.array([0.5, 0.5])  # ratios 1.0, 1.0
         m = np.array([0.4, 0.9])
-        obj = _Objective("blind", (m, s0, s1))
+        obj = _Objective("blind", (s0, s1, m))
         expected = (1.0 - 2.0 * 0.4) / 0.5
         assert any(bp == pytest.approx(expected, abs=1e-15) for bp in obj.breakpoints)
 
@@ -269,7 +269,7 @@ class TestBlind:
             th = fit_theta_blind(m, s0, s1)
             val = blind_unfairness(th, m, s0, s1)
             grid = np.linspace(-50.0, 50.0, 20_001)
-            grid_best = _Objective("blind", (m, s0, s1)).value(grid).min()
+            grid_best = _Objective("blind", (s0, s1, m)).value(grid).min()
             assert val <= grid_best + 1e-12
 
     def test_zero_direction_everywhere_has_no_breakpoints(self):
@@ -479,7 +479,7 @@ def test_blocked_argmin_equals_whole_candidate_argmin(case, mode, block):
         objective = _Objective("aware", (scores[S == 1], scores[S == 0]), group_statistics(scores, S).joint)
         probes = [-2.0, 0.0, 2.0]
     else:  # rows pair up the drawn values in three rotations, so the blind scores keep their ties
-        objective = _Objective("blind", (scores, np.roll(scores, 1), np.roll(scores, 2)))
+        objective = _Objective("blind", (np.roll(scores, 1), np.roll(scores, 2), scores))
         bps = objective.breakpoints
         probes = [0.0, bps[0] - 1.0, bps[-1] + 1.0] if bps.size else [0.0]
     with mock.patch.object(calibration, "_CANDIDATE_BLOCK", block):
@@ -531,7 +531,8 @@ def test_distinct_is_np_unique_bitwise(values):
 
 @hst.composite
 def switch_point_cases(draw):
-    """Calibration rows in the form _row_scores gives them, drawn to stress the switch points.
+    """Calibration rows in the form the per-mode reference takes them (blind: marginal, s0, s1), drawn to
+    stress the switch points.
 
     Scores come from a small pool of floored values, 1/k lattice points and floats, optionally each
     beside the next three floats up (adjacent scores often round to one switch point).  Aware samples may
@@ -569,13 +570,14 @@ def switch_point_cases(draw):
 def test_one_objective_and_decision_equal_the_per_mode_ones_bitwise(case):
     """_Objective and _decide give the bits of the per-mode objectives and decision branches they replaced."""
     mode, scores, S = case
+    rows = scores if mode == "aware" else scores[[1, 2, 0]]  # blind rows in slot order (s0, s1, marginal)
     if mode == "aware":
         stats = group_statistics(scores, S)
         columns = (scores[S == 1], scores[S == 0])
         new, old = _Objective(mode, columns, stats.joint), reference._AwareObjective(*columns, stats)
         means, probes = None, [-2.0, 0.0, 2.0]
     else:
-        stats, new, old = None, _Objective(mode, scores), reference._BlindObjective(*scores)
+        stats, new, old = None, _Objective(mode, rows), reference._BlindObjective(*scores)
         means, bps = old.means, old.breakpoints
         probes = [0.0, bps[0] - 1.0, bps[-1] + 1.0] if bps.size else [0.0]
         assert np.array(new.constants).tobytes() == np.array(means).tobytes()
@@ -586,4 +588,4 @@ def test_one_objective_and_decision_equal_the_per_mode_ones_bitwise(case):
     assert np.array(new.argmin()).tobytes() == np.array(old.argmin()).tobytes()
     for theta in cands:
         clf = FairClassifier(external_score_model(mode=mode), float(theta), stats, mode, blind_means=means)
-        assert clf._decide(scores, S).tobytes() == reference.decide(clf, scores, S).tobytes()
+        assert clf._decide(rows, S).tobytes() == reference.decide(clf, scores, S).tobytes()
