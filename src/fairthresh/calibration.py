@@ -272,7 +272,8 @@ def _column_scores(mode: str, scores_s0, scores_s1, sensitive, marginal) -> np.n
 
     Aware mode needs scores_s0, scores_s1 and 0/1 sensitive values and reads
     each row's own group column; blind mode needs marginal, scores_s0 and
-    scores_s1.  A missing or misaligned column is a SchemaError.
+    scores_s1.  A missing or misaligned column, or a score that is not a
+    number in [0, 1], is a SchemaError.
     """
     names = ("scores_s0", "scores_s1", "sensitive" if mode == "aware" else "marginal")
     columns = [scores_s0, scores_s1, sensitive if mode == "aware" else marginal]
@@ -282,6 +283,10 @@ def _column_scores(mode: str, scores_s0, scores_s1, sensitive, marginal) -> np.n
     if s0.ndim != 1 or len({c.shape for c in columns}) > 1:
         shapes = ", ".join(f"{n} {c.shape}" for n, c in zip(names, columns))
         raise SchemaError(f"score columns must be one-dimensional and row-aligned, got {shapes}")
+    for name, c in zip(names, columns if mode == "blind" else columns[:2]):
+        inside = (c >= 0.0) & (c <= 1.0)  # false for NaN too
+        if not inside.all():
+            raise SchemaError(f"{name} must hold scores in [0, 1], got {float(c[~inside][0])}")
     if mode == "blind":
         return np.stack(columns)
     if not ((third == 0) | (third == 1)).all():

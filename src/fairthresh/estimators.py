@@ -236,8 +236,14 @@ class ScoreModel:
                 if not (np.isfinite(w).all() and np.isfinite(b)):
                     raise SchemaError("logistic weights and intercept must be finite")
                 return w, b
-            feats = np.asarray(payload["features"], dtype=np.float64)
-            labels, k = np.asarray(payload["labels"], dtype=np.int64), int(payload["k"])
+            feats, labels, k = np.asarray(payload["features"], dtype=np.float64), payload["labels"], payload["k"]
+            if feats.ndim != 2 or not np.isfinite(feats).all():
+                raise SchemaError(f"k-NN features must be a 2-D array of finite numbers, got shape {feats.shape}")
+            if not isinstance(labels, list) or not all(v in (0, 1) and not isinstance(v, bool) for v in labels):
+                raise SchemaError("k-NN labels must be a list of 0s and 1s")
+            if not isinstance(k, int) or isinstance(k, bool):
+                raise SchemaError(f"k-NN k must be an integer, got {k!r}")
+            labels = np.asarray(labels, dtype=np.int64)
             if not 1 <= k <= labels.shape[0] == feats.shape[0]:
                 raise SchemaError(f"k-NN model needs 1 <= k <= its row count and one label per row, got k={k}")
             return feats, labels, k

@@ -244,6 +244,22 @@ def test_calibrate_scores_rejects_an_unknown_mode():
         calibrate_scores(ALIGNED, ALIGNED, np.array([0, 1, 0, 1, 1]), ALIGNED, mode="Aware")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
+@pytest.mark.parametrize("mode, column", [("aware", "scores_s0"), ("aware", "scores_s1"), ("blind", "scores_s0"),
+                                          ("blind", "scores_s1"), ("blind", "marginal")])
+def test_scores_outside_the_unit_interval_are_schema_errors(mode, column, bad):
+    """calibrate_scores and predict_from_scores take scores in [0, 1] only, as score files do; the bad score
+    sits in a group-0 row, so in aware mode it is also checked in the column that row does not read."""
+    columns = {"scores_s0": ALIGNED, "scores_s1": ALIGNED[::-1], "sensitive": np.array([0, 1, 0, 1, 1]),
+               "marginal": ALIGNED}
+    columns[column] = np.where(np.arange(5) == 2, bad, columns[column])
+    with pytest.raises(SchemaError, match=column):
+        calibrate_scores(**columns, mode=mode)
+    fitted = calibrate_scores(ALIGNED, ALIGNED[::-1], np.array([0, 1, 0, 1, 1]), ALIGNED, mode=mode)
+    with pytest.raises(SchemaError, match=column):
+        fitted.predict_from_scores(**columns)
+
+
 class TestBlind:
     def test_all_zero_direction_picks_zero(self):
         m = np.array([0.7, 0.4, 0.6])

@@ -395,10 +395,33 @@ MODEL_FILE_CASES = {
 }
 
 
+# the same for a k-NN model file (k = 3); label_null, labels_not_a_list and features_one_dimensional used to
+# exit 2 with a message that named no field, and the others to predict and evaluate with exit 0
+KNN_MODEL_FILE_CASES = {
+    **{f"label_{name}": (("model", "groups", 0, "labels", 0), v, "k-NN labels")
+       for name, v in {"two": 2, "half": 0.5, "minus_three": -3, "true": True, "null": None}.items()},
+    "labels_not_a_list": (("model", "groups", 1, "labels"), {"0": 1}, "k-NN labels"),
+    "feature_nan": (("model", "groups", 1, "features", 0, 0), float("nan"), "k-NN features"),
+    "features_one_dimensional": (("model", "groups", 0, "features"), [0.5] * 3, "k-NN features"),
+    **{f"k_{name}": (("model", "groups", 0, "k"), v, "k-NN k")
+       for name, v in {"fraction": 2.7, "true": True, "string": "3"}.items()},
+}
+
+
 @pytest.mark.parametrize("case", list(MODEL_FILE_CASES))
 def test_malformed_model_file_exit_2(tmp_path, train_csv, test_csv, capsys, case):
-    path, value, message = MODEL_FILE_CASES[case]
-    model = _read_json(_model(tmp_path, train_csv))
+    _assert_malformed_model_exit_2(_model(tmp_path, train_csv), *MODEL_FILE_CASES[case], tmp_path, test_csv, capsys)
+
+
+@pytest.mark.parametrize("case", list(KNN_MODEL_FILE_CASES))
+def test_malformed_knn_model_file_exit_2(tmp_path, train_csv, test_csv, capsys, case):
+    model = _model(tmp_path, train_csv, "--estimator", "knn", "--knn-k", "3")
+    _assert_malformed_model_exit_2(model, *KNN_MODEL_FILE_CASES[case], tmp_path, test_csv, capsys)
+
+
+def _assert_malformed_model_exit_2(model_path, path, value, message, tmp_path, test_csv, capsys):
+    """predict and evaluate exit 2 on the model file with one field set to value, also with a scores file."""
+    model = _read_json(model_path)
     node = model
     for key in path[:-1]:
         node = node[key]

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fairthresh.estimators import (
     ScoreModel,
     _knn_label_sums,
     _knn_order,
+    external_score_model,
     fit_knn,
     fit_logistic,
     floor_value,
@@ -272,23 +275,33 @@ class TestScoreModel:
         b = model.score_rowwise(ds.features, ds.sensitive)
         np.testing.assert_array_equal(a, b)
 
-    def test_json_round_trip_logistic(self):
+    @pytest.mark.parametrize("jitter", [0.0, 1e-3])
+    @pytest.mark.parametrize("mode", ["aware", "blind"])
+    @pytest.mark.parametrize("kind", ["logistic", "knn", "external"])
+    def test_json_round_trip(self, kind, mode, jitter):
+        """A model file read back writes the same JSON and scores every slot with the same bits."""
         rng = np.random.default_rng(5)
         ds = LabeledDataset(rng.normal(size=(60, 2)), rng.integers(0, 2, 60), rng.integers(0, 2, 60))
-        model = fit_logistic(ds, LogisticConfig(l2_lambda=0.5), mode="blind").with_floor(0.07)
-        back = ScoreModel.from_json(model.to_json())
-        np.testing.assert_array_equal(
-            back.score_rowwise(ds.features, ds.sensitive), model.score_rowwise(ds.features, ds.sensitive)
-        )
-        np.testing.assert_array_equal(back.score_marginal(ds.features), model.score_marginal(ds.features))
-
-    def test_json_round_trip_knn(self):
-        rng = np.random.default_rng(6)
-        ds = LabeledDataset(rng.normal(size=(40, 1)), rng.integers(0, 2, 40), rng.integers(0, 2, 40))
-        model = fit_knn(ds, KnnConfig(k=3)).with_floor(0.1)
-        back = ScoreModel.from_json(model.to_json())
-        q = rng.normal(size=(10, 1))
-        np.testing.assert_array_equal(back.score_group(q, 0), model.score_group(q, 0))
+        if kind == "logistic":
+            model = fit_logistic(ds, LogisticConfig(l2_lambda=0.5), mode=mode)
+        elif kind == "knn":
+            model = fit_knn(ds, KnnConfig(k=3), mode=mode)
+        else:
+            model = external_score_model(mode=mode)
+        model = replace(model.with_floor(0.07), jitter_amplitude=jitter)
+        text = json.dumps(model.to_json())
+        back = ScoreModel.from_json(json.loads(text))
+        assert json.dumps(back.to_json()) == text
+        q, S = rng.normal(size=(10, 2)), rng.integers(0, 2, 10)
+        scorers = [lambda m: m.score_group(q, 0), lambda m: m.score_group(q, 1), lambda m: m.score_rowwise(q, S),
+                   lambda m: m.score_marginal(q)]
+        for i, score in enumerate(scorers):
+            if kind == "external" or (i == 3 and mode == "aware"):
+                for m in (model, back):
+                    with pytest.raises(SchemaError):
+                        score(m)
+            else:
+                assert score(back).tobytes() == score(model).tobytes()
 
     def test_rowwise_rejects_group_other_than_0_1(self):
         rng = np.random.default_rng(9)
