@@ -280,22 +280,49 @@ def _knn_order(queries: np.ndarray, feats: np.ndarray, depth: int) -> np.ndarray
     """Training row indices of the depth nearest neighbours of each query, nearest first: a (queries, depth) table.
 
     Neighbours are ordered by (distance, training row index), so a distance tie
-    goes to the smaller row index.
+    goes to the smaller row index.  Each (query, training row) pair gets one
+    uint64 key: the bits of the squared distance, which is >= 0 and so orders
+    like its bits, with the low b bits replaced by the row index.  The keys all
+    differ, so one partition and one sort of them give the same order whatever
+    the sort algorithm.  Dropping the low bits can misplace only rows whose
+    distances share the high bits, and two checks repair that exactly:
+    - when the keys at depth - 1 and depth share their high bits, a row left
+      out may be as near as a row kept, so the query keeps instead the rows
+      nearer than its depth-th distance and, of those at it, the ones of
+      smallest index;
+    - when the kept distances are not non-decreasing, the kept rows are sorted
+      again by distance, stably: equal distances share their high bits, so
+      they already stand in index order.
     """
+    T, d = feats.shape
     out = np.empty((queries.shape[0], depth), dtype=np.intp)
+    b = max(1, (T - 1).bit_length())
+    low = np.uint64(2**b - 1)
+    cut = min(depth + 1, T)  # the keys sorted: the kept ones and, below T, the first one left out
     # each block's (block, T, d) difference temporary holds about 2**16 float64 entries (0.5 MiB), so it and
-    # the block's distance, argpartition and tie temporaries stay in cache
-    block = max(1, int(2**16 // max(1, feats.shape[0] * feats.shape[1])))
+    # the block's distance and key temporaries stay in cache; with no feature column d counts as 1
+    block = max(1, int(2**16 // (T * max(1, d))))
     for start in range(0, queries.shape[0], block):
         q = queries[start : start + block]
         d2 = ((q[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
-        near = np.sort(np.argpartition(d2, depth - 1, axis=1)[:, :depth], axis=1)
-        by_distance = np.argsort(np.take_along_axis(d2, near, axis=1), axis=1, kind="stable")
-        order = np.take_along_axis(near, by_distance, axis=1)
-        # a row left out at the depth-th distance may hold a smaller index: sort those queries in full
-        tied = (d2 <= np.take_along_axis(d2, order[:, -1:], axis=1)).sum(axis=1) > depth
-        if tied.any():
-            order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :depth]
+        keys = d2.view(np.uint64) & ~low
+        keys |= np.arange(T, dtype=np.uint64)
+        keys.partition(cut - 1, axis=1)
+        keys[:, :cut].sort(axis=1)
+        order = (keys[:, :depth] & low).astype(np.intp)
+        if depth < T:
+            near = np.flatnonzero((keys[:, depth - 1] | low) == (keys[:, depth] | low))
+            if near.size:
+                d2_near = d2[near]
+                kth = np.partition(d2_near, depth - 1, axis=1)[:, depth - 1 : depth]
+                less, at = d2_near < kth, d2_near == kth
+                keep = less | (at & (np.cumsum(at, axis=1) <= depth - less.sum(axis=1, keepdims=True)))
+                order[near] = np.nonzero(keep)[1].reshape(near.size, depth)  # depth rows each, in index order
+        kept = np.take_along_axis(d2, order, axis=1)
+        unsorted = np.flatnonzero((kept[:, 1:] < kept[:, :-1]).any(axis=1))
+        if unsorted.size:
+            by_distance = np.argsort(kept[unsorted], axis=1, kind="stable")
+            order[unsorted] = np.take_along_axis(order[unsorted], by_distance, axis=1)
         out[start : start + block] = order
     return out
 

@@ -414,6 +414,30 @@ def test_knn_fold_tables_reorder_short_queries_to_full_depth(monkeypatch, mode, 
         assert shallow == 26 < deep and 0 < deep_queries < shallow_queries
 
 
+@pytest.mark.parametrize("unlabeled", ["reuse", 0.3])
+@pytest.mark.parametrize("mode", ["aware", "blind"])
+def test_knn_cross_validate_equals_full_stable_argsort_order(monkeypatch, mode, unlabeled):
+    """k-NN CV on three rounded features, whose distances tie, equals the same CV with every
+    neighbour order taken from a full stable argsort of the distances: in reuse mode through the
+    shared fold tables, in carve mode through the fitted models, whose order stops at k."""
+    rng = np.random.default_rng(43)
+    n = 400
+    X = np.round(rng.normal(size=(n, 3)), 1)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X.sum(axis=1)))).astype(np.int64)
+    train = LabeledDataset(X, rng.integers(0, 2, n), y)
+    cfg = small_config(estimator="knn", knn_grid=(1, 4, 9, 25), cv_folds=5, mode=mode, unlabeled=unlabeled)
+    rows = cross_validate(train, cfg, [3])
+
+    def full_order(queries, feats, depth):
+        d2 = ((queries[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
+        return np.argsort(d2, axis=1, kind="stable")[:, :depth]
+
+    monkeypatch.setattr(estimators, "_knn_order", full_order)
+    monkeypatch.setattr(benchmark, "_knn_order", full_order)
+    assert cross_validate(train, cfg, [3]) == rows
+    assert all(r.folds_used == 5 for r in rows["plugin"])
+
+
 def _assert_fold_tables_equal_per_fold_path_models(train, cv_folds, mode):
     """_knn_fold_tables over (held rows, fit part, k values) folds equals a k-NN path model fitted per fold."""
     tables = benchmark._knn_fold_tables(train, [(held, ks) for held, _, ks in cv_folds], mode)

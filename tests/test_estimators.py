@@ -201,8 +201,12 @@ def _assert_table_matches_reference(queries, feats, labels, k_max):
 
 
 @settings(max_examples=300, deadline=None)
-@example(seed=0, T=6, Q=5, d=1, decimals=0, copies=3, k_share=1.0)  # k = training size, heavy ties
-@example(seed=1, T=1, Q=2, d=2, decimals=None, copies=1, k_share=0.0)  # one training row
+@example(seed=0, T=6, Q=5, d=1, decimals=0, copies=3, k_share=1.0, ulps=0)  # k = training size, heavy ties
+@example(seed=1, T=1, Q=2, d=2, decimals=None, copies=1, k_share=0.0, ulps=0)  # one training row
+# distances a few ulps apart, at T = 2**b and 2**b + 1 for the b index bits of 32 and 33 rows, and at k = T
+@example(seed=2, T=32, Q=4, d=1, decimals=None, copies=0, k_share=0.3, ulps=6)
+@example(seed=3, T=33, Q=4, d=2, decimals=None, copies=0, k_share=0.5, ulps=9)
+@example(seed=4, T=16, Q=3, d=3, decimals=None, copies=0, k_share=1.0, ulps=4)
 @given(
     seed=hst.integers(0, 2**32 - 1),
     T=hst.integers(1, 40),
@@ -211,14 +215,18 @@ def _assert_table_matches_reference(queries, feats, labels, k_max):
     decimals=hst.sampled_from([0, 1, None]),
     copies=hst.integers(0, 10),
     k_share=hst.floats(0.0, 1.0),
+    ulps=hst.sampled_from([0, 0, 3, 40]),
 )
-def test_knn_label_sums_equal_per_k_stable_argsort(seed, T, Q, d, decimals, copies, k_share):
+def test_knn_label_sums_equal_per_k_stable_argsort(seed, T, Q, d, decimals, copies, k_share, ulps):
     rng = np.random.default_rng(seed)
     feats, queries = rng.normal(size=(T, d)), rng.normal(size=(Q, d))
     if decimals is not None:  # rounded features put distance ties on the k_max boundary
         feats, queries = np.round(feats, decimals), np.round(queries, decimals)
     n_copies = min(copies, Q)
     queries[:n_copies] = feats[rng.integers(0, T, n_copies)]  # queries equal to training rows
+    if ulps:  # training rows on both sides of the last query, at distances about 1 that differ by up to ulps ulps
+        offsets = rng.choice([-1.0, 1.0], T) * (1.0 + rng.integers(0, ulps + 1, T) * np.spacing(1.0))
+        feats = queries[-1] + offsets[:, None] * (np.arange(d) == 0)
     k_max = max(1, int(np.ceil(k_share * T)))
     _assert_table_matches_reference(queries, feats, rng.integers(0, 2, T), k_max)
 
@@ -251,19 +259,23 @@ def test_knn_label_sums_memory_bounded_in_feature_count():
 
 
 def test_knn_order_memory_stays_near_its_block_budget():
-    # blocks of about 2**16 (query, train row) entries: blocks of 2**22 held several 32 MiB temporaries (85 MiB)
+    # blocks of about 2**16 (query, train row) entries: blocks of 2**22 held several 32 MiB temporaries (85 MiB);
+    # with no feature column (every distance 0) a block sized by T * d took every query at once
     rng = np.random.default_rng(13)
     T, Q, depth = 1200, 6000, 60
-    feats, queries, labels = rng.normal(size=(T, 1)), rng.normal(size=(Q, 1)), rng.integers(0, 2, T)
-    tracemalloc.start()
-    try:
-        order = _knn_order(queries, feats, depth)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
-    for k in (1, 7, depth):
-        assert np.array_equal(labels[order[:, :k]].mean(axis=1), _knn_scores_reference(queries, feats, labels, k)), k
+    labels = rng.integers(0, 2, T)
+    for d in (1, 0):
+        feats, queries = rng.normal(size=(T, d)), rng.normal(size=(Q, d))
+        tracemalloc.start()
+        try:
+            order = _knn_order(queries, feats, depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, d
+        for k in (1, 7, depth):
+            ref = _knn_scores_reference(queries, feats, labels, k)
+            assert np.array_equal(labels[order[:, :k]].mean(axis=1), ref), (d, k)
 
 
 class TestScoreModel:
