@@ -280,19 +280,15 @@ def _knn_order(queries: np.ndarray, feats: np.ndarray, depth: int) -> np.ndarray
     """Training row indices of the depth nearest neighbours of each query, nearest first: a (queries, depth) table.
 
     Neighbours are ordered by (distance, training row index), so a distance tie
-    goes to the smaller row index.  Each (query, training row) pair gets one
-    uint64 key: the bits of the squared distance, which is >= 0 and so orders
-    like its bits, with the low b bits replaced by the row index.  The keys all
-    differ, so one partition and one sort of them give the same order whatever
-    the sort algorithm.  Dropping the low bits can misplace only rows whose
-    distances share the high bits, and two checks repair that exactly:
-    - when the keys at depth - 1 and depth share their high bits, a row left
-      out may be as near as a row kept, so the query keeps instead the rows
-      nearer than its depth-th distance and, of those at it, the ones of
-      smallest index;
-    - when the kept distances are not non-decreasing, the kept rows are sorted
-      again by distance, stably: equal distances share their high bits, so
-      they already stand in index order.
+    goes to the smaller row index.  One uint64 key per (query, training row):
+    the bits of the squared distance (>= 0, so ordered like its bits) with the
+    low b bits replaced by the row index.  The keys all differ, so a partition
+    and a sort of them give one order whatever the sort algorithm.  The bits
+    dropped matter only between distances that share the high bits: a query
+    whose first key left out shares them with its last key kept keeps the
+    rows nearer than its depth-th distance and, of those at it, the smallest
+    indices; kept distances out of order are sorted again, stably, as equal
+    distances already stand in index order.
     """
     T, d = feats.shape
     out = np.empty((queries.shape[0], depth), dtype=np.intp)
