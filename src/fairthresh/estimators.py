@@ -320,6 +320,7 @@ def _knn_order(queries: np.ndarray, feats: np.ndarray, depth: int) -> np.ndarray
             by_distance = np.argsort(kept[unsorted], axis=1, kind="stable")
             order[unsorted] = np.take_along_axis(order[unsorted], by_distance, axis=1)
         out[start : start + block] = order
+        del d2, keys  # freed before the next block's distances are built
     return out
 
 
