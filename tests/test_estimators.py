@@ -203,7 +203,7 @@ def _assert_table_matches_reference(queries, feats, labels, k_max):
 @settings(max_examples=300, deadline=None)
 @example(seed=0, T=6, Q=5, d=1, decimals=0, copies=3, k_share=1.0, ulps=0)  # k = training size, heavy ties
 @example(seed=1, T=1, Q=2, d=2, decimals=None, copies=1, k_share=0.0, ulps=0)  # one training row
-# distances a few ulps apart, at T = 2**b and 2**b + 1 for the b index bits of 32 and 33 rows, and at k = T
+# near ties (distances a few ulps apart) at T = 32 = 2**5 and T = 33, whose row indices need 5 and 6 bits, and at k = T
 @example(seed=2, T=32, Q=4, d=1, decimals=None, copies=0, k_share=0.3, ulps=6)
 @example(seed=3, T=33, Q=4, d=2, decimals=None, copies=0, k_share=0.5, ulps=9)
 @example(seed=4, T=16, Q=3, d=3, decimals=None, copies=0, k_share=1.0, ulps=4)
@@ -224,7 +224,7 @@ def test_knn_label_sums_equal_per_k_stable_argsort(seed, T, Q, d, decimals, copi
         feats, queries = np.round(feats, decimals), np.round(queries, decimals)
     n_copies = min(copies, Q)
     queries[:n_copies] = feats[rng.integers(0, T, n_copies)]  # queries equal to training rows
-    if ulps:  # training rows on both sides of the last query, at distances about 1 that differ by up to ulps ulps
+    if ulps:  # training rows on both sides of the last query at distances about 1, up to `ulps` ulps apart
         offsets = rng.choice([-1.0, 1.0], T) * (1.0 + rng.integers(0, ulps + 1, T) * np.spacing(1.0))
         feats = queries[-1] + offsets[:, None] * (np.arange(d) == 0)
     k_max = max(1, int(np.ceil(k_share * T)))
