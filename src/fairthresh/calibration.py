@@ -38,7 +38,7 @@ carries the objective value at theta_hat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
@@ -307,25 +307,22 @@ def _columns(scores, sensitive, mode) -> dict:
 class FairClassifier:
     """Score model plus calibrated threshold shift.
 
-    mode "aware" predicts from (x, s) and guarantees |theta_hat| <= 2; mode
-    "blind" predicts from x alone (stats is None there, blind_means caches the
-    pooled means used in the direction term).  unfairness_hat is the
-    calibration objective at theta_hat (None when not recorded).
+    mode is the score model's slot count: "aware" predicts from (x, s) and
+    guarantees |theta_hat| <= 2; "blind" predicts from x alone (stats is None
+    there, blind_means caches the pooled means used in the direction term).
+    unfairness_hat is the calibration objective at theta_hat (None when not recorded).
     """
 
     model: ScoreModel
     theta_hat: float
     stats: GroupStatistics | None
-    mode: str
+    _: KW_ONLY
     blind_means: tuple[float, float] | None = None
     unfairness_hat: float | None = None
+    mode = property(lambda self: self.model.mode)
 
     def predict(self, X, S=None) -> np.ndarray:
-        """Binary predictions for feature rows (S required in aware mode)."""
-        if self.model.kind == "external":
-            raise SchemaError("external-score classifier: use predict_from_scores")
-        if self.mode == "aware" and S is None:
-            raise SchemaError("group-aware prediction needs the sensitive attribute")
+        """Binary predictions for feature rows (S required in aware mode, ScoreModel.score_rowwise checks it)."""
         return self._decide(_row_scores(self.model, X, S), S)
 
     def predict_from_scores(self, scores_s0=None, scores_s1=None, sensitive=None, marginal=None):
@@ -352,8 +349,8 @@ class FairClassifier:
 
     @staticmethod
     def from_json(obj: dict) -> "FairClassifier":
-        """Inverse of to_json; SchemaError when the version, mode, theta_hat, the statistics,
-        the blind means or the score model are invalid.
+        """Inverse of to_json; SchemaError when the version, theta_hat, the statistics, the
+        blind means or the score model are invalid, or mode differs from the score model's.
 
         A file without format_version is read as version 1.
         """
@@ -362,25 +359,25 @@ class FairClassifier:
         version = obj.get("format_version", FORMAT_VERSION)
         if version != FORMAT_VERSION or isinstance(version, bool):
             raise SchemaError(f"unsupported model format_version {version!r}, expected {FORMAT_VERSION}")
-        mode, theta = obj["mode"], float(obj["theta_hat"])
-        if mode not in ("aware", "blind"):
-            raise SchemaError(f"model mode must be 'aware' or 'blind', got {mode!r}")
+        theta = float(obj["theta_hat"])
         if not np.isfinite(theta):
             raise SchemaError(f"theta_hat must be finite, got {theta!r}")
-        stats = GroupStatistics.from_json(obj["stats"]) if obj.get("stats") else None
-        means = _positive(obj["blind_means"], "blind_means") if obj.get("blind_means") else None
-        if mode == "aware" and stats is None:
-            raise SchemaError("aware model needs stats")
-        if mode == "blind" and (means is None or len(means) != 2):
-            raise SchemaError("blind model needs two blind_means")
         if not (isinstance(obj.get("model"), dict) and obj["model"]):
             raise SchemaError("model file needs a score model")
+        model = ScoreModel.from_json(obj["model"])
+        if obj["mode"] != model.mode:
+            raise SchemaError(f"mode {obj['mode']!r} differs from the score model's mode {model.mode!r}")
+        stats = GroupStatistics.from_json(obj["stats"]) if obj.get("stats") else None
+        means = _positive(obj["blind_means"], "blind_means") if obj.get("blind_means") else None
+        if model.mode == "aware" and stats is None:
+            raise SchemaError("aware model needs stats")
+        if model.mode == "blind" and (means is None or len(means) != 2):
+            raise SchemaError("blind model needs two blind_means")
         unfairness = obj.get("unfairness_hat")
         return FairClassifier(
-            model=ScoreModel.from_json(obj["model"]),
+            model=model,
             theta_hat=theta,
             stats=stats,
-            mode=mode,
             blind_means=means,
             unfairness_hat=None if unfairness is None else float(unfairness),
         )
@@ -397,7 +394,7 @@ def _calibrate(model: ScoreModel, scores: np.ndarray, sensitive) -> FairClassifi
         objective = _Objective("blind", scores)
     theta, value = objective.argmin()
     means = objective.constants if stats is None else None
-    return FairClassifier(model, theta, stats, model.mode, blind_means=means, unfairness_hat=value)
+    return FairClassifier(model, theta, stats, blind_means=means, unfairness_hat=value)
 
 
 def _check_mode(mode: str) -> None:

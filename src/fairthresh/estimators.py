@@ -140,16 +140,16 @@ class ScoreModel:
 
     params holds the parameters of each slot's estimator in slot order:
     group 0, group 1 and, blind models only, the marginal one (None for
-    every group of an external model).  Scoring is deterministic, including
-    the optional jitter, which is a pure function of the row bytes.
+    every slot of an external model), so mode is the slot count.  Scoring is
+    deterministic, including the optional jitter, a pure function of the row bytes.
     """
 
     kind: str  # "logistic" | "knn" | "external"
-    mode: str  # "aware" | "blind"
     params: tuple
     floor: float = FLOOR_MIN
     jitter_amplitude: float = 0.0
     converged: bool = True
+    mode = property(lambda self: "blind" if len(self.params) == 3 else "aware")
 
     def with_floor(self, c: float) -> "ScoreModel":
         return replace(self, floor=c)
@@ -196,7 +196,7 @@ class ScoreModel:
 
     def score_marginal(self, X) -> np.ndarray:
         """Floored marginal score eta_hat(x); blind-mode models only."""
-        if len(self.params) < 3:
+        if self.mode != "blind":
             raise SchemaError("model has no marginal estimator; refit with mode='blind'")
         return self._score(X, 2)
 
@@ -225,8 +225,10 @@ class ScoreModel:
         kind, mode, groups = obj["kind"], obj["mode"], obj["groups"]
         if kind not in ("logistic", "knn", "external") or mode not in ("aware", "blind") or len(groups) != 2:
             raise SchemaError(f"bad score model: kind {kind!r}, mode {mode!r}, {len(groups)} groups")
-        if kind != "external" and any(g is None for g in groups):
-            raise SchemaError(f"a {kind} score model needs the parameters of both groups")
+        slots = [*groups, obj.get("marginal")] if mode == "blind" else groups
+        if (kind != "external" and None in slots) or (mode == "aware" and obj.get("marginal") is not None):
+            raise SchemaError(f"a {kind!r} score model in mode {mode!r} must hold the parameters of groups 0 and 1 and "
+                              + ("of the marginal" if mode == "blind" else "no marginal"))
 
         def unpack(payload):
             if payload is None:
@@ -254,11 +256,9 @@ class ScoreModel:
         jitter = float(obj.get("jitter_amplitude", 0.0))
         if not 0.0 <= jitter <= JITTER_MAX:
             raise SchemaError(f"jitter_amplitude must lie in [0, {JITTER_MAX}], got {jitter!r}")
-        marginal = [] if obj.get("marginal") is None else [obj["marginal"]]
         return ScoreModel(
             kind=kind,
-            mode=mode,
-            params=tuple(unpack(p) for p in [*groups, *marginal]),
+            params=tuple(unpack(p) for p in slots),
             floor=floor,
             jitter_amplitude=jitter,
             converged=bool(obj.get("converged", True)),
@@ -266,8 +266,8 @@ class ScoreModel:
 
 
 def external_score_model(floor: float = FLOOR_MIN, mode: str = "aware") -> ScoreModel:
-    """Placeholder model for calibrations built from precomputed score files."""
-    return ScoreModel(kind="external", mode=mode, params=(None, None), floor=floor)
+    """Placeholder model for calibrations built from precomputed score files: one None per slot of mode."""
+    return ScoreModel(kind="external", params=(None,) * len(_slots(np.empty(0), mode)), floor=floor)
 
 
 def _knn_path(models) -> ScoreModel:
@@ -352,7 +352,7 @@ def fit_logistic(train: LabeledDataset, cfg: LogisticConfig = LogisticConfig(), 
     """Fit one logistic score per model slot (_slots)."""
     fits = _fit_slots(train, mode, lambda X, y, s: logistic_descent(X, y.astype(np.float64), cfg))
     params, converged = tuple((w, b) for w, b, _, _ in fits), all(ok for _, _, ok, _ in fits)
-    return ScoreModel(kind="logistic", mode=mode, params=params, converged=converged)
+    return ScoreModel(kind="logistic", params=params, converged=converged)
 
 
 def fit_knn(train: LabeledDataset, cfg: KnnConfig = KnnConfig(), mode: str = "aware") -> ScoreModel:
@@ -363,4 +363,4 @@ def fit_knn(train: LabeledDataset, cfg: KnnConfig = KnnConfig(), mode: str = "aw
             raise ConfigError(f"k={cfg.k} exceeds group {s} size {y.size}")
         return X, y, cfg.k
 
-    return ScoreModel(kind="knn", mode=mode, params=tuple(_fit_slots(train, mode, fit)))
+    return ScoreModel(kind="knn", params=tuple(_fit_slots(train, mode, fit)))

@@ -70,7 +70,7 @@ def plugin_at_infinite_data(dist: SyntheticDistribution) -> FairClassifier:
     sol = solve_theta_star(dist)
     means, joints = _closed_form_joints(dist)
     stats = GroupStatistics(p=dist.pi, mean_score=means, joint=joints)
-    return FairClassifier(model=external_score_model(), theta_hat=sol.theta_star, stats=stats, mode="aware")
+    return FairClassifier(model=external_score_model(), theta_hat=sol.theta_star, stats=stats)
 
 
 def random_distribution(rng: np.random.Generator) -> SyntheticDistribution:

@@ -186,7 +186,7 @@ class TestFitTheta:
 class TestPredict:
     def test_theta_zero_is_bayes_rule(self):
         st = group_statistics(FOUR_ROW_SCORES, FOUR_ROW_S)
-        clf = FairClassifier(model=external_score_model(), theta_hat=0.0, stats=st, mode="aware")
+        clf = FairClassifier(model=external_score_model(), theta_hat=0.0, stats=st)
         pred = clf.predict_from_scores(
             scores_s0=np.array([0.4, 0.5, 0.6]),
             scores_s1=np.array([0.4, 0.5, 0.6]),
@@ -197,7 +197,7 @@ class TestPredict:
     def test_boundary_breakpoint_is_active(self):
         st = group_statistics(FOUR_ROW_SCORES, FOUR_ROW_S)
         theta = st.joint[1] * (2.0 - 1.0 / 0.9)  # = 0.2444..., product form gives exactly 1.0
-        clf = FairClassifier(model=external_score_model(), theta_hat=float(theta), stats=st, mode="aware")
+        clf = FairClassifier(model=external_score_model(), theta_hat=float(theta), stats=st)
         pred = clf.predict_from_scores(
             scores_s0=np.array([0.9]), scores_s1=np.array([0.9]), sensitive=np.array([1])
         )
@@ -205,7 +205,7 @@ class TestPredict:
 
     def test_bayes_thresholds(self):
         st = group_statistics(FOUR_ROW_SCORES, FOUR_ROW_S)
-        clf = FairClassifier(model=external_score_model(), theta_hat=0.0, stats=st, mode="aware")
+        clf = FairClassifier(model=external_score_model(), theta_hat=0.0, stats=st)
         pred = clf.predict_from_scores(
             scores_s0=np.array([0.6, 0.4]), scores_s1=np.array([0.6, 0.4]), sensitive=np.array([1, 0])
         )
@@ -603,5 +603,5 @@ def test_one_objective_and_decision_equal_the_per_mode_ones_bitwise(case):
     assert new.value(cands).tobytes() == old.value(cands).tobytes()
     assert np.array(new.argmin()).tobytes() == np.array(old.argmin()).tobytes()
     for theta in cands:
-        clf = FairClassifier(external_score_model(mode=mode), float(theta), stats, mode, blind_means=means)
+        clf = FairClassifier(external_score_model(mode=mode), float(theta), stats, blind_means=means)
         assert clf._decide(rows, S).tobytes() == reference.decide(clf, scores, S).tobytes()

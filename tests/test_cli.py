@@ -392,6 +392,8 @@ MODEL_FILE_CASES = {
     "weight_nan": (("model", "groups", 0, "weights", 0), float("nan"), "logistic weights"),
     "intercept_inf": (("model", "groups", 1, "intercept"), float("inf"), "logistic weights"),
     "jitter_above_half": (("model", "jitter_amplitude"), 3.0, "jitter_amplitude"),
+    # a third slot would make the score model blind, so its mode and the file's would disagree
+    "marginal_in_aware": (("model", "marginal"), {"weights": [0.5], "intercept": 0.0}, "no marginal"),
 }
 
 
@@ -417,6 +419,24 @@ def test_malformed_model_file_exit_2(tmp_path, train_csv, test_csv, capsys, case
 def test_malformed_knn_model_file_exit_2(tmp_path, train_csv, test_csv, capsys, case):
     model = _model(tmp_path, train_csv, "--estimator", "knn", "--knn-k", "3")
     _assert_malformed_model_exit_2(model, *KNN_MODEL_FILE_CASES[case], tmp_path, test_csv, capsys)
+
+
+def test_blind_logistic_model_without_marginal_exit_2(tmp_path, train_csv, test_csv, capsys):
+    # it used to load, and to fail only once it scored rows
+    model = _model(tmp_path, train_csv, "--mode", "blind")
+    _assert_malformed_model_exit_2(model, ("model", "marginal"), None, "of the marginal", tmp_path, test_csv, capsys)
+
+
+@pytest.mark.parametrize("mode, other, block", [("blind", "aware", "stats"), ("aware", "blind", "blind_means")])
+def test_model_file_mode_against_its_score_model_exit_2(tmp_path, train_csv, test_csv, capsys, mode, other, block):
+    """A top-level mode that contradicts the score model's slots exits 2, also with that mode's block in place."""
+    # these used to predict 3 rows of Python lists for 400 (blind to aware) and to end in a traceback (aware to blind)
+    path = _model(tmp_path, train_csv, "--mode", mode)
+    model = _read_json(path)
+    stats = {"p": [0.5, 0.5], "mean_score": [0.5, 0.5], "joint": [0.25, 0.25]}
+    model[block] = stats if block == "stats" else [0.5, 0.5]
+    _write(Path(path), json.dumps(model))
+    _assert_malformed_model_exit_2(path, ("mode",), other, f"mode {other!r} differs", tmp_path, test_csv, capsys)
 
 
 def _assert_malformed_model_exit_2(model_path, path, value, message, tmp_path, test_csv, capsys):

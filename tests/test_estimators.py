@@ -26,7 +26,7 @@ from fairthresh.oracle import GroupSpec, SyntheticDistribution, exact_scores, li
 
 def floored(raw, N):
     """Raw scores floored as a fitted model with N calibration rows floors them."""
-    model = ScoreModel(kind="logistic", mode="aware", params=(None, None), floor=floor_value(N))
+    model = ScoreModel(kind="logistic", params=(None, None), floor=floor_value(N))
     return model._finish(np.asarray(raw, dtype=np.float64), None, 0)
 
 
