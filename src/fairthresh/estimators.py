@@ -239,8 +239,8 @@ class ScoreModel:
                     raise SchemaError("logistic weights and intercept must be finite")
                 return w, b
             feats, labels, k = np.asarray(payload["features"], dtype=np.float64), payload["labels"], payload["k"]
-            if feats.ndim != 2 or not np.isfinite(feats).all():
-                raise SchemaError(f"k-NN features must be a 2-D array of finite numbers, got shape {feats.shape}")
+            if feats.ndim != 2 or feats.shape[1] < 1 or not np.isfinite(feats).all():
+                raise SchemaError(f"k-NN features must be a finite 2-D array with >= 1 column, got shape {feats.shape}")
             if not isinstance(labels, list) or not all(v in (0, 1) and not isinstance(v, bool) for v in labels):
                 raise SchemaError("k-NN labels must be a list of 0s and 1s")
             if not isinstance(k, int) or isinstance(k, bool):
@@ -291,13 +291,15 @@ def _knn_order(queries: np.ndarray, feats: np.ndarray, depth: int) -> np.ndarray
     distances already stand in index order.
     """
     T, d = feats.shape
+    if d == 0:  # every distance would be 0 and the neighbours the first rows in file order
+        raise ConfigError("k-NN needs at least one feature column")
     out = np.empty((queries.shape[0], depth), dtype=np.intp)
     b = max(1, (T - 1).bit_length())
     low = np.uint64(2**b - 1)
     cut = min(depth + 1, T)  # the keys sorted: the kept ones and, below T, the first one left out
     # each block's (block, T, d) difference temporary holds about 2**16 float64 entries (0.5 MiB), so it and
-    # the block's distance and key temporaries stay in cache; with no feature column d counts as 1
-    block = max(1, int(2**16 // (T * max(1, d))))
+    # the block's distance and key temporaries stay in cache
+    block = max(1, int(2**16 // (T * d)))
     for start in range(0, queries.shape[0], block):
         q = queries[start : start + block]
         d2 = ((q[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)

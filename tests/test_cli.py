@@ -339,6 +339,15 @@ def _probed_argv(case, tmp_path, train_csv, test_csv):
         model = _read_json(_model(tmp_path, train_csv, "--estimator", "knn"))
         model["model"]["jitter_amplitude"] = float("nan")
         return ["predict", "--model", _write(tmp_path / "bad.json", json.dumps(model)), "--data", test_csv]
+    if case.startswith("knn_no_feature"):  # every distance would be 0, so the scores would follow the row order
+        rows = np.random.default_rng(5).integers(0, 2, (400, 2))
+        data = _write(tmp_path / "sy.csv", "S,Y\n" + "".join(f"{s},{y}\n" for s, y in rows))
+        return {
+            "knn_no_feature_calibrate": ["calibrate", "--train", data],
+            "knn_no_feature_benchmark": ["benchmark", "--data", data],
+            "knn_no_feature_benchmark_carve": ["benchmark", "--data", data, "--unlabeled-fraction", "0.3"],
+            "knn_no_feature_sweep": ["sweep-unlabeled", "--data", data],
+        }[case] + ["--estimator", "knn"]
     assert case == "calibrate_unlabeled_with_label"
     return ["calibrate", "--train", train_csv, "--unlabeled", test_csv]
 
@@ -365,6 +374,10 @@ def _probed_argv(case, tmp_path, train_csv, test_csv):
         ("calibrate_jitter_nan", 5),
         ("calibrate_jitter_negative", 5),
         ("predict_model_jitter_nan", 2),
+        ("knn_no_feature_calibrate", 5),
+        ("knn_no_feature_benchmark", 5),
+        ("knn_no_feature_benchmark_carve", 5),
+        ("knn_no_feature_sweep", 5),
         # the label column of an unlabeled file is not a feature
         ("calibrate_unlabeled_with_label", 0),
     ],
@@ -405,6 +418,7 @@ KNN_MODEL_FILE_CASES = {
     "labels_not_a_list": (("model", "groups", 1, "labels"), {"0": 1}, "k-NN labels"),
     "feature_nan": (("model", "groups", 1, "features", 0, 0), float("nan"), "k-NN features"),
     "features_one_dimensional": (("model", "groups", 0, "features"), [0.5] * 3, "k-NN features"),
+    "features_no_column": (("model", "groups", 0, "features"), [[]] * 3, ">= 1 column"),
     **{f"k_{name}": (("model", "groups", 0, "k"), v, "k-NN k")
        for name, v in {"fraction": 2.7, "true": True, "string": "3"}.items()},
 }

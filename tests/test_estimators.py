@@ -260,22 +260,23 @@ def test_knn_label_sums_memory_bounded_in_feature_count():
 
 def test_knn_order_memory_stays_near_its_block_budget():
     # blocks of about 2**16 (query, train row) entries: blocks of 2**22 held several 32 MiB temporaries (85 MiB);
-    # with no feature column (every distance 0) a block sized by T * d took every query at once
+    # with no feature column every distance would be 0, so the order is refused before any block is built
     rng = np.random.default_rng(13)
     T, Q, depth = 1200, 6000, 60
     labels = rng.integers(0, 2, T)
-    for d in (1, 0):
-        feats, queries = rng.normal(size=(T, d)), rng.normal(size=(Q, d))
-        tracemalloc.start()
-        try:
-            order = _knn_order(queries, feats, depth)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20, d
-        for k in (1, 7, depth):
-            ref = _knn_scores_reference(queries, feats, labels, k)
-            assert np.array_equal(labels[order[:, :k]].mean(axis=1), ref), (d, k)
+    feats, queries = rng.normal(size=(T, 1)), rng.normal(size=(Q, 1))
+    tracemalloc.start()
+    try:
+        order = _knn_order(queries, feats, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    for k in (1, 7, depth):
+        ref = _knn_scores_reference(queries, feats, labels, k)
+        assert np.array_equal(labels[order[:, :k]].mean(axis=1), ref), k
+    with pytest.raises(ConfigError, match="feature column"):
+        _knn_order(np.empty((Q, 0)), np.empty((T, 0)), depth)
 
 
 class TestScoreModel:
