@@ -66,3 +66,20 @@ class TestDeo:
 
         rep = deo(np.array([1, 0]), np.array([1, 1]), np.array([0, 1]))
         json.dumps(rep.to_json())
+
+
+@pytest.mark.parametrize(
+    "pred, labels, sensitive",
+    [
+        ([1, 1, 0, 1], [1, 1, 1, 1], [0, 2, 1, 1]),  # the S = 2 row used to drop out, leaving DEO 0.5
+        ([1, 1, 0, 1], [1, 2, 1, 1], [0, 0, 1, 1]),  # the label 2 used to count as a negative
+        ([1, 0.5, 0, 1], [1, 1, 1, 1], [0, 0, 1, 1]),
+        ([1, 1, 0, 1], [1, 1, np.nan, 1], [0, 0, 1, 1]),
+    ],
+)
+def test_values_other_than_0_and_1_raise(pred, labels, sensitive):
+    with pytest.raises(SchemaError, match="must be 0 or 1"):
+        deo(np.array(pred), np.array(labels), np.array(sensitive))
+    if 2 not in sensitive:
+        with pytest.raises(SchemaError, match="must be 0 or 1"):
+            accuracy(np.array(pred), np.array(labels))
