@@ -286,9 +286,6 @@ class ConsistencyCell:
     excess_risk_std: float
     theta_abs_err_mean: float
 
-    def to_json(self) -> dict:
-        return dict(self.__dict__)
-
 
 def consistency_run(
     dist: SyntheticDistribution,
