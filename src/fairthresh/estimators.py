@@ -267,7 +267,7 @@ class ScoreModel:
 
 def external_score_model(floor: float = FLOOR_MIN, mode: str = "aware") -> ScoreModel:
     """Placeholder model for calibrations built from precomputed score files: one None per slot of mode."""
-    return ScoreModel(kind="external", params=(None,) * len(_slots(np.empty(0), mode)), floor=floor)
+    return ScoreModel(kind="external", params=(None, None, None) if mode == "blind" else (None, None), floor=floor)
 
 
 def _knn_path(models) -> ScoreModel:

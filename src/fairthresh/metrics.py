@@ -40,7 +40,7 @@ def _check_binary_aligned(*arrays):
             raise SchemaError(f"arrays misaligned: {[x.shape for x in out]}")
         bad = (a != 0) & (a != 1)
         if bad.any():
-            raise SchemaError(f"predictions, labels and sensitive values must be 0 or 1, got {a[bad][0]!r}")
+            raise SchemaError(f"predictions, labels and sensitive values must be 0 or 1, got {a[bad][0]}")
     return out
 
 
