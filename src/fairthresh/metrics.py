@@ -35,10 +35,12 @@ class EvaluationReport:
 def _check_binary_aligned(*arrays):
     out = [np.asarray(a) for a in arrays]
     n = out[0].shape[0]
+    if n < 1:
+        raise SchemaError("accuracy needs at least one row")
     for a in out:
         if a.shape != (n,):
             raise SchemaError(f"arrays misaligned: {[x.shape for x in out]}")
-        bad = (a != 0) & (a != 1)
+        bad = a != a.astype(bool)  # any value other than 0 and 1, NaN included
         if bad.any():
             raise SchemaError(f"predictions, labels and sensitive values must be 0 or 1, got {a[bad][0]}")
     return out
@@ -47,8 +49,6 @@ def _check_binary_aligned(*arrays):
 def accuracy(pred, labels) -> float:
     """Fraction of matching entries (1 minus the empirical risk)."""
     pred, labels = _check_binary_aligned(pred, labels)
-    if pred.shape[0] < 1:
-        raise SchemaError("accuracy needs at least one row")
     return float((pred == labels).mean())
 
 
@@ -72,7 +72,7 @@ def deo(pred, labels, sensitive) -> EvaluationReport:
     else:
         gap = abs(tprs[1] - tprs[0])
     return EvaluationReport(
-        accuracy=accuracy(pred, labels),
+        accuracy=float((pred == labels).mean()),  # accuracy() without checking the arrays again
         deo=gap,
         tpr_per_group=(tprs[0], tprs[1]),
         n_positives_per_group=(npos[0], npos[1]),
