@@ -264,19 +264,22 @@ def test_knn_order_memory_stays_near_its_block_budget():
     rng = np.random.default_rng(13)
     T, Q, depth = 1200, 6000, 60
     labels = rng.integers(0, 2, T)
-    feats, queries = rng.normal(size=(T, 1)), rng.normal(size=(Q, 1))
-    tracemalloc.start()
-    try:
-        order = _knn_order(queries, feats, depth)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
-    for k in (1, 7, depth):
-        ref = _knn_scores_reference(queries, feats, labels, k)
-        assert np.array_equal(labels[order[:, :k]].mean(axis=1), ref), k
-    with pytest.raises(ConfigError, match="feature column"):
-        _knn_order(np.empty((Q, 0)), np.empty((T, 0)), depth)
+    for d in (1, 0):
+        feats, queries = rng.normal(size=(T, d)), rng.normal(size=(Q, d))
+        if d == 0:
+            with pytest.raises(ConfigError, match="feature column"):
+                _knn_order(queries, feats, depth)
+            continue
+        tracemalloc.start()
+        try:
+            order = _knn_order(queries, feats, depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, d
+        for k in (1, 7, depth):
+            ref = _knn_scores_reference(queries, feats, labels, k)
+            assert np.array_equal(labels[order[:, :k]].mean(axis=1), ref), (d, k)
 
 
 class TestScoreModel:
