@@ -15,19 +15,26 @@ Every fit scores each row it needs once, at the default floor, through one
 routine (_score_members): k-NN grid points fitted on the same rows share one
 neighbour table per group and query set.  CV fits the whole grid per fold and
 calibrates on the fold's fit part or, with a held-out unlabeled fraction, on
-one carve per fold shared by every grid point.  k-NN calibrating on its fit
-parts skips the fits: the folds of a repeat share one neighbour order per
-model slot (_knn_fold_tables) of at most Q_s x (2 k_max + 16) entries, for
-Q_s query rows (the slot's group in aware mode, every train row in blind
-mode); the rare query that keeps too few neighbours in some fold is ordered
-again to depth k_max + h_s, with at most h_s of the slot's train rows held
-out by one fold.  The chosen grid points are refitted once per repeat and,
-in the sweep, score the labeled part and the other rows once for every
-unlabeled fraction.  The scores then go through the
-public calibration API as score columns: calibration.calibrate_scores floors
-a calibration sample's scores with its own c (exact: c is never below the
-default floor) and both arms predict with FairClassifier.predict_from_scores
-on the same test scores.
+one carve per fold shared by every grid point.  Either way every grid point
+of a fold calibrates on the same rows and predicts the same held-out rows, so
+the fold's scores come as grid-major blocks, (K, n) or blind (K, 3, n), and
+_evaluate takes the whole fold at once: one calibrate_scores call (one score
+check and floor, per-row group statistics, one exact argmin per row), one
+switch-point pass deciding both method arms for every row and one DEO call
+on the (arms x K, n_held) prediction matrix.  A final refit is the case
+K = 1.
+
+k-NN calibrating on its fit parts skips the fits: the folds of a repeat share
+one neighbour order per model slot (_knn_fold_tables) of at most
+Q_s x (2 k_max + 16) entries, for Q_s query rows (the slot's group in aware
+mode, every train row in blind mode); the rare query that keeps too few
+neighbours in some fold is ordered again to depth k_max + h_s, with at most
+h_s of the slot's train rows held out by one fold.  The chosen grid points
+are refitted once per repeat and, in the sweep, score the labeled part and
+the other rows once for every unlabeled fraction.  The scores then go through
+the public calibration API as score columns: calibration.calibrate_scores
+floors a calibration sample's scores with its own c (exact: c is never below
+the default floor), and both arms predict from the same test scores.
 """
 
 from __future__ import annotations
@@ -188,26 +195,30 @@ def _pick(values, rows):
     return values if rows is None or values is None else values[..., rows]
 
 
-def _score_members(models: dict, queries) -> dict:
-    """Scores of each fitted member {grid index: model} on each query dataset.
+def _score_members(models: list, queries) -> list[np.ndarray]:
+    """Scores of the fitted members, in order, on each query dataset: one grid-major block per query,
+    (members, n) or, blind, (members, 3, n), C-ordered.
 
     The members are fitted on one part; k-NN members are scored together by
     one path model, so each query dataset costs one neighbour table per group.
     """
-    if models and next(iter(models.values())).kind == "knn":
-        tables = [_row_scores(_knn_path(list(models.values())), q.features, q.sensitive) for q in queries]
-        return {i: [t[..., j] for t in tables] for j, i in enumerate(models)}
-    return {i: [_row_scores(model, q.features, q.sensitive) for q in queries] for i, model in models.items()}
+    if models[0].kind == "knn":
+        tables = [_row_scores(_knn_path(models), q.features, q.sensitive) for q in queries]
+        return [np.ascontiguousarray(np.moveaxis(t, -1, 0)) for t in tables]
+    return [np.stack([_row_scores(model, q.features, q.sensitive) for model in models]) for q in queries]
 
 
 def _evaluate(cal, test, mode, methods) -> dict:
-    """Calibrate once on cal = (scores, S), then predict test = (scores, labels, S) with
-    each method arm: {method: (report, classifier)}."""
-    clf = calibration.calibrate_scores(**_columns(*cal, mode), mode=mode)
+    """Calibrate each grid row of cal = (score block, S) on its own, then predict test = (score block,
+    labels, S) with each method arm, every row and arm in one decision and one DEO pass:
+    {method: [(report, classifier) per grid row]}."""
+    classifiers = calibration.calibrate_scores(**_columns(*cal, mode), mode=mode)
+    arms = [[clf if m == "plugin" else replace(clf, theta_hat=0.0) for clf in classifiers] for m in methods]
     scores, labels, sensitive = test
-    arms = {"plugin": clf, "bayes": replace(clf, theta_hat=0.0)}
-    columns = _columns(scores, sensitive, mode)
-    return {m: (deo_report(arms[m].predict_from_scores(**columns), labels, sensitive), arms[m]) for m in methods}
+    thetas = [[clf.theta_hat for clf in row] for row in arms]
+    pred = calibration._predict_grid(classifiers, thetas, _columns(scores, sensitive, mode))
+    reports = iter(deo_report(pred.reshape(-1, pred.shape[-1]), labels, sensitive))
+    return {m: [(next(reports), clf) for clf in row] for m, row in zip(methods, arms)}
 
 
 def _knn_fold_tables(train: LabeledDataset, folds, mode: str):
@@ -275,13 +286,15 @@ def _knn_cv_scores(train, parts, grid, mode, skipped):
         return
     tables = _knn_fold_tables(train, [(held, ks[m]) for _, held, _, _, m in fitted], mode)
     for (f, held, cal, held_part, m), table in zip(fitted, tables):
-        cal_scores, test = np.delete(table, held, axis=-2), np.take(table, held, axis=-2)
-        yield f, cal, held_part, {i: (cal_scores[..., j], test[..., j]) for j, i in enumerate(m)}
+        # grid-major blocks, as _score_members gives them, copied out of the transposed view in C order
+        block, fit_rows = np.moveaxis(table, -1, 0), np.ones(train.n, bool)
+        fit_rows[held] = False
+        yield f, cal, held_part, m, block.compress(fit_rows, axis=-1), np.take(block, held, axis=-1)
 
 
 def _fitted_cv_scores(parts, grid, mode, skipped):
-    """(fold, calibration sample, held-out part, {grid index: (calibration scores, held-out scores)})
-    of every fold, the whole grid fitted on the fold's fit part."""
+    """(fold, calibration sample, held-out part, grid indices fitted, their calibration and held-out
+    score blocks) of every fold with a fitted grid point, the whole grid fitted on the fold's fit part."""
     for f, _, part, cal, held in parts:
         models = {}
         for i, (_, est) in enumerate(grid):
@@ -289,7 +302,8 @@ def _fitted_cv_scores(parts, grid, mode, skipped):
                 models[i] = _fit_estimator(part, est, mode)
             except (GroupCoverageError, ConfigError):
                 skipped[i].add(f"fold_{f}_skipped_infeasible")
-        yield f, cal, held, _score_members(models, [cal, held])
+        if models:
+            yield f, cal, held, list(models), *_score_members(list(models.values()), [cal, held])
 
 
 def cross_validate(train: LabeledDataset, config: BenchmarkConfig, seed) -> dict[str, list[CvRow]]:
@@ -325,10 +339,11 @@ def cross_validate(train: LabeledDataset, config: BenchmarkConfig, seed) -> dict
     else:
         scored = _fitted_cv_scores(parts, grid, config.mode, skipped)
     done = [[] for _ in grid]  # per grid point: (fold, {method: (report, clf)})
-    for f, cal, held, members in scored:
-        for i, (cal_scores, held_scores) in members.items():
-            test = (held_scores, held.labels, held.sensitive)
-            done[i].append((f, _evaluate((cal_scores, cal.sensitive), test, config.mode, config.methods)))
+    for f, cal, held, members, cal_scores, held_scores in scored:
+        test = (held_scores, held.labels, held.sensitive)
+        evaluated = _evaluate((cal_scores, cal.sensitive), test, config.mode, config.methods)
+        for j, i in enumerate(members):
+            done[i].append((f, {m: evaluated[m][j] for m in config.methods}))
     rows = {m: [] for m in config.methods}
     for (label, _), flags_i, done_i in zip(grid, skipped, done):
         for m in config.methods:
@@ -384,13 +399,15 @@ def _run_repeat(train, fit_part, queries, targets, config: BenchmarkConfig, repe
         cv = {m: tuple(rows) for m, rows in cross_validate(train, config, [config.seed, repeat]).items()}
         chosen = {m: select_hyperparameters(rows, config.shortlist_fraction) for m, rows in cv.items()}
     outcomes = [{} for _ in targets]
-    models = {i: _fit_estimator(fit_part, grid[i][1], config.mode) for i in dict.fromkeys(chosen.values())}
-    for i, scores in _score_members(models, queries).items():
+    members = list(dict.fromkeys(chosen.values()))
+    blocks = _score_members([_fit_estimator(fit_part, grid[i][1], config.mode) for i in members], queries)
+    for j, i in enumerate(members):
         label, arms = grid[i][0], [m for m in config.methods if chosen[m] == i]
+        scores = [block[j : j + 1] for block in blocks]  # the grid point's own row of each block
         for out, ((c, c_rows), (t, t_rows)) in zip(outcomes, targets):
             cal = (_pick(scores[c], c_rows), _pick(queries[c].sensitive, c_rows))
             test = (_pick(scores[t], t_rows), _pick(queries[t].labels, t_rows), _pick(queries[t].sensitive, t_rows))
-            for m, (report, clf) in _evaluate(cal, test, config.mode, arms).items():
+            for m, [(report, clf)] in _evaluate(cal, test, config.mode, arms).items():
                 out[m] = RepeatOutcome(repeat=repeat, method=m, param=label, acc=report.accuracy, deo=report.deo,
                                        theta_hat=clf.theta_hat, flags=tuple(report.flags), cv_table=cv[m])
     return outcomes

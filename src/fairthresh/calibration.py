@@ -32,8 +32,14 @@ routines import.  calibrate scores the calibration sample with the fitted
 estimator; calibrate_scores and predict_from_scores take score columns, which
 one adapter (_column_scores) checks and puts in the same form; _columns is its
 inverse.  Both calibrations floor the scores once and hand them to one core,
-so they give the same theta_hat on the same scores, and the classifier
-carries the objective value at theta_hat.
+_calibrate, so they give the same theta_hat on the same scores, and the
+classifier carries the objective value at theta_hat.  The core takes a
+leading grid axis: a block of K score rows that share the calibration
+sample, one classifier per row (the benchmark's CV folds), with group
+statistics from reductions along the rows and one _Objective per row; a
+single calibration is the case K = 1.  _predict_grid decides such a block at
+a theta per (arm, row) in one switch-point pass, through the decision rule
+(_decisions) FairClassifier._decide applies to one classifier.
 """
 
 from __future__ import annotations
@@ -93,17 +99,24 @@ def group_statistics(scores: np.ndarray, sensitive: np.ndarray) -> GroupStatisti
     sensitive = np.asarray(sensitive)
     if scores.shape != sensitive.shape:
         raise SchemaError(f"scores ({scores.shape}) and sensitive ({sensitive.shape}) misaligned")
-    p, mean, joint = [], [], []
+    return _grid_statistics(scores[None], sensitive)[0]
+
+
+def _grid_statistics(scores: np.ndarray, sensitive: np.ndarray) -> list[GroupStatistics]:
+    """The group statistics of each row of a (K, n) block of floored aware scores.
+
+    Each group's scores are compressed into a C-ordered (K, n_s) block, so a
+    row's mean sums in the order of the row's own 1-D mean and gives its bits
+    (fancy indexing, scores[:, mask], would give an F-ordered block).
+    """
+    p, means = [], []
     for s in (0, 1):
         mask = sensitive == s
         if not mask.any():
             raise GroupCoverageError(f"group {s} absent from the calibration sample")
-        ps = float(mask.mean())
-        ms = float(scores[mask].mean())
-        p.append(ps)
-        mean.append(ms)
-        joint.append(ms * ps)
-    return GroupStatistics(tuple(p), tuple(mean), tuple(joint))
+        p.append(float(mask.mean()))
+        means.append(scores.compress(mask, axis=-1).mean(axis=-1).tolist())
+    return [GroupStatistics(tuple(p), (m0, m1), (m0 * p[0], m1 * p[1])) for m0, m1 in zip(*means)]
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -121,6 +134,7 @@ def _switch_points(mode: str, scores, sensitive, constants) -> tuple[np.ndarray,
     any other row falls at J_1 (2 - 1/eta).  Blind rows (scores (s0, s1, marginal), in slot order, constants
     the pooled means E_s): bp = (1 - 2 eta_hat(x)) / d(x), rising where d >= 0.  A blind row with d = 0 never
     switches: its bp is +-inf, or -inf for 0/0, so it predicts 1 iff 1 <= 2 eta_hat(x) at every finite theta.
+    Scores may carry a leading grid axis of K rows, each with its own constants as (K, 1) columns.
     """
     if mode == "aware":
         rising = np.asarray(sensitive) != 1
@@ -267,22 +281,25 @@ def _row_scores(model: ScoreModel, X, S=None) -> np.ndarray:
     return np.stack([model.score_group(X, 0), model.score_group(X, 1), model.score_marginal(X)])
 
 
-def _column_scores(mode: str, scores_s0, scores_s1, sensitive, marginal) -> np.ndarray:
-    """Unfloored scores in the form _row_scores gives them, from row-aligned score columns.
+def _column_scores(mode: str, scores_s0=None, scores_s1=None, sensitive=None, marginal=None) -> np.ndarray:
+    """Unfloored scores in the form _row_scores gives them, as a new array, from row-aligned score columns.
 
     Aware mode needs scores_s0, scores_s1 and 0/1 sensitive values and reads
     each row's own group column; blind mode needs marginal, scores_s0 and
-    scores_s1.  A missing or misaligned column, or a score that is not a
-    number in [0, 1], is a SchemaError.
+    scores_s1.  Score columns may carry a leading grid axis, (K, N) each with
+    sensitive (N,), and the result then does too: (K, N), or (K, 3, N) blind.
+    A missing or misaligned column, or a score that is not a number in
+    [0, 1], is a SchemaError.
     """
     names = ("scores_s0", "scores_s1", "sensitive" if mode == "aware" else "marginal")
     columns = [scores_s0, scores_s1, sensitive if mode == "aware" else marginal]
     if any(c is None for c in columns):
         raise SchemaError(f"{mode} mode needs {', '.join(names)}")
     s0, s1, third = columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    if s0.ndim != 1 or len({c.shape for c in columns}) > 1:
+    third_shape = s0.shape[-1:] if mode == "aware" else s0.shape  # one sensitive value per row of the sample
+    if s0.ndim not in (1, 2) or s1.shape != s0.shape or third.shape != third_shape:
         shapes = ", ".join(f"{n} {c.shape}" for n, c in zip(names, columns))
-        raise SchemaError(f"score columns must be one-dimensional and row-aligned, got {shapes}")
+        raise SchemaError(f"score columns must be row-aligned, one- or two-dimensional, got {shapes}")
     # each distinct score column once (the benchmark passes one array as both aware columns); a NaN fails
     # both comparisons, and the initial values let an empty column pass
     for name, c in zip(names, columns if mode == "blind" else columns[: 1 if s0 is s1 else 2]):
@@ -290,17 +307,18 @@ def _column_scores(mode: str, scores_s0, scores_s1, sensitive, marginal) -> np.n
             bad = c[~((c >= 0.0) & (c <= 1.0))][0]
             raise SchemaError(f"{name} must hold scores in [0, 1], got {float(bad)}")
     if mode == "blind":
-        return np.stack(columns)
+        return np.stack(columns, axis=-2)
     if not ((third == 0) | (third == 1)).all():
         raise SchemaError("sensitive values must be 0 or 1")
     return np.where(third == 1, s1, s0)
 
 
 def _columns(scores, sensitive, mode) -> dict:
-    """Scores in the form _row_scores gives them as the score columns of the calibration API."""
+    """Scores in the form _row_scores gives them, with or without a leading grid axis, as the score
+    columns of the calibration API."""
     if mode == "aware":  # aware calibration and prediction read only each row's own group column
         return {"scores_s0": scores, "scores_s1": scores, "sensitive": sensitive}
-    return dict(zip(("scores_s0", "scores_s1", "marginal"), scores))
+    return dict(zip(("scores_s0", "scores_s1", "marginal"), np.moveaxis(scores, -2, 0)))
 
 
 @dataclass(frozen=True)
@@ -328,13 +346,16 @@ class FairClassifier:
     def predict_from_scores(self, scores_s0=None, scores_s1=None, sensitive=None, marginal=None):
         """Predictions from precomputed raw score columns, row-aligned and floored with the model floor."""
         scores = _column_scores(self.mode, scores_s0, scores_s1, sensitive, marginal)
-        return self._decide(np.maximum(scores, self.model.floor), sensitive)
+        return self._decide(np.maximum(scores, self.model.floor, out=scores), sensitive)
+
+    @property
+    def _constants(self) -> tuple[float, float]:
+        """What the switch points read: the joints (aware) or the pooled means (blind)."""
+        return self.stats.joint if self.mode == "aware" else self.blind_means
 
     def _decide(self, scores: np.ndarray, sensitive=None) -> np.ndarray:
         """0/1 decisions from floored scores in the form _row_scores gives them."""
-        constants = self.stats.joint if self.mode == "aware" else self.blind_means
-        bp, rising = _switch_points(self.mode, scores, sensitive, constants)
-        return np.where(rising, self.theta_hat >= bp, self.theta_hat <= bp).astype(np.int64)
+        return _decisions(self.mode, scores, sensitive, self._constants, self.theta_hat)
 
     def to_json(self) -> dict:
         return {
@@ -367,6 +388,9 @@ class FairClassifier:
         model = ScoreModel.from_json(obj["model"])
         if obj["mode"] != model.mode:
             raise SchemaError(f"mode {obj['mode']!r} differs from the score model's mode {model.mode!r}")
+        unread = "blind_means" if model.mode == "aware" else "stats"  # to_json would write it back
+        if obj.get(unread) is not None:
+            raise SchemaError(f"{unread} must be null in a {model.mode} model, got {obj[unread]!r}")
         stats = GroupStatistics.from_json(obj["stats"]) if obj.get("stats") else None
         means = _positive(obj["blind_means"], "blind_means") if obj.get("blind_means") else None
         if model.mode == "aware" and stats is None:
@@ -383,18 +407,40 @@ class FairClassifier:
         )
 
 
-def _calibrate(model: ScoreModel, scores: np.ndarray, sensitive) -> FairClassifier:
-    """The calibration core: floored calibration scores, in the form _row_scores gives them, to a classifier."""
-    stats = None
+def _decisions(mode: str, scores: np.ndarray, sensitive, constants, theta) -> np.ndarray:
+    """0/1 decisions from floored scores in the form _row_scores gives them, at theta; scores may carry
+    a leading grid axis of K rows, with constants as (K, 1) columns and theta broadcasting against them."""
+    bp, rising = _switch_points(mode, scores if mode == "aware" else np.moveaxis(scores, -2, 0), sensitive, constants)
+    return np.where(rising, theta >= bp, theta <= bp).astype(np.int64)
+
+
+def _predict_grid(classifiers: list, thetas, columns: dict) -> np.ndarray:
+    """Decisions of K classifiers calibrated on one sample, so with one floor, at thetas (A, K): an
+    (A, K, n) array from score columns with a leading grid axis of K rows, in one switch-point pass."""
+    mode, floor = classifiers[0].mode, classifiers[0].model.floor
+    scores = _column_scores(mode, **columns)
+    constants = np.array([c._constants for c in classifiers]).T[..., None]  # (2, K, 1)
+    theta = np.asarray(thetas, dtype=np.float64)[..., None]
+    return _decisions(mode, np.maximum(scores, floor, out=scores), columns.get("sensitive"), constants, theta)
+
+
+def _calibrate(model: ScoreModel, scores: np.ndarray, sensitive) -> list[FairClassifier]:
+    """The calibration core: floored calibration scores, a leading grid axis of K rows each in the form
+    _row_scores gives them, to one classifier per row, each from its own exact argmin."""
     if model.mode == "aware":
         sensitive = np.asarray(sensitive)
-        stats = group_statistics(scores, sensitive)
-        objective = _Objective("aware", (scores[sensitive == 1], scores[sensitive == 0]), stats.joint)
+        stats = _grid_statistics(scores, sensitive)
+        # each row's group scores are taken as its objective is built, so no argmin holds them all
+        objectives = (_Objective("aware", (row[sensitive == 1], row[sensitive == 0]), st.joint)
+                      for row, st in zip(scores, stats))
     else:
-        objective = _Objective("blind", scores)
-    theta, value = objective.argmin()
-    means = objective.constants if stats is None else None
-    return FairClassifier(model, theta, stats, blind_means=means, unfairness_hat=value)
+        stats, objectives = [None] * scores.shape[0], (_Objective("blind", rows) for rows in scores)
+    classifiers = []
+    for objective, st in zip(objectives, stats):
+        theta, value = objective.argmin()
+        means = objective.constants if st is None else None
+        classifiers.append(FairClassifier(model, theta, st, blind_means=means, unfairness_hat=value))
+    return classifiers
 
 
 def _check_mode(mode: str) -> None:
@@ -435,18 +481,24 @@ def calibrate(
     model = _fit_estimator(train, estimator, mode).with_floor(floor_value(X_u.shape[0]))
     if jitter_amplitude:
         model = replace(model, jitter_amplitude=jitter_amplitude)
-    return _calibrate(model, _row_scores(model, X_u, S_u), S_u)
+    return _calibrate(model, _row_scores(model, X_u, S_u)[None], S_u)[0]
 
 
-def calibrate_scores(scores_s0, scores_s1, sensitive=None, marginal=None, mode: str = "aware") -> FairClassifier:
+def calibrate_scores(
+    scores_s0, scores_s1, sensitive=None, marginal=None, mode: str = "aware"
+) -> FairClassifier | list[FairClassifier]:
     """Calibrate from precomputed score columns instead of a fitted estimator.
 
     Scores must be row-aligned with the calibration sample; they are floored
     with c = floor_value(N), N the number of rows.  Aware calibration reads
-    only the column of each row's own group.
+    only the column of each row's own group.  Score columns with a leading
+    grid axis, (K, N) each with sensitive (N,), calibrate every grid row on
+    its own in one pass and give a list of K classifiers.
     """
     _check_mode(mode)
     scores = _column_scores(mode, scores_s0, scores_s1, sensitive, marginal)
-    c = floor_value(scores.shape[-1])
+    c, grid = floor_value(scores.shape[-1]), np.ndim(scores_s0) == 2
     # _column_scores returns a new array, so it can be floored in place
-    return _calibrate(external_score_model(floor=c, mode=mode), np.maximum(scores, c, out=scores), sensitive)
+    np.maximum(scores, c, out=scores)
+    classifiers = _calibrate(external_score_model(floor=c, mode=mode), scores if grid else scores[None], sensitive)
+    return classifiers if grid else classifiers[0]

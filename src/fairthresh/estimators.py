@@ -226,6 +226,8 @@ class ScoreModel:
         if kind not in ("logistic", "knn", "external") or mode not in ("aware", "blind") or len(groups) != 2:
             raise SchemaError(f"bad score model: kind {kind!r}, mode {mode!r}, {len(groups)} groups")
         slots = [*groups, obj.get("marginal")] if mode == "blind" else groups
+        if kind == "external" and any(p is not None for p in slots):
+            raise SchemaError("an external score model holds no parameters: its groups and marginal must be null")
         if (kind != "external" and None in slots) or (mode == "aware" and obj.get("marginal") is not None):
             raise SchemaError(f"a {kind!r} score model in mode {mode!r} must hold the parameters of groups 0 and 1 and "
                               + ("of the marginal" if mode == "blind" else "no marginal"))

@@ -32,13 +32,14 @@ class EvaluationReport:
         }
 
 
-def _check_binary_aligned(*arrays):
+def _check_binary_aligned(*arrays, rows: bool = False):
+    """The arrays, each of 0/1 values and of shape (n,), n >= 1; with rows, the first may be (R, n)."""
     out = [np.asarray(a) for a in arrays]
-    n = out[0].shape[0]
+    n = out[-1].shape[0] if out[-1].ndim else 0
     if n < 1:
         raise SchemaError("accuracy needs at least one row")
     for a in out:
-        if a.shape != (n,):
+        if a.shape != (n,) and not (rows and a is out[0] and a.ndim == 2 and a.shape[1] == n):
             raise SchemaError(f"arrays misaligned: {[x.shape for x in out]}")
         bad = a != a.astype(bool)  # any value other than 0 and 1, NaN included
         if bad.any():
@@ -52,29 +53,33 @@ def accuracy(pred, labels) -> float:
     return float((pred == labels).mean())
 
 
-def deo(pred, labels, sensitive) -> EvaluationReport:
+def deo(pred, labels, sensitive) -> EvaluationReport | list[EvaluationReport]:
     """Accuracy, per-group TPRs and their absolute gap on labeled data.
 
     A group without positive labels leaves its TPR (and the DEO) undefined;
     the report then carries the deo_undefined flag instead of raising.
+    Predictions with rows, (R, n), that share the labels and sensitive
+    values give one report per row, from one pass over the matrix.
     """
-    pred, labels, sensitive = _check_binary_aligned(pred, labels, sensitive)
-    tprs: list[float | None] = []
+    pred, labels, sensitive = _check_binary_aligned(pred, labels, sensitive, rows=True)
+    rows = np.atleast_2d(pred)
+    # means of 0/1 values are exact, so a row's means equal its own 1-D means
+    accuracies = (rows == labels).mean(axis=1).tolist()
+    tprs: list[list] = []
     npos: list[int] = []
-    flags: list[str] = []
     for s in (0, 1):
         pos = (sensitive == s) & (labels == 1)
         npos.append(int(pos.sum()))
-        tprs.append(float(pred[pos].mean()) if pos.any() else None)
-    if tprs[0] is None or tprs[1] is None:
-        flags.append("deo_undefined")
-        gap = None
-    else:
-        gap = abs(tprs[1] - tprs[0])
-    return EvaluationReport(
-        accuracy=float((pred == labels).mean()),  # accuracy() without checking the arrays again
-        deo=gap,
-        tpr_per_group=(tprs[0], tprs[1]),
-        n_positives_per_group=(npos[0], npos[1]),
-        flags=tuple(flags),
-    )
+        tprs.append(rows.compress(pos, axis=1).mean(axis=1).tolist() if npos[-1] else [None] * len(rows))
+    flags = ("deo_undefined",) if 0 in npos else ()
+    reports = [
+        EvaluationReport(
+            accuracy=acc,
+            deo=None if flags else abs(tpr1 - tpr0),
+            tpr_per_group=(tpr0, tpr1),
+            n_positives_per_group=(npos[0], npos[1]),
+            flags=flags,
+        )
+        for acc, tpr0, tpr1 in zip(accuracies, *tprs)
+    ]
+    return reports if pred.ndim == 2 else reports[0]

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import evaluate_reference as reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,10 @@ from fairthresh.benchmark import (
     run_unlabeled_sweep,
     select_hyperparameters,
 )
-from fairthresh.calibration import _row_scores, calibrate
+from fairthresh.calibration import _columns, _row_scores, calibrate, calibrate_scores
 from fairthresh.data import LabeledDataset, SplitPlan, UnlabeledDataset, split
 from fairthresh.errors import ConfigError, GroupCoverageError
-from fairthresh.estimators import KnnConfig, _knn_path, fit_knn
+from fairthresh.estimators import KnnConfig, _knn_path, fit_knn, floor_value
 from fairthresh.metrics import deo
 from fairthresh.oracle import linear_distribution, sample
 
@@ -171,8 +172,8 @@ class TestRunBenchmark:
 
 @pytest.fixture
 def calibrations(monkeypatch):
-    """Counts of calibration.calibrate_scores calls (one per fitted grid point and calibration
-    sample): all of them, and those made inside cross_validate."""
+    """Counts of calibration.calibrate_scores calls (one per CV fold, for its whole grid, and one per
+    refitted grid point and calibration sample): all of them, and those made inside cross_validate."""
     counts = {"all": 0, "cv": 0}
     inside_cv = []
     real_calibrate, real_cross_validate = calibration.calibrate_scores, benchmark.cross_validate
@@ -202,8 +203,8 @@ class TestOneFitPerFold:
         cfg = small_config(estimator="knn", knn_grid=(5, 51), cv_folds=folds, n_repeats=repeats)
         report = run_benchmark(ds, cfg)
         distinct_chosen = sum(len({m.rows[r].param for m in report.methods}) for r in range(repeats))
-        assert calibrations["cv"] == repeats * 2 * folds
-        assert calibrations["all"] == repeats * 2 * folds + distinct_chosen
+        assert calibrations["cv"] == repeats * folds
+        assert calibrations["all"] == repeats * folds + distinct_chosen
 
     def test_sweep_runs_cv_once_per_repeat(self, ds, calibrations):
         cfg = small_config(estimator="knn", knn_grid=(5, 51), cv_folds=3, n_repeats=2)
@@ -211,7 +212,7 @@ class TestOneFitPerFold:
         one_fraction = calibrations["cv"]
         calibrations["cv"] = 0
         run_unlabeled_sweep(ds, cfg, labeled_fraction=0.2, unlabeled_fractions=(0.0, 0.2, 0.4))
-        assert calibrations["cv"] == one_fraction == 2 * 2 * 3
+        assert calibrations["cv"] == one_fraction == 2 * 3
 
 
 @pytest.mark.parametrize("mode, slots", [("aware", 2), ("blind", 3)])
@@ -414,19 +415,27 @@ def test_knn_fold_tables_reorder_short_queries_to_full_depth(monkeypatch, mode, 
         assert shallow == 26 < deep and 0 < deep_queries < shallow_queries
 
 
-@pytest.mark.parametrize("unlabeled", ["reuse", 0.3])
-@pytest.mark.parametrize("mode", ["aware", "blind"])
-def test_knn_cross_validate_equals_full_stable_argsort_order(monkeypatch, mode, unlabeled):
+@pytest.mark.parametrize(
+    "estimator, mode, unlabeled",
+    [("knn", mode, unlabeled) for unlabeled in ("reuse", 0.3) for mode in ("aware", "blind")]
+    + [("logistic", "aware", 0.3), ("logistic", "blind", 0.3)],
+    ids=["aware-reuse", "blind-reuse", "aware-0.3", "blind-0.3", "logistic-aware-0.3", "logistic-blind-0.3"],
+)
+def test_knn_cross_validate_equals_full_stable_argsort_order(monkeypatch, estimator, mode, unlabeled):
     """k-NN CV on three rounded features, whose distances tie, equals the same CV with every
     neighbour order taken from a full stable argsort of the distances: in reuse mode through the
-    shared fold tables, in carve mode through the fitted models, whose order stops at k."""
+    shared fold tables, in carve mode through the fitted models, whose order stops at k.  Each CV,
+    and logistic carve-mode CV (one fit per grid point and fold) on the same rows, also equals one
+    calibrate and predict per fit."""
     rng = np.random.default_rng(43)
     n = 400
     X = np.round(rng.normal(size=(n, 3)), 1)
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X.sum(axis=1)))).astype(np.int64)
     train = LabeledDataset(X, rng.integers(0, 2, n), y)
-    cfg = small_config(estimator="knn", knn_grid=(1, 4, 9, 25), cv_folds=5, mode=mode, unlabeled=unlabeled)
+    cfg = small_config(estimator=estimator, knn_grid=(1, 4, 9, 25), logistic_grid=(1e-4, 1e-1, 10.0), cv_folds=5,
+                       mode=mode, unlabeled=unlabeled)
     rows = cross_validate(train, cfg, [3])
+    assert _as_json(rows) == _as_json(_cv_reference(train, cfg, [3]))
 
     def full_order(queries, feats, depth):
         d2 = ((queries[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
@@ -445,3 +454,63 @@ def _assert_fold_tables_equal_per_fold_path_models(train, cv_folds, mode):
         path = _knn_path([fit_knn(fit, KnnConfig(k=int(k)), mode) for k in ks])
         expected = _row_scores(path, train.features, train.sensitive)
         assert table.shape == expected.shape and np.array_equal(table, expected)
+
+
+def _bits(value):
+    """value with every float replaced by its hex form, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    return value
+
+
+def _classifier_bits(clf):
+    stats = None if clf.stats is None else clf.stats.to_json()
+    return _bits([clf.mode, clf.theta_hat, clf.unfairness_hat, stats, clf.blind_means, clf.model.floor])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    mode=hst.sampled_from(["aware", "blind"]),
+    grid=hst.sampled_from([1, 2, 26]),
+    n_cal=hst.integers(2, 80) | hst.just(20000),
+    n_held=hst.integers(1, 30),
+    lattice=hst.sampled_from([1, 2, 5, 11, 51, None]),
+    at_floor=hst.booleans(),
+    undefined=hst.booleans(),
+)
+def test_fold_evaluation_equals_per_column_reference_bitwise(seed, mode, grid, n_cal, n_held, lattice, at_floor,
+                                                             undefined):
+    """One evaluation of a fold's whole grid gives, for every grid row and method arm, the bits of the
+    per-column evaluation it replaced: theta_hat, unfairness_hat, statistics, accuracy, DEO and flags."""
+    rng = np.random.default_rng(seed)
+    n = n_cal + n_held
+    shape = (grid, n) if mode == "aware" else (grid, 3, n)
+    # k-NN-style scores j/k, tied within and across rows, or continuous draws (lattice None)
+    scores = rng.random(shape) if lattice is None else rng.integers(0, lattice + 1, shape) / lattice
+    if at_floor:  # scores at, just below and far below the calibration floor, and at 1
+        c = floor_value(n_cal)
+        picks = rng.random(shape) < 0.3
+        scores[picks] = rng.choice([0.0, np.nextafter(c, 0.0), c, 1.0], size=int(picks.sum()))
+    sensitive, labels = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    sensitive[:2] = [0, 1]  # both groups calibrate
+    if undefined:  # one held-out group has no positive label
+        labels[n_cal:][sensitive[n_cal:] == rng.integers(0, 2)] = 0
+    cal = (scores[..., :n_cal], sensitive[:n_cal])
+    test = (scores[..., n_cal:], labels[n_cal:], sensitive[n_cal:])
+    methods = ("plugin", "bayes")
+    batched = benchmark._evaluate(cal, test, mode, methods)
+    for k in range(grid):
+        expected = reference.evaluate((cal[0][k], cal[1]), (test[0][k], *test[1:]), mode, methods)
+        for m in methods:
+            (report, clf), (ref_report, ref_clf) = batched[m][k], expected[m]
+            assert _bits(report.to_json()) == _bits(ref_report.to_json())
+            assert _classifier_bits(clf) == _classifier_bits(ref_clf)
+    # the public one-column call is the K=1 case of the same routine
+    one = calibrate_scores(**_columns(cal[0][0], cal[1], mode), mode=mode)
+    assert _classifier_bits(one) == _classifier_bits(reference.calibrate_scores(**_columns(cal[0][0], cal[1], mode),
+                                                                                mode=mode))

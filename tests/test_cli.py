@@ -407,6 +407,16 @@ MODEL_FILE_CASES = {
     "jitter_above_half": (("model", "jitter_amplitude"), 3.0, "jitter_amplitude"),
     # a third slot would make the score model blind, so its mode and the file's would disagree
     "marginal_in_aware": (("model", "marginal"), {"weights": [0.5], "intercept": 0.0}, "no marginal"),
+    "blind_means_in_aware": (("blind_means",), [0.5, 0.5], "blind_means must be null"),
+    # used to exit 2 with the message 'features', as if the logistic weights were k-NN parameters
+    "external_with_parameters": (("model", "kind"), "external", "external score model holds no parameters"),
+}
+
+# the same for a blind logistic model file; stats_in_blind used to load, and to predict or evaluate with exit 0
+BLIND_MODEL_FILE_CASES = {
+    "stats_in_blind": (("stats",), {"p": [0.5, 0.5], "mean_score": [0.5, 0.5], "joint": [0.25, 0.25]},
+                       "stats must be null"),
+    **{f"blind_means_{name}": (("blind_means",), [0.5, v], "blind_means") for name, v in BAD_NUMBERS.items()},
 }
 
 
@@ -433,6 +443,12 @@ def test_malformed_model_file_exit_2(tmp_path, train_csv, test_csv, capsys, case
 def test_malformed_knn_model_file_exit_2(tmp_path, train_csv, test_csv, capsys, case):
     model = _model(tmp_path, train_csv, "--estimator", "knn", "--knn-k", "3")
     _assert_malformed_model_exit_2(model, *KNN_MODEL_FILE_CASES[case], tmp_path, test_csv, capsys)
+
+
+@pytest.mark.parametrize("case", list(BLIND_MODEL_FILE_CASES))
+def test_malformed_blind_model_file_exit_2(tmp_path, train_csv, test_csv, capsys, case):
+    model = _model(tmp_path, train_csv, "--mode", "blind")
+    _assert_malformed_model_exit_2(model, *BLIND_MODEL_FILE_CASES[case], tmp_path, test_csv, capsys)
 
 
 def test_blind_logistic_model_without_marginal_exit_2(tmp_path, train_csv, test_csv, capsys):
