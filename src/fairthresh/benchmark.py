@@ -126,9 +126,6 @@ class CvRow:
     folds_used: int
     flags: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {**self.__dict__, "flags": list(self.flags)}
-
 
 @dataclass(frozen=True)
 class RepeatOutcome:
@@ -141,9 +138,6 @@ class RepeatOutcome:
     flags: tuple[str, ...] = ()
     cv_table: tuple[CvRow, ...] = ()
 
-    def to_json(self) -> dict:
-        return {**self.__dict__, "flags": list(self.flags), "cv_table": [r.to_json() for r in self.cv_table]}
-
 
 @dataclass(frozen=True)
 class MethodSummary:
@@ -154,17 +148,11 @@ class MethodSummary:
     deo_std: float | None
     rows: tuple[RepeatOutcome, ...]
 
-    def to_json(self) -> dict:
-        return {**self.__dict__, "rows": [r.to_json() for r in self.rows]}
-
 
 @dataclass(frozen=True)
 class BenchmarkReport:
     methods: tuple[MethodSummary, ...]
     metadata: dict
-
-    def to_json(self) -> dict:
-        return {"methods": [m.to_json() for m in self.methods], "metadata": self.metadata}
 
 
 def _cv_partition(ds: LabeledDataset, folds: int, rng) -> list[np.ndarray]:
@@ -462,17 +450,11 @@ class SweepPoint(MethodSummary):
 
     unlabeled_fraction: float
 
-    def to_json(self) -> dict:
-        return {"unlabeled_fraction": self.unlabeled_fraction, **super().to_json()}
-
 
 @dataclass(frozen=True)
 class SweepReport:
     points: tuple[SweepPoint, ...]
     metadata: dict
-
-    def to_json(self) -> dict:
-        return {"points": [p.to_json() for p in self.points], "metadata": self.metadata}
 
 
 def run_unlabeled_sweep(

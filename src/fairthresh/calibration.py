@@ -44,7 +44,7 @@ a theta per (arm, row) in one switch-point pass, through the decision rule
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass, replace
+from dataclasses import KW_ONLY, asdict, dataclass, replace
 
 import numpy as np
 
@@ -73,9 +73,6 @@ class GroupStatistics:
     p: tuple[float, float]
     mean_score: tuple[float, float]
     joint: tuple[float, float]
-
-    def to_json(self) -> dict:
-        return {"p": list(self.p), "mean_score": list(self.mean_score), "joint": list(self.joint)}
 
     @staticmethod
     def from_json(obj: dict) -> "GroupStatistics":
@@ -363,7 +360,7 @@ class FairClassifier:
             "mode": self.mode,
             "theta_hat": self.theta_hat,
             "unfairness_hat": self.unfairness_hat,
-            "stats": self.stats.to_json() if self.stats is not None else None,
+            "stats": asdict(self.stats) if self.stats is not None else None,
             "blind_means": list(self.blind_means) if self.blind_means is not None else None,
             "model": self.model.to_json(),
         }

@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -157,7 +158,7 @@ def cmd_evaluate(args) -> int:
     pred = _predict(clf, test.features, test.sensitive, args.scores)
     report = metrics.deo(pred, test.labels, test.sensitive)
     if args.out:
-        _write_json(args.out, report.to_json())
+        _write_json(args.out, asdict(report))
     print(f"accuracy   {report.accuracy:.6f}")
     print(f"deo_test   {_num(report.deo)}")
     print(f"tpr_s0     {_num(report.tpr_per_group[0])}")
@@ -227,7 +228,7 @@ def cmd_benchmark(args) -> int:
     report = bench.run_benchmark(ds, config, test=test, unlabeled_ds=unl)
     _print_method_table(report.methods)
     if args.out:
-        _write_json(args.out, report.to_json())
+        _write_json(args.out, asdict(report))
     if args.csv:
         rows = [
             [m.method, r.repeat, r.param, f"{r.acc:.6f}", "" if r.deo is None else f"{r.deo:.6f}",
@@ -254,7 +255,9 @@ def cmd_sweep_unlabeled(args) -> int:
     ]
     print(_fmt_table(headers, rows))
     if args.out:
-        _write_json(args.out, report.to_json())
+        # a point's JSON leads with its fraction; asdict would put the subclass field last
+        points = [{"unlabeled_fraction": p.unlabeled_fraction, **asdict(p)} for p in report.points]
+        _write_json(args.out, {"points": points, "metadata": report.metadata})
     if args.csv:
         _write_csv(args.csv, headers, [[getattr(p, h) for h in headers] for p in report.points])
     return 0

@@ -22,15 +22,6 @@ class EvaluationReport:
     n_positives_per_group: tuple[int, int]
     flags: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "deo": self.deo,
-            "tpr_per_group": list(self.tpr_per_group),
-            "n_positives_per_group": list(self.n_positives_per_group),
-            "flags": list(self.flags),
-        }
-
 
 def _check_binary_aligned(*arrays, rows: bool = False):
     """The arrays, each of 0/1 values and of shape (n,), n >= 1; with rows, the first may be (R, n)."""

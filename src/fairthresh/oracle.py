@@ -77,9 +77,6 @@ class GroupSpec:
     def mean_eta(self) -> float:
         return float(self.suffix_integral(0.0))
 
-    def to_json(self) -> dict:
-        return {"location": self.location, "scale": self.scale, "knots": [list(k) for k in self.knots]}
-
 
 @dataclass(frozen=True)
 class SyntheticDistribution:
@@ -101,9 +98,6 @@ class SyntheticDistribution:
     @property
     def pi(self) -> tuple[float, float]:
         return (1.0 - self.pi_1, self.pi_1)
-
-    def to_json(self) -> dict:
-        return {"pi_1": self.pi_1, "groups": [g.to_json() for g in self.groups]}
 
     @staticmethod
     def from_json(obj: dict) -> "SyntheticDistribution":
@@ -247,9 +241,15 @@ def _latent(spec: GroupSpec, x: np.ndarray) -> np.ndarray:
     return np.clip((x - spec.location) / spec.scale, 0.0, 1.0)
 
 
+def _feature(X) -> np.ndarray:
+    """The laws' one feature per row: column 0 of a feature matrix, or a 1-D column as given."""
+    x = np.asarray(X, dtype=np.float64)
+    return x[:, 0] if x.ndim == 2 else x.reshape(-1)
+
+
 def exact_group_scores(dist: SyntheticDistribution, X, s: int) -> np.ndarray:
-    """Exact eta(x, s) per row; features outside the support take boundary values."""
-    x = np.asarray(X, dtype=np.float64).reshape(-1)
+    """Exact eta(x, s) per row from feature column 0; features outside the support take boundary values."""
+    x = _feature(X)
     spec = dist.groups[s]
     return np.asarray(spec.eta(_latent(spec, x)), dtype=np.float64)
 
@@ -260,8 +260,8 @@ def exact_scores(dist: SyntheticDistribution, X, S) -> np.ndarray:
 
 
 def exact_marginal_scores(dist: SyntheticDistribution, X) -> np.ndarray:
-    """Exact eta(x) = P(Y=1 | X=x), mixing the groups by their densities."""
-    x = np.asarray(X, dtype=np.float64).reshape(-1)
+    """Exact eta(x) = P(Y=1 | X=x) from feature column 0, mixing the groups by their densities."""
+    x = _feature(X)
     num = np.zeros(x.shape[0])
     den = np.zeros(x.shape[0])
     fallback = np.zeros(x.shape[0])

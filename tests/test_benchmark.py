@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import evaluate_reference as reference
 import numpy as np
@@ -131,6 +131,31 @@ class TestCrossValidate:
         cfg = small_config(cv_folds=2, logistic_grid=(1e-4, 1.0))
         with pytest.raises(ConfigError):
             cross_validate(ds, cfg, seed=[0])["plugin"]
+
+    def test_fold_whose_carve_is_too_small_is_flagged_infeasible(self):
+        # 40 rows in 3 folds hold out 14, 13 and 13 rows: fold 0 fits on 26 rows, whose 0.13 carve of
+        # round(3.38) = 3 rows is below the 4 a carve needs; folds 1 and 2 carve 4 rows of 27
+        ds = LabeledDataset(np.arange(40, dtype=float)[:, None], np.repeat([0, 1], 20), np.tile([0, 1], 20))
+        cfg = small_config(cv_folds=3, logistic_grid=(1e-4, 1.0), unlabeled=0.13)
+        for rows in cross_validate(ds, cfg, seed=[10]).values():
+            assert [(r.folds_used, r.flags) for r in rows] == [(2, ("fold_0_skipped_infeasible",))] * 2
+
+    @pytest.mark.parametrize("estimator", ["knn", "logistic"])
+    def test_folds_without_held_out_rows_are_dropped_unflagged(self, estimator):
+        # 10 folds of 8 rows: folds 8 and 9 hold no row; each other fold holds one, too few for a DEO
+        ds = LabeledDataset(np.arange(8, dtype=float)[:, None], np.repeat([0, 1], 4), np.tile([0, 1], 4))
+        cfg = small_config(estimator=estimator, knn_grid=(1, 3), logistic_grid=(1e-4, 1.0), cv_folds=10)
+        for rows in cross_validate(ds, cfg, seed=[0]).values():
+            for r in rows:
+                assert r.folds_used == 8
+                assert r.flags == tuple(f"fold_{f}_deo_undefined" for f in range(8))
+
+    def test_reuse_knn_with_every_k_above_the_group_sizes_raises(self):
+        ds = LabeledDataset(np.arange(8, dtype=float)[:, None], np.repeat([0, 1], 4), np.tile([0, 1], 4))
+        cfg = small_config(estimator="knn", knn_grid=(5, 7), cv_folds=3)
+        with pytest.raises(ConfigError, match="every fold was skipped") as exc:
+            cross_validate(ds, cfg, seed=[0])
+        assert exc.value.exit_code == 5
 
 
 class TestRunBenchmark:
@@ -319,7 +344,7 @@ def _cv_reference(train, cfg, seed):
 
 def _as_json(rows):
     # CvRow of a grid point with every fold skipped holds NaN, which == never matches
-    return json.dumps({m: [r.to_json() for r in rs] for m, rs in rows.items()})
+    return json.dumps({m: [asdict(r) for r in rs] for m, rs in rows.items()})
 
 
 RUNNER_CASES = [
@@ -360,7 +385,7 @@ class TestRunnerEquivalence:
             for m, summary in enumerate(report.methods):
                 point = sweep.points[j * len(cfg.methods) + m]
                 assert (point.unlabeled_fraction, point.method) == (frac, summary.method)
-                assert json.dumps(point.rows[0].to_json()) == json.dumps(summary.rows[0].to_json())
+                assert json.dumps(asdict(point.rows[0])) == json.dumps(asdict(summary.rows[0]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -468,7 +493,7 @@ def _bits(value):
 
 
 def _classifier_bits(clf):
-    stats = None if clf.stats is None else clf.stats.to_json()
+    stats = None if clf.stats is None else asdict(clf.stats)
     return _bits([clf.mode, clf.theta_hat, clf.unfairness_hat, stats, clf.blind_means, clf.model.floor])
 
 
@@ -508,7 +533,7 @@ def test_fold_evaluation_equals_per_column_reference_bitwise(seed, mode, grid, n
         expected = reference.evaluate((cal[0][k], cal[1]), (test[0][k], *test[1:]), mode, methods)
         for m in methods:
             (report, clf), (ref_report, ref_clf) = batched[m][k], expected[m]
-            assert _bits(report.to_json()) == _bits(ref_report.to_json())
+            assert _bits(asdict(report)) == _bits(asdict(ref_report))
             assert _classifier_bits(clf) == _classifier_bits(ref_clf)
     # the public one-column call is the K=1 case of the same routine
     one = calibrate_scores(**_columns(cal[0][0], cal[1], mode), mode=mode)

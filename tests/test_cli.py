@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,12 @@ from conftest import write_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairthresh.calibration import FairClassifier
+from fairthresh.calibration import FairClassifier, calibrate
 from fairthresh.cli import main
 from fairthresh.data import load_csv
-from fairthresh.oracle import linear_distribution, sample
+from fairthresh.estimators import LogisticConfig
+from fairthresh.metrics import deo
+from fairthresh.oracle import exact_group_scores, linear_distribution, sample
 
 DIST = linear_distribution(0.35, 0.3, 0.05, 0.9, 0.5)
 
@@ -45,6 +48,26 @@ def _model(tmp_path, train_csv, *extra):
     out = str(tmp_path / "model.json")
     assert main(["calibrate", "--train", train_csv, "--out", out, *extra]) == 0
     return out
+
+
+def _exact_score_file(path, data):
+    """A score file of DIST's exact group scores, row-aligned with data; returns it and both columns."""
+    s0, s1 = (exact_group_scores(DIST, data.features, s) for s in (0, 1))
+    _write(path, "score_s0,score_s1\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(s0.tolist(), s1.tolist())))
+    return str(path), s0, s1
+
+
+# the keys of a written benchmark or sweep report, in file order
+ROW_KEYS = ["repeat", "method", "param", "acc", "deo", "theta_hat", "flags", "cv_table"]
+CV_ROW_KEYS = ["param", "acc", "deo", "folds_used", "flags"]
+SUMMARY_KEYS = ["method", "acc_mean", "acc_std", "deo_mean", "deo_std", "rows"]
+
+
+def _assert_summary_keys(summary, first=()):
+    assert list(summary) == [*first, *SUMMARY_KEYS]
+    for row in summary["rows"]:
+        assert list(row) == ROW_KEYS
+        assert all(list(cv_row) == CV_ROW_KEYS for cv_row in row["cv_table"])
 
 
 class TestCalibrate:
@@ -114,6 +137,17 @@ class TestCalibrate:
         assert main(["calibrate", "--train", train_csv, "--scores", str(scores), "--out", out]) == 0
         assert _read_json(out)["model"]["kind"] == "external"
 
+    def test_jitter_is_recorded_and_predict_equals_in_process(self, tmp_path, train_csv, test_csv):
+        path = _model(tmp_path, train_csv, "--jitter", "1e-6")
+        model = _read_json(path)
+        assert model["model"]["jitter_amplitude"] == 1e-6
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", path, "--data", test_csv, "--out", str(out)]) == 0
+        train, test = load_csv(train_csv, "S", "Y"), load_csv(test_csv, "S", "Y")
+        clf = calibrate(train, estimator=LogisticConfig(l2_lambda=1e-4), jitter_amplitude=1e-6)
+        assert model["theta_hat"] == clf.theta_hat
+        assert [int(r[0]) for r in _read_csv(out)[1:]] == clf.predict(test.features, test.sensitive).tolist()
+
 
 class TestEvaluatePredict:
     def test_evaluate_prints_metrics(self, tmp_path, train_csv, test_csv, capsys):
@@ -155,6 +189,28 @@ class TestEvaluatePredict:
         assert out.read_bytes() == expected.getvalue().encode("utf-8")
         assert out.read_bytes().count(b"\r\n") == 401
 
+    def test_predict_from_score_file(self, tmp_path, train_csv, test_csv):
+        model = _model(tmp_path, train_csv)
+        test = load_csv(test_csv, "S", "Y")
+        scores, s0, s1 = _exact_score_file(tmp_path / "scores.csv", test)
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", model, "--data", test_csv, "--scores", scores, "--out", str(out)]) == 0
+        want = FairClassifier.from_json(_read_json(model)).predict_from_scores(s0, s1, sensitive=test.sensitive)
+        assert [int(r[0]) for r in _read_csv(out)[1:]] == want.tolist()
+
+    def test_evaluate_from_score_file_writes_report(self, tmp_path, train_csv, test_csv):
+        model = _model(tmp_path, train_csv)
+        test = load_csv(test_csv, "S", "Y")
+        scores, s0, s1 = _exact_score_file(tmp_path / "scores.csv", test)
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--model", model, "--test", test_csv, "--scores", scores, "--out", str(out)]) == 0
+        pred = FairClassifier.from_json(_read_json(model)).predict_from_scores(s0, s1, sensitive=test.sensitive)
+        want = deo(pred, test.labels, test.sensitive)
+        report = _read_json(out)
+        assert list(report) == ["accuracy", "deo", "tpr_per_group", "n_positives_per_group", "flags"]
+        assert report == {"accuracy": want.accuracy, "deo": want.deo, "tpr_per_group": list(want.tpr_per_group),
+                          "n_positives_per_group": list(want.n_positives_per_group), "flags": list(want.flags)}
+
     def test_constant_predictions_have_zero_deo(self, tmp_path, test_csv, capsys):
         # theta far negative makes group-1 always accept and group-0 region empty; use
         # a constant-scores external model instead: all rows predicted positive
@@ -188,6 +244,35 @@ class TestBenchmarkCommands:
         rows = _read_csv(out_csv)
         assert rows[0][:4] == ["method", "repeat", "param", "acc"]
         assert len(rows) == 1 + 3 * 2  # two methods, three repeats
+        report = _read_json(out_json)
+        assert list(report) == ["methods", "metadata"]
+        for summary in report["methods"]:
+            _assert_summary_keys(summary)
+
+    def test_sweep_writes_json_and_csv(self, tmp_path, train_csv):
+        # two grid points, so every row carries its CV table
+        cfg = _write(tmp_path / "cfg.json", json.dumps({"logistic_grid": [1e-4, 1e-2], "cv_folds": 3}))
+        out, table = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        assert main(["sweep-unlabeled", "--data", train_csv, "--config", cfg, "--repeats", "2",
+                     "--labeled-fraction", "0.3", "--fractions", "0,0.2", "--out", str(out), "--csv", str(table)]) == 0
+        report = _read_json(out)
+        assert list(report) == ["points", "metadata"]
+        assert list(report["metadata"]) == ["labeled_fraction", "repeats", "estimator", "seed"]
+        points = report["points"]
+        assert [(p["unlabeled_fraction"], p["method"]) for p in points] == [
+            (0.0, "plugin"), (0.0, "bayes"), (0.2, "plugin"), (0.2, "bayes")
+        ]
+        for p in points:
+            _assert_summary_keys(p, first=["unlabeled_fraction"])
+            assert len(p["rows"]) == 2 and all(len(r["cv_table"]) == 2 for r in p["rows"])
+        headers = ["unlabeled_fraction", "method", "acc_mean", "acc_std", "deo_mean", "deo_std"]
+        assert _read_csv(table) == [headers, *([str(p[h]) for h in headers] for p in points)]
+
+    def test_config_unknown_field_exit_5(self, tmp_path, train_csv, capsys):
+        cfg = _write(tmp_path / "cfg.json", json.dumps({"logistic_grid": [1e-4], "n_repeat": 1}))
+        assert main(["benchmark", "--data", train_csv, "--config", cfg]) == 5
+        err = capsys.readouterr().err
+        assert "bad benchmark config" in err and "n_repeat" in err
 
     def test_benchmark_deterministic_output(self, tmp_path, train_csv):
         cfg = tmp_path / "cfg.json"
@@ -240,7 +325,7 @@ class TestConsistencyCommand:
 
     def test_runs_and_writes_csv(self, tmp_path):
         dist = tmp_path / "dist.json"
-        dist.write_text(json.dumps(DIST.to_json()))
+        dist.write_text(json.dumps(asdict(DIST)))
         out = tmp_path / "table.csv"
         code = main([
             "consistency", "--dist", str(dist), "--N-grid", "50,100",
@@ -253,7 +338,7 @@ class TestConsistencyCommand:
 
     def test_bitwise_stable_csv(self, tmp_path):
         dist = tmp_path / "dist.json"
-        dist.write_text(json.dumps(DIST.to_json()))
+        dist.write_text(json.dumps(asdict(DIST)))
         contents = []
         for name in ("t1.csv", "t2.csv"):
             out = tmp_path / name
@@ -328,7 +413,7 @@ def _probed_argv(case, tmp_path, train_csv, test_csv):
     if case in FLAG_CASES:
         if case.startswith("sweep"):
             return ["sweep-unlabeled", "--data", train_csv, *FLAG_CASES[case]]
-        dist = _write(tmp_path / "dist.json", json.dumps(DIST.to_json()))
+        dist = _write(tmp_path / "dist.json", json.dumps(asdict(DIST)))
         return ["consistency", "--dist", dist, "--N-grid", "50", "--repeats", "1", "--test-size", "100",
                 *FLAG_CASES[case]]
     if case == "calibrate_lambda_nan":
@@ -532,7 +617,7 @@ def test_unwritable_output_exit_2(tmp_path, train_csv, test_csv, capsys, argv):
         "{bad}": bad, "{train}": train_csv, "{test}": test_csv,
         "{model}": _model(tmp_path, train_csv) if "{model}" in argv else None,
         "{config}": _write(tmp_path / "cfg.json", json.dumps({"logistic_grid": [1e-4], "n_repeats": 1, "cv_folds": 3})),
-        "{dist}": _write(tmp_path / "dist.json", json.dumps(DIST.to_json())),
+        "{dist}": _write(tmp_path / "dist.json", json.dumps(asdict(DIST))),
     }
     assert main([paths.get(a, a) for a in argv]) == 2
     assert f"error: {bad}: cannot write the file" in capsys.readouterr().err

@@ -311,6 +311,21 @@ class TestSplit:
         assert all(r.stratified_by_sensitive_only for r in results)
         assert all(r.train.n == 7 for r in results)
 
+    def test_group_missing_from_train_is_swapped_in(self):
+        # group 1 has one row per label, so the split stratifies by group alone, and a 10-row train part
+        # apportions all of its rows to group 0: one of them is swapped for a group-1 row
+        n = 100
+        sensitive = np.zeros(n, dtype=np.int64)
+        sensitive[[17, 60]] = 1
+        labels = np.arange(n) % 2
+        ds = LabeledDataset(np.arange(n, dtype=float)[:, None], sensitive, labels)
+        for r in split(ds, SplitPlan(0.1, 3, seed=0)):
+            assert r.stratified_by_sensitive_only
+            assert r.train.n == 10 and 0 not in r.train.group_counts()
+            assert r.train.group_counts()[1] == 1
+            merged = np.sort(np.concatenate([r.train_indices, r.test_indices]))
+            np.testing.assert_array_equal(merged, np.arange(n))
+
     def test_bad_plan_rejected(self):
         with pytest.raises(ConfigError):
             SplitPlan(1.5, 3, seed=0)

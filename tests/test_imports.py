@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ def test_no_run_imports_numpy_ma(tmp_path):
     train, test, dist = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "dist.json"
     write_csv(train, sample(DIST, 400, 3))
     write_csv(test, sample(DIST, 200, 4))
-    dist.write_text(json.dumps(DIST.to_json()), encoding="utf-8")
+    dist.write_text(json.dumps(asdict(DIST)), encoding="utf-8")
     train, test, dist = str(train), str(test), str(dist)
     cal_scores, test_scores = _scores(tmp_path / "cal_scores.csv", 400, 5), _scores(tmp_path / "test_scores.csv", 200, 6)
     cfg = tmp_path / "cfg.json"

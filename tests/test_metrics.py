@@ -63,9 +63,10 @@ class TestDeo:
 
     def test_report_serializes(self):
         import json
+        from dataclasses import asdict
 
         rep = deo(np.array([1, 0]), np.array([1, 1]), np.array([0, 1]))
-        json.dumps(rep.to_json())
+        json.dumps(asdict(rep))
 
 
 @pytest.mark.parametrize(

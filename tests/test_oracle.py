@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from oracle_reference import (
@@ -22,6 +24,7 @@ from fairthresh.oracle import (
     consistency_run,
     exact_group_scores,
     exact_marginal_scores,
+    exact_scores,
     linear_distribution,
     load_distribution,
     risk_of_threshold_rule,
@@ -60,7 +63,7 @@ class TestConstruction:
         import json
 
         p = tmp_path / "dist.json"
-        p.write_text(json.dumps(ASYM.to_json()))
+        p.write_text(json.dumps(asdict(ASYM)))
         assert load_distribution(p) == ASYM
 
     def test_malformed_json_is_schema_error(self, tmp_path):
@@ -198,6 +201,20 @@ class TestSample:
         m = exact_marginal_scores(ASYM, ds.features)
         avg = 0.5 * (exact_group_scores(ASYM, ds.features, 0) + exact_group_scores(ASYM, ds.features, 1))
         np.testing.assert_allclose(m, avg, atol=1e-12)
+
+    def test_scores_read_feature_column_0_only(self):
+        # a second column (a nuisance feature) changes none of the scores, nor their count
+        ds = sample(ASYM, 300, 5)
+        X = np.column_stack([ds.features[:, 0], np.random.default_rng(5).normal(size=ds.n)])
+        for score in (
+            lambda Z: exact_group_scores(ASYM, Z, 0),
+            lambda Z: exact_group_scores(ASYM, Z, 1),
+            lambda Z: exact_marginal_scores(ASYM, Z),
+            lambda Z: exact_scores(ASYM, Z, ds.sensitive),
+        ):
+            got = score(X)
+            assert got.shape == (ds.n,)
+            np.testing.assert_array_equal(got, score(X[:, :1]))
 
 
 class TestPluginLimit:
