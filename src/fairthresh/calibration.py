@@ -10,7 +10,7 @@ with joint_s the estimated P(Y=1, S=s) on the calibration sample.  theta_hat
 minimizes the score-weighted unfairness surrogate over [-2, 2].  Because each
 row's indicator flips at exactly one theta (its breakpoint), the objective is
 piecewise constant and the argmin is found exactly by enumerating breakpoints
-and midpoints.
+and midpoints: one sort of the breakpoints, then one linear walk along them.
 
 The sensitive-blind variant decides 1 <= 2*eta_hat(x) + theta*d(x) with the
 direction d(x) = eta_hat(x,0)/E0 - eta_hat(x,1)/E1, where E_s are pooled means
@@ -22,10 +22,14 @@ theta >= bp, "falling": theta <= bp).  Aware switch points keep the form
 joint_1*(2 - 1/eta) and joint_0*(1/eta - 2): the product form can round the
 other way within a few ulps, and the objective and FairClassifier._decide
 (one expression) both read the switch points, so they agree exactly.  One
-objective class, _Objective, walks the rising rows as prefix sums and the
-falling ones as suffix sums and exposes .breakpoints, .value(thetas) and
-.argmin() -> (theta, value); the modes differ only in the constants, weights
-and bound its constructor sets up.  fit_theta, fit_theta_blind,
+objective class, _Objective, keeps each side's switch points in ascending
+order with the rising rows' weights as prefix sums and the falling ones' as
+suffix sums, and exposes .breakpoints, .value(thetas) and .argmin() -> (theta,
+value); the modes differ only in the constants, weights and bound its
+constructor sets up.  value() looks each theta up in both sides by binary
+search; argmin() merges the two sides in one stable sort and reads every
+breakpoint's and midpoint's counts off one walk along the merge (_runs), a
+block at a time, so it needs no search per candidate.  fit_theta, fit_theta_blind,
 empirical_unfairness, blind_unfairness and breakpoints are one-liners over
 it.  _distinct dedups the switch points without numpy.ma, which numpy's set
 routines import.  calibrate scores the calibration sample with the fitted
@@ -62,7 +66,11 @@ from .estimators import (
 )
 
 THETA_BOUND = 2.0
-_CANDIDATE_BLOCK = 1 << 14  # breakpoints per block of the argmin walk, each with the midpoint to its successor
+_CANDIDATE_BLOCK = 1 << 12  # merged switch points per block of the argmin's walk; each run-sized array stays small
+_BOUNDED_PROBES = np.array([0.0, -THETA_BOUND, THETA_BOUND])  # the argmin's probes in aware mode, 0 first
+# [-bound, bound] as searchsorted's side="left" reads it: #switch points < -bound, #switch points <= bound
+_AWARE_SPAN, _BLIND_SPAN = np.array([-THETA_BOUND, np.nextafter(THETA_BOUND, np.inf)]), np.array([-np.inf, np.inf])
+_NAN, _ZERO = np.array([np.nan]), np.zeros(1)
 FORMAT_VERSION = 1  # of the model JSON written by FairClassifier.to_json
 
 
@@ -131,14 +139,18 @@ def _switch_points(mode: str, scores, sensitive, constants) -> tuple[np.ndarray,
     any other row falls at J_1 (2 - 1/eta).  Blind rows (scores (s0, s1, marginal), in slot order, constants
     the pooled means E_s): bp = (1 - 2 eta_hat(x)) / d(x), rising where d >= 0.  A blind row with d = 0 never
     switches: its bp is +-inf, or -inf for 0/0, so it predicts 1 iff 1 <= 2 eta_hat(x) at every finite theta.
-    Scores may carry a leading grid axis of K rows, each with its own constants as (K, 1) columns.
+    Scores may carry a leading grid axis of K rows, each with its own constants as (K, 1) columns, and an
+    aware sensitive may be one group for every row.
     """
     if mode == "aware":
         rising = np.asarray(sensitive) != 1
-        bp = 1.0 / scores  # both forms in place, so a decision holds one row-sized float buffer
-        np.subtract(2.0, bp, out=bp, where=~rising)
-        np.subtract(bp, 2.0, out=bp, where=rising)
-        bp *= np.where(rising, constants[0], constants[1])
+        # both forms in place, so a decision holds one row-sized float buffer, and without masks, so a scalar group
+        # costs little: J_1 (2 - 1/eta) as (1/eta - 2)(-J_1), the same product to the bit as rounding is
+        # symmetric, with + 0.0 turning its -0.0 at eta = 1/2 into the +0.0 of 2 - 1/eta
+        bp = 1.0 / scores
+        bp -= 2.0
+        bp *= np.where(rising, constants[0], -constants[1])
+        bp += 0.0
         return bp, rising
     scores_s0, scores_s1, marginal = scores
     d = scores_s0 / constants[0] - scores_s1 / constants[1]
@@ -171,28 +183,32 @@ class _Objective:
 
     def __init__(self, mode: str, columns, joint=None):
         if mode == "aware":
-            scores1, scores0 = (np.asarray(c, dtype=np.float64) for c in columns)
+            scores1, scores0 = (np.array(c, dtype=np.float64) for c in columns)
+            scores1.sort()
+            scores0.sort()
             if scores1.size == 0 or scores0.size == 0:
                 raise GroupCoverageError("both groups need at least one calibration row")
-            weights = np.concatenate([np.sort(scores1), np.sort(scores0)[::-1]])
             self.constants, self.bound = tuple(joint), THETA_BOUND
-            bp, rising = _switch_points(mode, weights, np.arange(weights.size) < scores1.size, joint)
+            rising, falling = scores0[::-1], scores1  # the weights of each side, in ascending switch-point order
+            self.bp_rising = _switch_points(mode, rising, 0, joint)[0]
+            self.bp_falling = _switch_points(mode, falling, 1, joint)[0]
         else:
             s0, s1, marginal = columns = [np.asarray(c, dtype=np.float64) for c in columns]
             if not (s0.shape == s1.shape == marginal.shape):
                 raise SchemaError("marginal and per-group score arrays must align")
             self.constants, self.bound = (float(s0.mean()), float(s1.mean())), np.inf
-            bp, rising = _switch_points(mode, columns, None, self.constants)
+            bp, side = _switch_points(mode, columns, None, self.constants)
             weights = s1 / s1.sum()
             weights -= s0 / s0.sum()
-            np.negative(weights, out=weights, where=rising)
+            np.negative(weights, out=weights, where=side)
             order = np.flatnonzero(np.isfinite(bp))
             order = order[np.argsort(bp[order], kind="stable")]
-            bp, rising, weights = bp[order], rising[order], weights[order]
-        falling = ~rising
-        self.bp_rising, self.bp_falling = bp[rising], bp[falling]
-        self.prefix = np.concatenate([[0.0], np.cumsum(weights[rising])])
-        self.suffix = np.concatenate([np.cumsum(weights[falling][::-1])[::-1], [0.0]])
+            bp, side, weights = bp[order], side[order], weights[order]
+            self.bp_rising, self.bp_falling = bp[side], bp[~side]
+            rising, falling = weights[side], weights[~side]
+            del bp, weights  # so the sums below hold no sorted copy
+        self.prefix = np.concatenate((_ZERO, rising.cumsum()))
+        self.suffix = np.concatenate((falling[::-1].cumsum()[::-1], _ZERO))
         if mode == "aware":
             self.prefix /= self.prefix[-1]
             self.suffix /= self.suffix[0]
@@ -205,31 +221,66 @@ class _Objective:
 
     def value(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=np.float64)
-        rising = self.prefix[np.searchsorted(self.bp_rising, thetas, side="right")]
-        falling = self.suffix[np.searchsorted(self.bp_falling, thetas, side="left")]
+        rising = self.prefix[self.bp_rising.searchsorted(thetas, side="right")]
+        falling = self.suffix[self.bp_falling.searchsorted(thetas, side="left")]
         return np.abs(falling - rising)
+
+    def _runs(self):
+        """The distinct switch points within the bound, ascending, a block at a time, with the counts value() reads.
+
+        Yields (points, after, rising, falling): the block's distinct points b, the next one up (NaN past the
+        last), #rising <= b, and #falling below the block's first b followed by #falling <= b.  All come off one
+        stable merge of the two ascending sides, which numpy's stable sort makes in linear time.  Ties keep the
+        sides' order, so a run of equal points ends in its last falling point i, and #falling <= b = i + 1, if
+        it has one, else in its last rising point j, and #rising <= b = j + 1; the two counts add up to the
+        points merged up to the run's end.
+        """
+        n_rising = self.bp_rising.size
+        t = np.concatenate((self.bp_rising, self.bp_falling, _NAN))
+        order = t.argsort(kind="stable")
+        span = _AWARE_SPAN if self.bound < np.inf else _BLIND_SPAN
+        rising_below, rising_in = self.bp_rising.searchsorted(span)
+        falling_span = self.bp_falling.searchsorted(span)
+        last, falling = rising_in + falling_span[1], falling_span[:1]
+        t[order[last]] = np.nan  # ends the last run within the bound
+        for lo in range(rising_below + falling[0] + 1, last + 1, _CANDIDATE_BLOCK):
+            pos = order[lo - 1 : min(lo + _CANDIDATE_BLOCK, last + 1)]  # the block and the position after it
+            w = t[pos]
+            ends = (w[1:] != w[:-1]).nonzero()[0]  # the last position of each run, counted from lo - 1
+            if ends.size:  # else the block lies within one run
+                merged, last_point = ends + lo, pos[ends]  # points up to each run's end, and its last point
+                rising = np.where(last_point < n_rising, last_point + 1, merged + (n_rising - 1) - last_point)
+                falling_le = merged - rising
+                yield w[ends], w[1:][ends], rising, np.concatenate((falling, falling_le))
+                falling = falling_le[-1:]
 
     def argmin(self) -> tuple[float, float]:
         """Exact minimizer and the value there; ties break toward the smallest |theta|, then the smaller theta.
 
         Candidates are 0, both bounds (one unit past both extreme breakpoints when unbounded), every
         breakpoint and the midpoint of every pair of consecutive breakpoints, which covers each constant
-        piece.  They are evaluated a block of breakpoints at a time, so memory stays bounded.
+        piece.  The probes go through value(); the breakpoints and midpoints are read off one walk along the
+        merged switch points (_runs), a block at a time, so memory stays bounded.  A midpoint takes the
+        counts of the breakpoint below it, as no switch point lies strictly between the two; one that
+        rounds onto a breakpoint is left out, as that breakpoint is a candidate itself.
         """
-        bps = self.breakpoints
         if self.bound < np.inf:
-            probes = [0.0, -self.bound, self.bound]
+            probes = _BOUNDED_PROBES
         else:
-            probes = [0.0, bps[0] - 1.0, bps[-1] + 1.0] if bps.size else [0.0]
-        best = (np.inf, np.inf, np.inf)  # (value, |theta|, theta) of the best candidate so far
-        for lo in range(0, max(bps.size, 1), _CANDIDATE_BLOCK):
-            part = bps[lo : lo + _CANDIDATE_BLOCK + 1]  # the block and the breakpoint after it
-            cands = np.concatenate([probes if lo == 0 else [], part[:_CANDIDATE_BLOCK], 0.5 * (part[:-1] + part[1:])])
-            values = self.value(cands)
-            tied = cands[values == values.min()]
-            # least intervention first: smallest |theta|, then smaller theta; the earlier of equal candidates
-            theta = tied[np.lexsort((tied, np.abs(tied)))[0]]
-            best = min(best, (values.min(), abs(theta), theta))
+            extremes = [x for side in (self.bp_rising, self.bp_falling) if side.size for x in (side[0], side[-1])]
+            probes = np.array([0.0, min(extremes) - 1.0, max(extremes) + 1.0] if extremes else [0.0])
+        # (value, |theta|, theta) of the best candidate so far; of equal ones the earlier, so zero is the probe's +0.0
+        best = min(zip(self.value(probes).tolist(), np.abs(probes).tolist(), probes.tolist()))
+        for points, after, rising, falling in self._runs():
+            mids = points + after
+            mids *= 0.5
+            at, suffix = self.prefix[rising], self.suffix[falling]
+            inside = (points < mids) & (mids < after)
+            values = np.abs(np.concatenate((suffix[:-1] - at, np.where(inside, suffix[1:] - at, np.inf))))
+            low = values.min()
+            tied = np.concatenate((points, mids))[values == low]
+            theta = tied[0] if tied.size == 1 else tied[np.lexsort((tied, np.abs(tied)))[0]]  # one, as a rule
+            best = min(best, (low, abs(theta), theta))
         return float(best[2]), float(best[0])
 
 
@@ -425,11 +476,10 @@ def _calibrate(model: ScoreModel, scores: np.ndarray, sensitive) -> list[FairCla
     """The calibration core: floored calibration scores, a leading grid axis of K rows each in the form
     _row_scores gives them, to one classifier per row, each from its own exact argmin."""
     if model.mode == "aware":
-        sensitive = np.asarray(sensitive)
+        in_1, in_0 = (np.asarray(sensitive) == s for s in (1, 0))
         stats = _grid_statistics(scores, sensitive)
         # each row's group scores are taken as its objective is built, so no argmin holds them all
-        objectives = (_Objective("aware", (row[sensitive == 1], row[sensitive == 0]), st.joint)
-                      for row, st in zip(scores, stats))
+        objectives = (_Objective("aware", (row[in_1], row[in_0]), st.joint) for row, st in zip(scores, stats))
     else:
         stats, objectives = [None] * scores.shape[0], (_Objective("blind", rows) for rows in scores)
     classifiers = []

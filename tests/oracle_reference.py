@@ -3,8 +3,9 @@
 Quadrature moments and risks recompute by Simpson's rule what the oracle
 integrates in closed form, region_starts_scalar finds the acceptance regions
 one theta at a time, plugin_at_infinite_data feeds the calibrated rule
-exact scores and exact group statistics, and random_distribution draws valid
-laws for property tests.  Tests import this module as they import conftest.
+exact scores and exact group statistics, random_distribution draws valid
+laws for property tests, and sample_scatter draws a sample one group at a
+time, as oracle.sample did.  Tests import this module as they import conftest.
 """
 
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fairthresh.calibration import FairClassifier, GroupStatistics
+from fairthresh.data import LabeledDataset
 from fairthresh.errors import ConfigError
 from fairthresh.estimators import external_score_model
 from fairthresh.oracle import GroupSpec, SyntheticDistribution, _closed_form_joints, solve_theta_star
@@ -91,3 +93,20 @@ def random_distribution(rng: np.random.Generator) -> SyntheticDistribution:
         scale = float(rng.uniform(0.5, 2.0))
         groups.append(GroupSpec(loc, scale, tuple((float(a), float(b)) for a, b in zip(u, e))))
     return SyntheticDistribution(pi_1, tuple(groups))
+
+
+def sample_scatter(dist: SyntheticDistribution, n: int, seed) -> LabeledDataset:
+    """oracle.sample as it was: the same three draws, then x and y written one group at a time through
+    boolean masks."""
+    rng = np.random.default_rng(seed)
+    s = (rng.random(n) < dist.pi_1).astype(np.int64)
+    u = rng.random(n)
+    x = np.empty(n)
+    y = np.empty(n, dtype=np.int64)
+    draws = rng.random(n)
+    for g in (0, 1):
+        mask = s == g
+        spec = dist.groups[g]
+        x[mask] = spec.location + spec.scale * u[mask]
+        y[mask] = draws[mask] < spec.eta(u[mask])
+    return LabeledDataset(x[:, None], s, y, ("x1",), require_both_groups=False)

@@ -605,3 +605,68 @@ def test_one_objective_and_decision_equal_the_per_mode_ones_bitwise(case):
     for theta in cands:
         clf = FairClassifier(external_score_model(mode=mode), float(theta), stats, blind_means=means)
         assert clf._decide(rows, S).tobytes() == reference.decide(clf, scores, S).tobytes()
+
+
+@hst.composite
+def walk_cases(draw):
+    """Calibration rows around the argmin's block size, in the form the per-mode reference takes them (blind:
+    marginal, s0, s1), drawn so that the walk's runs cross block edges.
+
+    Scores come from a 1/k lattice, a small pool of floats with the floor (every row tied in some draws), or
+    free floats above the floor.  Blind rows may make s1 a rotation of s0 on dyadic values, so rows with
+    s0 == s1 have d = 0 and never switch, and may hold marginals of exactly 0.5, whose switch point is 0.0
+    where d > 0 and -0.0 where d < 0.
+    """
+    mode = draw(hst.sampled_from(["aware", "blind"]))
+    n = draw(hst.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    c, kind = floor_value(n), draw(hst.sampled_from(["lattice", "pool", "tied", "floats"]))
+    if kind == "lattice":
+        k = draw(hst.integers(1, 60))
+        rows = np.maximum(rng.integers(0, k + 1, (3, n)) / k, c)
+    elif kind in ("pool", "tied"):
+        pool = np.concatenate([[c, 0.5], c + (1.0 - c) * rng.random(draw(hst.integers(1, 6)))])
+        rows = rng.choice(pool[:1] if kind == "tied" else pool, (3, n))
+    else:
+        rows = c + (1.0 - c) * rng.random((3, n))
+    if mode == "aware":
+        S = rng.integers(0, 2, n)
+        S[:2] = (0, 1)
+        return mode, rows[0], S
+    if draw(hst.booleans()):
+        rows[1] = rng.integers(1, 17, n) / 16
+        rows[2] = rows[1]
+        m = int(rng.integers(0, n + 1))
+        rows[2, :m] = np.roll(rows[1, :m], 1)
+    if draw(hst.booleans()):
+        rows[0, rng.random(n) < 0.5] = 0.5
+    return mode, rows, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk_cases())
+def test_walk_across_blocks_equals_the_candidate_argmin_and_searchsorted_bitwise(case):
+    """At the block size the walk's counts at every distinct switch point are searchsorted's, and its argmin
+    gives the bits of the all-candidates-at-once argmin and of the per-mode objectives."""
+    mode, scores, S = case
+    if mode == "aware":
+        stats = group_statistics(scores, S)
+        columns = (scores[S == 1], scores[S == 0])
+        new, old = _Objective(mode, columns, stats.joint), reference._AwareObjective(*columns, stats)
+        probes = [0.0, -2.0, 2.0]
+    else:
+        new, old = _Objective(mode, scores[[1, 2, 0]]), reference._BlindObjective(*scores)
+        bps = new.breakpoints
+        probes = [0.0, bps[0] - 1.0, bps[-1] + 1.0] if bps.size else [0.0]
+    runs = list(new._runs())
+    for points, after, rising, falling in runs:
+        assert (rising == new.bp_rising.searchsorted(points, "right")).all()
+        assert (falling[:-1] == new.bp_falling.searchsorted(points, "left")).all()
+        assert (falling[1:] == new.bp_falling.searchsorted(points, "right")).all()
+    points = np.concatenate([r[0] for r in runs]) if runs else np.array([])
+    after = np.concatenate([r[1] for r in runs]) if runs else np.array([])
+    np.testing.assert_array_equal(points, new.breakpoints)
+    np.testing.assert_array_equal(after, np.append(points[1:], np.nan)[: points.size])  # NaN past the last
+    got = np.array(new.argmin()).tobytes()
+    assert got == np.array(whole_argmin(new, new.breakpoints, probes)).tobytes()
+    assert got == np.array(old.argmin()).tobytes()

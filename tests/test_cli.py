@@ -323,6 +323,19 @@ class TestConsistencyCommand:
         bad.write_text("{not json")
         assert main(["consistency", "--dist", str(bad)]) == 2
 
+    def test_dist_field_not_a_number_exit_2(self, tmp_path, capsys):
+        # float("abc") used to end in a ValueError traceback and exit 1
+        law = {**asdict(DIST), "pi_1": "abc"}
+        assert main(["consistency", "--dist", _write(tmp_path / "dist.json", json.dumps(law))]) == 2
+        assert capsys.readouterr().err == "error: distribution field pi_1 must be a number, got 'abc'\n"
+
+    def test_dist_short_knot_exit_2(self, tmp_path, capsys):
+        # a one-entry knot used to end in an IndexError traceback and exit 1
+        law = asdict(DIST)
+        law["groups"][0]["knots"] = [[0], [1.0, 0.65]]
+        assert main(["consistency", "--dist", _write(tmp_path / "dist.json", json.dumps(law))]) == 2
+        assert capsys.readouterr().err == "error: distribution field groups[0].knots[0] must be a [u, eta] pair, got [0]\n"
+
     def test_runs_and_writes_csv(self, tmp_path):
         dist = tmp_path / "dist.json"
         dist.write_text(json.dumps(asdict(DIST)))

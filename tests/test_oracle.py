@@ -1,3 +1,4 @@
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -8,6 +9,7 @@ from oracle_reference import (
     random_distribution,
     region_starts_scalar,
     risk_direct_quadrature,
+    sample_scatter,
 )
 
 from fairthresh.calibration import calibrate, calibrate_scores
@@ -71,6 +73,23 @@ class TestConstruction:
         p.write_text('{"pi_1": 0.5}')
         with pytest.raises(SchemaError):
             load_distribution(p)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda law: law.update(pi_1="abc"), "pi_1"),
+            (lambda law: law["groups"][1].update(scale=[1]), r"groups\[1\]\.scale"),
+            (lambda law: law["groups"][0]["knots"].__setitem__(1, [0]), r"groups\[0\]\.knots\[1\]"),
+            (lambda law: law["groups"][0]["knots"].__setitem__(0, 5), r"groups\[0\]\.knots\[0\]"),
+            (lambda law: law["groups"][1]["knots"][0].__setitem__(1, "x"), r"groups\[1\]\.knots\[0\]\[1\]"),
+        ],
+        ids=["pi_1", "scale", "short_knot", "scalar_knot", "knot_value"],
+    )
+    def test_malformed_field_is_schema_error_naming_it(self, edit, field):
+        law = json.loads(json.dumps(asdict(ASYM)))
+        edit(law)
+        with pytest.raises(SchemaError, match=field):
+            SyntheticDistribution.from_json(law)
 
 
 class TestMoments:
@@ -188,6 +207,19 @@ class TestSample:
     def test_single_row(self):
         ds = sample(ASYM, 1, 3)
         assert ds.n == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_equals_the_per_group_scatter_bitwise(self, n):
+        """Every row drawn at once gives the bits of the sample drawn one group at a time."""
+        rng = np.random.default_rng(n)
+        missed = 0  # draws in which one group has no row
+        for seed in range(40):
+            dist = random_distribution(rng)
+            got, want = sample(dist, n, seed), sample_scatter(dist, n, seed)
+            for a, b in ((got.features, want.features), (got.sensitive, want.sensitive), (got.labels, want.labels)):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            missed += got.sensitive.min() == got.sensitive.max()
+        assert missed > 0 if n < 1000 else missed == 0
 
     def test_exact_scores_match_curve(self):
         ds = sample(ASYM, 1000, 1)
