@@ -429,11 +429,11 @@ class FairClassifier:
         if version != FORMAT_VERSION or isinstance(version, bool):
             raise SchemaError(f"unsupported model format_version {version!r}, expected {FORMAT_VERSION}")
         theta = float(obj["theta_hat"])
-        if not np.isfinite(theta):
-            raise SchemaError(f"theta_hat must be finite, got {theta!r}")
         if not (isinstance(obj.get("model"), dict) and obj["model"]):
             raise SchemaError("model file needs a score model")
         model = ScoreModel.from_json(obj["model"])
+        if not (np.isfinite(theta) and (model.mode == "blind" or abs(theta) <= THETA_BOUND)):  # the argmin's bounds
+            raise SchemaError(f"theta_hat must be finite, and in [-2, 2] in an aware model, got {theta!r}")
         if obj["mode"] != model.mode:
             raise SchemaError(f"mode {obj['mode']!r} differs from the score model's mode {model.mode!r}")
         unread = "blind_means" if model.mode == "aware" else "stats"  # to_json would write it back

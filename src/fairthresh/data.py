@@ -29,7 +29,7 @@ from .errors import ConfigError, DataValueError, GroupCoverageError, ParseError,
 
 def _as_binary(values: np.ndarray, what: str) -> np.ndarray:
     out = np.asarray(values)
-    bad = ~np.isin(out, (0, 1))
+    bad = ~((out == 0) | (out == 1))
     if bad.any():
         row = int(np.flatnonzero(bad)[0])
         raise DataValueError(f"{what} must be 0 or 1; row {row} holds {out[bad][0]!r}")
@@ -190,10 +190,12 @@ def _read_table(path, binary=(), unit=()):
     """Header and float64 body of a numeric CSV file: the one parse routine for all inputs.
 
     Every data row must have one cell per header name and every cell must
-    parse as a real.  Columns named in binary must hold 0/1, columns named in
-    unit must lie in [0, 1], all others must be finite.  Errors name the file
-    and the 0-based data row.
+    parse as a real.  Columns named in binary (distinct, else ConfigError) must
+    hold 0/1, columns named in unit must lie in [0, 1], all others must be
+    finite.  Errors name the file and the 0-based data row.
     """
+    if len(set(binary)) < len(binary):
+        raise ConfigError(f"sensitive column {binary[0]!r} and label column {binary[1]!r} must differ")
     sizes = []  # lines per block, header included
     reason = "row count or width differs from the header"
     with _input_file(path) as fh:
@@ -223,7 +225,7 @@ def _read_table(path, binary=(), unit=()):
     bad = ~np.isfinite(values)
     for i, name in enumerate(header):
         if name in binary:
-            bad[:, i] = ~np.isin(values[:, i], (0.0, 1.0))
+            bad[:, i] = (values[:, i] != 0.0) & (values[:, i] != 1.0)
         elif name in unit:
             bad[:, i] |= (values[:, i] < 0.0) | (values[:, i] > 1.0)
     if bad.any():

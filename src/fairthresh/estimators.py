@@ -1,9 +1,10 @@
 """Conditional-probability estimators with a vanishing score floor.
 
 Two built-in estimator families are provided: regularized logistic regression
-fitted by damped Newton steps (IRLS), and a k-nearest-neighbour positive-rate
-estimator.  Every model fits one estimator per slot of _slots: group 0,
-group 1 and, in blind mode, a pooled (marginal) estimator on every row.
+fitted by damped Newton steps (IRLS), with one logit product per line-search
+candidate, and a k-nearest-neighbour positive-rate estimator.  Every model
+fits one estimator per slot of _slots: group 0, group 1 and, in blind mode, a
+pooled (marginal) estimator on every row.
 
 Every score is clamped from below by the floor c = N^(-1/4) (clipped to
 [1e-6, 0.49]) so that group mean scores stay bounded away from zero no matter
@@ -67,40 +68,37 @@ class KnnConfig:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # exp(-z) for z >= 0 and exp(z) below: the form that cannot overflow on either side
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _logistic_loss(w, X1, y, lam):
-    z = X1 @ w
-    # mean of log(1 + e^z) - y*z, computed stably
-    loss = np.mean(np.logaddexp(0.0, z) - y * z)
-    return loss + 0.5 * lam * float(w @ w)
+    z = X1 @ w  # returned with the loss, for the next step's p
+    return np.sum(np.logaddexp(0.0, z) - y * z) / z.size + 0.5 * lam * float(w @ w), z  # sum / n is np.mean
 
 
 def logistic_descent(X: np.ndarray, y: np.ndarray, cfg: LogisticConfig):
     """Minimize mean log-loss + (lambda/2)||w||^2 by damped Newton (IRLS) steps.
 
-    Each step solves (X1' diag(p(1-p)) X1 / n + lambda I) delta = -grad and
-    backtracks on delta by the Armijo rule.  When the solve fails or delta is
-    not a descent direction (lambda = 0 on separable data, say) the step falls
-    back to -grad.  Returns (weights, intercept, converged, losses); the loss
+    Each step solves (X1' diag(p(1-p)) X1 / n + lambda I) delta = -grad,
+    backtracks on delta by the Armijo rule and keeps the accepted candidate's
+    logits for the next p.  When the solve fails or delta is not a descent
+    direction (lambda = 0 on separable data, say) the step falls back to
+    -grad.  Returns (weights, intercept, converged, losses); the loss
     sequence is non-increasing and len(losses) - 1 is the iteration count.
     """
     X1 = np.hstack([np.ones((X.shape[0], 1)), X])
-    w = np.zeros(X1.shape[1])
-    losses = [_logistic_loss(w, X1, y, cfg.l2_lambda)]
+    lam, w = cfg.l2_lambda, np.zeros(X1.shape[1])
+    penalty, steps = lam * np.eye(w.size), BACKTRACK ** np.arange(54)  # steps 1 down to 0.5 ** 53 ~ 1e-16
+    loss, z = _logistic_loss(w, X1, y, lam)
+    losses = [loss]
     while True:
-        p = _sigmoid(X1 @ w)
-        grad = X1.T @ (p - y) / len(y) + cfg.l2_lambda * w
-        converged = float(np.linalg.norm(grad)) <= cfg.grad_tolerance
+        p = _sigmoid(z)
+        grad = X1.T @ (p - y) / len(y) + lam * w
+        converged = float(np.sqrt(grad @ grad)) <= cfg.grad_tolerance  # np.linalg.norm of a 1-D float vector
         if converged or len(losses) > cfg.max_iters:
             return w[1:], float(w[0]), converged, losses
-        hess = (X1.T * (p * (1.0 - p))) @ X1 / len(y) + cfg.l2_lambda * np.eye(w.size)
+        hess = (X1.T * (p * (1.0 - p))) @ X1 / len(y) + penalty
         try:
             delta = -np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -108,13 +106,13 @@ def logistic_descent(X: np.ndarray, y: np.ndarray, cfg: LogisticConfig):
         slope = float(grad @ delta)
         if not (np.isfinite(slope) and slope < 0.0):  # also a NaN or inf from a near-singular solve
             delta, slope = -grad, -float(grad @ grad)
-        for step in BACKTRACK ** np.arange(54):  # steps 1 down to 0.5 ** 53 ~ 1e-16
-            val = _logistic_loss(w + step * delta, X1, y, cfg.l2_lambda)
+        for step in steps:
+            val, z_try = _logistic_loss(w_try := w + step * delta, X1, y, lam)
             if val <= losses[-1] + ARMIJO * step * slope:
                 break
         else:  # no step lowers the loss at working precision
             return w[1:], float(w[0]), False, losses
-        w = w + step * delta
+        w, z = w_try, z_try
         losses.append(val)
 
 
@@ -255,15 +253,17 @@ class ScoreModel:
         floor = float(obj["floor"])
         if not FLOOR_MIN <= floor <= FLOOR_MAX:
             raise SchemaError(f"floor must lie in [{FLOOR_MIN}, {FLOOR_MAX}], got {floor!r}")
-        jitter = float(obj.get("jitter_amplitude", 0.0))
+        jitter, converged = float(obj.get("jitter_amplitude", 0.0)), obj.get("converged", True)
         if not 0.0 <= jitter <= JITTER_MAX:
             raise SchemaError(f"jitter_amplitude must lie in [0, {JITTER_MAX}], got {jitter!r}")
+        if not isinstance(converged, bool):
+            raise SchemaError(f"converged must be true or false, got {converged!r}")
         return ScoreModel(
             kind=kind,
             params=tuple(unpack(p) for p in slots),
             floor=floor,
             jitter_amplitude=jitter,
-            converged=bool(obj.get("converged", True)),
+            converged=converged,
         )
 
 

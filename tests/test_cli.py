@@ -446,6 +446,13 @@ def _probed_argv(case, tmp_path, train_csv, test_csv):
             "knn_no_feature_benchmark_carve": ["benchmark", "--data", data, "--unlabeled-fraction", "0.3"],
             "knn_no_feature_sweep": ["sweep-unlabeled", "--data", data],
         }[case] + ["--estimator", "knn"]
+    if case.startswith("same_column"):  # one column as both sensitive attribute and label
+        return {
+            "same_column_calibrate": ["calibrate", "--train", train_csv, "--sensitive-col", "Y", "--label-col", "Y"],
+            "same_column_evaluate": ["evaluate", "--model", _model(tmp_path, train_csv), "--test", test_csv,
+                                     "--label-col", "S"],
+            "same_column_benchmark": ["benchmark", "--data", train_csv, "--sensitive-col", "Y"],
+        }[case]
     assert case == "calibrate_unlabeled_with_label"
     return ["calibrate", "--train", train_csv, "--unlabeled", test_csv]
 
@@ -476,6 +483,10 @@ def _probed_argv(case, tmp_path, train_csv, test_csv):
         ("knn_no_feature_benchmark", 5),
         ("knn_no_feature_benchmark_carve", 5),
         ("knn_no_feature_sweep", 5),
+        # these used to exit 0, with one column read as both the group and the label
+        ("same_column_calibrate", 5),
+        ("same_column_evaluate", 5),
+        ("same_column_benchmark", 5),
         # the label column of an unlabeled file is not a feature
         ("calibrate_unlabeled_with_label", 0),
     ],
@@ -483,7 +494,10 @@ def _probed_argv(case, tmp_path, train_csv, test_csv):
 def test_probed_input_defects(tmp_path, train_csv, test_csv, capsys, case, code):
     assert main(_probed_argv(case, tmp_path, train_csv, test_csv)) == code
     if code:
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if case.startswith("same_column"):
+            assert "sensitive column" in err and "label column" in err
 
 
 BAD_NUMBERS = {"zero": 0.0, "negative": -0.5, "nan": float("nan"), "inf": float("inf")}
@@ -491,6 +505,9 @@ BAD_NUMBERS = {"zero": 0.0, "negative": -0.5, "nan": float("nan"), "inf": float(
 # error message or None); every case from model_absent on used to load, and to predict or evaluate with exit 0
 MODEL_FILE_CASES = {
     "theta_hat_abc": (("theta_hat",), "abc", None),
+    # an aware theta_hat lies in [-2, 2]; these two used to load and predict with exit 0
+    "theta_hat_huge": (("theta_hat",), 1e300, "theta_hat"),
+    "converged_string": (("model", "converged"), "no", "converged must be true or false"),
     "one_element_joint": (("stats", "joint"), [0.45], None),
     "model_list": (("model",), [1, 2], None),
     **{f"model_{name}": (("model",), v, "needs a score model")

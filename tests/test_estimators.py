@@ -2,6 +2,7 @@ import json
 import tracemalloc
 from dataclasses import replace
 
+import estimator_reference as reference
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,8 @@ from fairthresh.estimators import (
     ScoreModel,
     _knn_label_sums,
     _knn_order,
+    _logistic_loss,
+    _sigmoid,
     external_score_model,
     fit_knn,
     fit_logistic,
@@ -124,6 +127,77 @@ def test_newton_reaches_gradient_tolerance(problem):
     residual = 1.0 / (1.0 + np.exp(-(X @ w + b))) - y
     grad = np.concatenate([[residual.mean() + lam * b], X.T @ residual / len(y) + lam * w])
     assert np.linalg.norm(grad) <= cfg.grad_tolerance
+
+
+@hst.composite
+def kernel_problems(draw):
+    """A logistic problem for the kernel comparison: random or separable labels, any lambda, any iteration cap."""
+    n, d = draw(hst.integers(1, 60)), draw(hst.sampled_from([1, 2, 5, 20]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * draw(hst.sampled_from([0.1, 1.0, 10.0]))
+    separable = draw(hst.booleans())
+    y = (X[:, 0] > 0).astype(np.float64) if separable else rng.integers(0, 2, n).astype(np.float64)
+    lam = draw(hst.sampled_from([0.0, 1e-4, 1e-2, 1.0, 1e2, 1e4]))
+    return X, y, LogisticConfig(l2_lambda=lam, max_iters=draw(hst.sampled_from([1, 3, 1000])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_problems())
+# lambda = 0 on separable data: the weights run off to the saturated sigmoid
+@example((np.linspace(-3.0, 3.0, 300)[:, None], (np.linspace(-3.0, 3.0, 300) > 0).astype(np.float64),
+          LogisticConfig(l2_lambda=0.0)))
+# one row at x = 1: both columns of X1 are ones, so every solve fails and each step falls back to -grad
+@example((np.array([[1.0]]), np.array([1.0]), LogisticConfig(l2_lambda=0.0)))
+# two equal feature columns on separable data: the Hessian is singular and the weights still saturate
+@example((np.repeat(np.linspace(-3.0, 3.0, 300)[:, None], 2, axis=1),
+          (np.linspace(-3.0, 3.0, 300) > 0).astype(np.float64), LogisticConfig(l2_lambda=0.0)))
+# the max_iters cap, before the gradient tolerance is met
+@example((np.linspace(-1.0, 1.0, 50)[:, None], np.tile([0.0, 1.0], 25), LogisticConfig(max_iters=1)))
+def test_logistic_kernel_matches_reference(problem):
+    """The lean kernel gives the reference kernel's weights, intercept, flag and loss list bit for bit."""
+    w, b, converged, losses = logistic_descent(*problem)
+    w_ref, b_ref, converged_ref, losses_ref = reference.logistic_descent(*problem)
+    assert w.tobytes() == w_ref.tobytes() and np.float64(b).tobytes() == np.float64(b_ref).tobytes()
+    assert converged == converged_ref
+    assert np.array(losses).tobytes() == np.array(losses_ref).tobytes()
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+def test_separable_examples_reach_saturation_and_the_fallback(monkeypatch, columns):
+    """The separable examples above reach what they are there for: a saturated sigmoid and, with two equal
+    columns (an exactly singular Hessian), solves that fail and fall back to -grad."""
+    solve, failed = np.linalg.solve, []
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            failed.append(True)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    x = np.linspace(-3.0, 3.0, 300)
+    w, b, _, _ = logistic_descent(np.repeat(x[:, None], columns, axis=1), (x > 0).astype(np.float64),
+                                  LogisticConfig(l2_lambda=0.0))
+    assert np.abs(x * w.sum() + b).max() > 37.0  # 1 - sigmoid(z) rounds to 0 beyond about 36.7
+    assert bool(failed) == (columns == 2)
+
+
+def test_sigmoid_matches_reference_at_extreme_logits():
+    z = np.array([0.0, -0.0, 710.0, -710.0, 745.0, -745.0, np.inf, -np.inf, 36.7, -36.7, 5e-324, -5e-324])
+    assert _sigmoid(z).tobytes() == reference._sigmoid(z).tobytes()
+    z = np.random.default_rng(3).normal(scale=20.0, size=9_600)
+    assert _sigmoid(z).tobytes() == reference._sigmoid(z).tobytes()
+    assert np.isnan(_sigmoid(np.array([np.nan]))).all()  # NaN stays NaN (its sign bit is not kept)
+
+
+def test_logistic_loss_matches_reference():
+    rng = np.random.default_rng(4)
+    X1, y = np.column_stack([np.ones(300), rng.normal(size=(300, 3))]), rng.integers(0, 2, 300).astype(np.float64)
+    for w in (np.zeros(4), rng.normal(size=4), 400.0 * rng.normal(size=4)):
+        loss, z = _logistic_loss(w, X1, y, 0.3)
+        assert np.float64(loss).tobytes() == np.float64(reference._logistic_loss(w, X1, y, 0.3)).tobytes()
+        assert z.tobytes() == (X1 @ w).tobytes()
 
 
 @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
