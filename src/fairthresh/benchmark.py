@@ -35,6 +35,12 @@ the other rows once for every unlabeled fraction.  The scores then go through
 the public calibration API as score columns: calibration.calibrate_scores
 floors a calibration sample's scores with its own c (exact: c is never below
 the default floor), and both arms predict from the same test scores.
+
+Every repeat is seeded on its own ([seed, r] for its split and CV,
+[seed, r, 7] for its carve, [seed, r, 917] for the sweep's permutation), so
+run_benchmark and run_unlabeled_sweep map one repeat function over the
+repeat indices with _parallel.map_ordered: on Linux in forked workers, one
+per usable CPU, with the same report for any worker count.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import calibration
+from ._parallel import map_ordered
 # calibrate is not called here, but perfbench/spans.py wraps fairthresh.benchmark.calibrate by name
 from .calibration import _columns, _fit_estimator, _row_scores, calibrate  # noqa: F401
 from .data import LabeledDataset, SplitPlan, UnlabeledDataset, split
@@ -424,12 +431,15 @@ def run_benchmark(
         splits = split(ds, SplitPlan(config.train_fraction, config.n_repeats, config.seed))
         pairs = [(sp.train, sp.test) for sp in splits]
         meta_splits = f"{config.n_repeats} stratified splits at {config.train_fraction:g}"
-    rows = []
-    for r, (train, held) in enumerate(pairs):
+
+    def repeat(r):
+        train, held = pairs[r]
         fit_part, cal = train, unlabeled_ds if unlabeled_ds is not None else train
         if carve:  # the same carve for every arm
             fit_part, cal = _carve_unlabeled(train, config.unlabeled, np.random.default_rng([config.seed, r, 7]))
-        rows.append(_run_repeat(train, fit_part, [cal, held], [((0, None), (1, None))], config, r)[0])
+        return _run_repeat(train, fit_part, [cal, held], [((0, None), (1, None))], config, r)[0]
+
+    rows = map_ordered(repeat, range(len(pairs)))
     summaries = [_summarize(m, [row[m] for row in rows], with_std=test is None) for m in config.methods]
     metadata = {
         "estimator": config.estimator,
@@ -484,8 +494,10 @@ def run_unlabeled_sweep(
             f"labeled fraction {labeled_fraction} plus unlabeled fraction {max(fractions)} "
             "leaves no evaluation rows"
         )
-    per_repeat = []
-    for r, sp in enumerate(split(ds, SplitPlan(labeled_fraction, config.n_repeats, config.seed))):
+    splits = split(ds, SplitPlan(labeled_fraction, config.n_repeats, config.seed))
+
+    def repeat(r):
+        sp = splits[r]
         rest, targets = sp.test, []
         perm = np.random.default_rng([config.seed, r, 917]).permutation(rest.n)
         for frac in fractions:
@@ -496,7 +508,9 @@ def run_unlabeled_sweep(
                 targets.append(((1, cal), (1, perm[n_unl:])))
             else:
                 targets.append(((0, None), (1, None)))
-        per_repeat.append(_run_repeat(sp.train, sp.train, [sp.train, rest], targets, config, r))
+        return _run_repeat(sp.train, sp.train, [sp.train, rest], targets, config, r)
+
+    per_repeat = map_ordered(repeat, range(len(splits)))
     points = [
         SweepPoint(**vars(_summarize(m, [rows[j][m] for rows in per_repeat], True)), unlabeled_fraction=frac)
         for j, frac in enumerate(fractions)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import map_ordered
 # calibrate is not called here, but perfbench/spans.py wraps fairthresh.oracle.calibrate by name
 from .calibration import _columns, _fit_estimator, calibrate, calibrate_scores  # noqa: F401
 from .data import LabeledDataset, UnlabeledDataset, read_text
@@ -321,7 +322,10 @@ def consistency_run(
     calibration sample of size N, which needs two rows per group, and a fresh
     labeled test sample; either score source feeds calibrate_scores and
     predict_from_scores, and the cell records the test DEO and the risk
-    excess over the exact optimum, averaged over the repeats.
+    excess over the exact optimum, averaged over the repeats.  Each
+    (n, N, repeat) cell draws from its own seed [seed, i_n, i_N, rep, ...], so
+    the cells run through _parallel.map_ordered, in forked workers on Linux,
+    and the table is the same for any worker count.
     """
     n_grid, N_grid = list(n_grid), list(N_grid)
     if not n_grid or not N_grid or repeats < 1:
@@ -329,27 +333,31 @@ def consistency_run(
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     sol = solve_theta_star(dist)
+
+    def cell(index):
+        i_n, i_N, rep = index
+        base = [seed, i_n, i_N, rep]
+        unl = sample(dist, N_grid[i_N], base + [1])
+        cal = UnlabeledDataset(unl.features, unl.sensitive)
+        test = sample(dist, test_size, base + [2])
+        if estimator == "exact":
+            score = functools.partial(exact_scores, dist)
+        else:
+            score = _fit_estimator(sample(dist, n_grid[i_n], base + [0]), estimator, "aware").score_rowwise
+        clf = calibrate_scores(**_columns(score(cal.features, cal.sensitive), cal.sensitive, "aware"))
+        test_scores = score(test.features, test.sensitive)
+        pred = clf.predict_from_scores(**_columns(test_scores, test.sensitive, "aware"))
+        report = deo_report(pred, test.labels, test.sensitive)
+        deo = report.deo if report.deo is not None else 0.0
+        return deo, (1.0 - report.accuracy) - sol.risk_star, abs(clf.theta_hat - sol.theta_star)
+
+    index = [(i_n, i_N, rep) for i_n in range(len(n_grid)) for i_N in range(len(N_grid)) for rep in range(repeats)]
+    outcomes = iter(map_ordered(cell, index))
     cells = []
-    for i_n, n in enumerate(n_grid):
-        for i_N, N in enumerate(N_grid):
-            deos, excesses, terrs = [], [], []
-            for rep in range(repeats):
-                base = [seed, i_n, i_N, rep]
-                unl = sample(dist, N, base + [1])
-                cal = UnlabeledDataset(unl.features, unl.sensitive)
-                test = sample(dist, test_size, base + [2])
-                if estimator == "exact":
-                    score = functools.partial(exact_scores, dist)
-                else:
-                    score = _fit_estimator(sample(dist, n, base + [0]), estimator, "aware").score_rowwise
-                clf = calibrate_scores(**_columns(score(cal.features, cal.sensitive), cal.sensitive, "aware"))
-                test_scores = score(test.features, test.sensitive)
-                pred = clf.predict_from_scores(**_columns(test_scores, test.sensitive, "aware"))
-                report = deo_report(pred, test.labels, test.sensitive)
-                deos.append(report.deo if report.deo is not None else 0.0)
-                excesses.append((1.0 - report.accuracy) - sol.risk_star)
-                terrs.append(abs(clf.theta_hat - sol.theta_star))
-            ddof = 1 if repeats > 1 else 0
+    ddof = 1 if repeats > 1 else 0
+    for n in n_grid:
+        for N in N_grid:
+            deos, excesses, terrs = zip(*(next(outcomes) for _ in range(repeats)))
             cells.append(
                 ConsistencyCell(
                     n=int(n),

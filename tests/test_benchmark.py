@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from fairthresh import benchmark, calibration, estimators
+from fairthresh import _parallel, benchmark, calibration, estimators
 from fairthresh.benchmark import (
     BenchmarkConfig,
     CvRow,
@@ -217,6 +217,7 @@ def calibrations(monkeypatch):
 
     monkeypatch.setattr(calibration, "calibrate_scores", calibrate)
     monkeypatch.setattr(benchmark, "cross_validate", cross_validate)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 1)  # calls counted in a forked worker never reach this process
     return counts
 
 
