@@ -13,6 +13,7 @@ precision.  These serve as the ground truth for consistency experiments.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -351,8 +352,7 @@ def consistency_run(
         deo = report.deo if report.deo is not None else 0.0
         return deo, (1.0 - report.accuracy) - sol.risk_star, abs(clf.theta_hat - sol.theta_star)
 
-    index = [(i_n, i_N, rep) for i_n in range(len(n_grid)) for i_N in range(len(N_grid)) for rep in range(repeats)]
-    outcomes = iter(map_ordered(cell, index))
+    outcomes = iter(map_ordered(cell, itertools.product(range(len(n_grid)), range(len(N_grid)), range(repeats))))
     cells = []
     ddof = 1 if repeats > 1 else 0
     for n in n_grid:
