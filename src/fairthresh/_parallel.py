@@ -10,6 +10,10 @@ path, then raises the failure of the lowest failing item: the exception a
 serial loop would have raised first.  Items must not depend on one another's
 side effects, and fn's results must pickle.
 
+Its callers are the repeats of benchmark and the sweep, the cells of
+consistency, and the byte ranges of a large input CSV (data._read_table);
+worker_count(n) says how many workers n items get.
+
 The map runs in process off Linux (fork is missing on Windows, and macOS's
 BLAS is not fork-safe), when a second thread is alive, inside a worker (so
 maps never nest) and when one CPU is usable (``taskset -c 0``).
@@ -50,12 +54,18 @@ def _collect(pid: int, fd: int):
     return pickle.loads(data) if data and os.waitstatus_to_exitcode(status) == 0 else None
 
 
+def worker_count(n: int) -> int:
+    """The number of workers map_ordered spreads n items over; below 2 it runs them in process."""
+    if _in_worker or sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return min(n, _cpus())
+
+
 def map_ordered(fn, items) -> list:
     """[fn(x) for x in items], its items spread over forked workers (see the module docstring)."""
     global _in_worker
     items = list(items)
-    workers = min(len(items), _cpus())
-    if workers < 2 or _in_worker or sys.platform != "linux" or threading.active_count() > 1:
+    if (workers := worker_count(len(items))) < 2:
         return [fn(x) for x in items]
     children, shares = [], None  # (pid, read end) per child; every worker's share, the parent's first
     try:

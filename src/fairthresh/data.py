@@ -11,20 +11,29 @@ cell is a real number; the sensitive and label columns hold 0/1, score
 columns lie in [0, 1] and every other cell is finite.  Any violation raises
 a SchemaError subclass naming the file and the 0-based data row.  The label
 column is never a feature, and missing values are rejected rather than
-imputed.
+imputed.  A regular file of at least two parts of _PART_BYTES is cut into
+byte ranges just after a \n, one per usable CPU, which forked workers parse
+(``_parallel.map_ordered``); the parent joins their rows in order and checks
+them as one table, so the result and every error equal those of the read in
+one part.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import functools
 import itertools
 import math
+import os
+import stat
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataValueError, GroupCoverageError, ParseError, SchemaError
+from . import _parallel
+from .errors import ConfigError, DataValueError, FairthreshError, GroupCoverageError, ParseError, SchemaError
 
 
 def _as_binary(values: np.ndarray, what: str) -> np.ndarray:
@@ -129,18 +138,22 @@ class UnlabeledDataset:
 
 
 SCORE_COLUMNS = ("score_s0", "score_s1", "score_marginal")
-_READ_CHARS = 1 << 16  # characters of an input CSV decoded at a time
+_READ_CHARS = 1 << 16  # bytes of an input CSV read, and so at most characters decoded, at a time
+# least bytes per part of an input CSV parsed in forked workers, so files from 1 MiB are split: a fork, the
+# return of a part's rows and two parses at once cost 4-8 ms, and on 2 CPUs two parts of a score file
+# lost to one part at 512 KiB and won from 1 MiB (BENCH_parallel_ingest.json)
+_PART_BYTES = 1 << 19
 
 
 @contextmanager
 def _input_file(path):
-    """An input file (CSV or JSON) opened as UTF-8 text; the one place input files are opened.
+    """An input file (CSV or JSON) opened for reading bytes; the one place input files are opened.
 
-    A leading byte-order mark is skipped.  A file that cannot be opened or
-    read raises SchemaError, one that is not UTF-8 raises ParseError.
+    A file that cannot be opened or read raises SchemaError, one that is not
+    UTF-8 raises ParseError.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with open(path, "rb") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
@@ -149,19 +162,34 @@ def _input_file(path):
 
 
 def read_text(path) -> str:
-    """Whole text of an input file; _input_file names its errors."""
+    """Whole text of an input file, a leading byte-order mark skipped; _input_file names its errors."""
     with _input_file(path) as fh:
-        return fh.read()
+        return fh.read().decode("utf-8-sig")
 
 
-def _line_blocks(fh, sizes: list):
-    r"""The lines of fh as str.splitlines() cuts its whole text, one list per block of decoded text.
+def _decoded_blocks(fh, start: int, stop):
+    """The text of bytes [start, stop) of fh (to its end when stop is None), decoded a block at a time.
+
+    start must fall on a character boundary; a byte-order mark at byte 0 is skipped.
+    """
+    decode = codecs.getincrementaldecoder("utf-8" if start else "utf-8-sig")().decode
+    if start:  # byte 0 needs no seek, which a pipe would refuse
+        fh.seek(start)
+    left = math.inf if stop is None else stop - start
+    while left > 0 and (block := fh.read(min(_READ_CHARS, left))):
+        left -= len(block)
+        yield decode(block)
+    yield decode(b"", True)
+
+
+def _line_blocks(blocks, sizes: list):
+    r"""The lines of the text in blocks as str.splitlines() cuts their whole text, one list per block.
 
     One list per block, chained into the parser, costs less than a generator
     step per line.  The length of each list is appended to sizes.
     """
     carry = ""
-    while block := fh.read(_READ_CHARS):
+    for block in blocks:
         text = carry + block
         # cut after the last \n, or the last \r unless it ends the block and may open a \r\n
         cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
@@ -170,6 +198,41 @@ def _line_blocks(fh, sizes: list):
         yield lines
     sizes.append(len(lines := carry.splitlines()))
     yield lines
+
+
+def _line_start(fh, pos: int):
+    r"""The offset just after the first \n at or after pos in fh, or None when none follows."""
+    fh.seek(pos)
+    while block := fh.read(_READ_CHARS):
+        if (at := block.find(b"\n")) >= 0:
+            return pos + at + 1
+        pos += len(block)
+    return None
+
+
+def _parts(path) -> list:
+    r"""Byte ranges (start, stop) of path to parse one per worker; the last runs to the end (stop None).
+
+    A cut falls just after a \n, so on a line end of str.splitlines and never
+    inside a UTF-8 sequence or a \r\n.  A file is split only when it is a
+    regular file, holds at least two parts of _PART_BYTES and has a \n to cut
+    after, and when _parallel would fork; otherwise it is one part, and a
+    file that is not regular is not opened.
+    """
+    cuts = [0]
+    try:
+        info = os.stat(path)
+        size = info.st_size if stat.S_ISREG(info.st_mode) else 0
+        if (workers := _parallel.worker_count(size // _PART_BYTES)) > 1:
+            with open(path, "rb") as fh:
+                for i in range(1, workers):
+                    cut = _line_start(fh, max(size * i // workers, cuts[-1]))
+                    if cut is None or cut >= size:
+                        break
+                    cuts.append(cut)
+    except OSError:  # the read in one part reports it
+        cuts = [0]
+    return list(zip(cuts, cuts[1:] + [None]))
 
 
 def _first_bad_cell(path, header, body, binary) -> None:
@@ -186,41 +249,70 @@ def _first_bad_cell(path, header, body, binary) -> None:
                 raise error(f"{path}: row {r}, column {name!r}: cannot parse {cell!r}") from None
 
 
+def _read_part(path, part):
+    """Header, float64 rows, line count and loadtxt's complaint of one byte range of path.
+
+    The header is parsed, and checked, in the part at byte 0 alone; the
+    others return None for it.  The rows are None when the first line is
+    blank or loadtxt fails, which then names the reason.
+    """
+    start, stop = part
+    header, values, reason, sizes = None, None, "row count or width differs from the header", []
+    with _input_file(path) as fh:
+        lines = itertools.chain.from_iterable(_line_blocks(_decoded_blocks(fh, start, stop), sizes))
+        if not start:
+            try:
+                header = [h.strip() for h in next(csv.reader([next(lines, "")]), [])]
+            except csv.Error as exc:
+                raise SchemaError(f"{path}: unreadable header row: {exc}") from None
+            if not header:
+                raise SchemaError(f"{path}: empty file, header row required")
+            if "" in header or len(set(header)) < len(header):
+                raise SchemaError(f"{path}: header names must be non-blank and distinct, got {header}")
+        first = next(lines, None)
+        if first is None:
+            raise SchemaError(f"{path}: no data rows")
+        # a blank row is reported by the caller; loadtxt would skip it, and warn if no row followed
+        if first.strip():
+            try:
+                values = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:  # also text that is not UTF-8, which read_text reports
+                reason = str(exc)
+    return header, values, sum(sizes) - (not start), reason
+
+
+def _whole(read) -> bool:
+    """Whether every part read parsed to one row per line and one column per header name."""
+    # loadtxt skips blank lines and takes the width from the rows, so check both
+    return all(v is not None and v.shape == (n, len(read[0][0])) for _, v, n, _ in read)
+
+
 def _read_table(path, binary=(), unit=()):
     """Header and float64 body of a numeric CSV file: the one parse routine for all inputs.
 
     Every data row must have one cell per header name and every cell must
     parse as a real.  Columns named in binary (distinct, else ConfigError) must
     hold 0/1, columns named in unit must lie in [0, 1], all others must be
-    finite.  Errors name the file and the 0-based data row.
+    finite.  Errors name the file and the 0-based data row.  A large file is
+    parsed in byte ranges (_parts) by forked workers and its rows joined in
+    order; if any part fails, the file is read again in one part, which
+    raises what it raises.
     """
     if len(set(binary)) < len(binary):
         raise ConfigError(f"sensitive column {binary[0]!r} and label column {binary[1]!r} must differ")
-    sizes = []  # lines per block, header included
-    reason = "row count or width differs from the header"
-    with _input_file(path) as fh:
-        lines = itertools.chain.from_iterable(_line_blocks(fh, sizes))
+    read = None
+    if len(parts := _parts(path)) > 1:
         try:
-            header = [h.strip() for h in next(csv.reader([next(lines, "")]), [])]
-        except csv.Error as exc:
-            raise SchemaError(f"{path}: unreadable header row: {exc}") from None
-        if not header:
-            raise SchemaError(f"{path}: empty file, header row required")
-        if "" in header or len(set(header)) < len(header):
-            raise SchemaError(f"{path}: header names must be non-blank and distinct, got {header}")
-        first = next(lines, None)
-        if first is None:
-            raise SchemaError(f"{path}: no data rows")
-        values = None  # a blank row is reported below; loadtxt would skip it, and warn if no row followed
-        if first.strip():
-            try:
-                values = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
-            except ValueError as exc:  # also text that is not UTF-8, which read_text below reports
-                reason = str(exc)
-    # loadtxt skips blank lines and takes the width from the rows, so check both
-    if values is None or values.shape != (sum(sizes) - 1, len(header)):
-        _first_bad_cell(path, header, read_text(path).splitlines()[1:], binary)
-        raise ParseError(f"{path}: cannot parse the data rows: {reason}")
+            read = _parallel.map_ordered(functools.partial(_read_part, path), parts)
+        except (FairthreshError, ChildProcessError):
+            pass
+    if read is None or not _whole(read):  # read again in one part, which raises what it raises
+        read = [_read_part(path, (0, None))]
+        if not _whole(read):
+            _first_bad_cell(path, read[0][0], read_text(path).splitlines()[1:], binary)
+            raise ParseError(f"{path}: cannot parse the data rows: {read[0][3]}")
+    header = read[0][0]
+    values = read[0][1] if len(read) == 1 else np.concatenate([v for _, v, _, _ in read])
 
     bad = ~np.isfinite(values)
     for i, name in enumerate(header):

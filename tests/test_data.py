@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -5,11 +7,11 @@ from unittest import mock
 import numpy as np
 import pytest
 import reader_reference
-from conftest import write_csv
+from conftest import assert_no_child_left, write_csv
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from fairthresh import data
+from fairthresh import _parallel, data
 from fairthresh.data import (
     LabeledDataset,
     SplitPlan,
@@ -196,7 +198,8 @@ def table_text(draw):
     """A valid table, or one with a single corruption, written with a drawn line ending."""
     header = draw(hst.lists(hst.sampled_from(NAMES), min_size=1, max_size=4, unique=True))
     rows = draw(hst.lists(hst.tuples(*(_cell(n) for n in header)).map(list), min_size=1, max_size=6))
-    how = draw(hst.sampled_from(["none", "blank_line", "ragged", "bad_cell", "\x0c", "\u2028", "trailing_blank"]))
+    how = draw(hst.sampled_from(["none", "blank_line", "ragged", "bad_cell", "\x0c", "\u2028", "\ufeff",
+                                 "trailing_blank"]))
     r = draw(hst.integers(0, len(rows) - 1))
     if how == "ragged":
         rows[r] = rows[r][:-1] if draw(hst.booleans()) else rows[r] + ["0"]
@@ -208,6 +211,8 @@ def table_text(draw):
     elif how in ("\x0c", "\u2028"):  # further line breaks to str.splitlines, not to a CSV reader
         at = draw(hst.integers(0, len(lines[r + 1])))
         lines[r + 1] = lines[r + 1][:at] + how + lines[r + 1][at:]
+    elif how == "\ufeff":  # a byte-order mark opening a data row is a character of its first cell
+        lines[r + 1] = how + lines[r + 1]
     elif how == "trailing_blank":
         lines.append("")
     ending = draw(hst.sampled_from(["\n", "\r\n", "\r"]))
@@ -232,15 +237,93 @@ def _outcome(read, path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=table_text(), block=hst.sampled_from([1, 2, 3, 5, 8, 1 << 16]))
-def test_read_table_matches_whole_text_reader(reader_dir, text, block):
-    """The streamed reader returns what the whole-text reader returns, or fails as it fails,
-    whatever the size of the blocks it decodes (so a block may end inside a row or a \\r\\n)."""
+@given(text=table_text(), block=hst.sampled_from([1, 2, 3, 5, 8, 1 << 16]), n_cpus=hst.integers(1, 5),
+       part=hst.sampled_from([1, 2, 3, 5, 8]), bom=hst.booleans())
+def test_read_table_matches_whole_text_reader(reader_dir, text, block, n_cpus, part, bom):
+    """The streamed reader returns what the whole-text reader returns, or fails as it fails, whatever the
+    size of the blocks it decodes (so a block may end inside a row, a \\r\\n or a character) and whatever
+    the number of byte ranges it parses in forked workers (a few bytes each, so a cut may fall after any \\n),
+    and with a leading byte-order mark (which the whole-text reader does not skip, so it reads the text
+    without one)."""
     p = reader_dir / "table.csv"
+    p.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+    with mock.patch.object(data, "_READ_CHARS", block), mock.patch.object(data, "_PART_BYTES", part):
+        with mock.patch.object(_parallel, "_cpus", lambda: n_cpus):
+            got = _outcome(_read_table, p)
+        with mock.patch.object(_parallel, "_cpus", lambda: 1):
+            one_part = _outcome(_read_table, p)
     p.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(data, "_READ_CHARS", block):
-        got = _outcome(_read_table, p)
+    assert got == one_part == _outcome(reader_reference.read_table, p)
+
+
+def _score_file(path, rows):
+    np.savetxt(path, np.random.default_rng(6).random((rows, 3)), fmt="%.17g", delimiter=",",
+               header="score_s0,score_s1,score_marginal", comments="")
+
+
+@pytest.mark.parametrize("n_cpus, part, parts", [(2, 1 << 19, 1), (1, 1 << 10, 1), (2, 1 << 10, 2), (3, 1 << 10, 3),
+                                                  (5, 1 << 14, 3)],
+                         ids=["below_split_size", "one_cpu", "two_cpus", "three_cpus", "three_parts_of_five_cpus"])
+def test_split_read_forks_one_child_per_part_but_the_first(tmp_path, forks, cpus, n_cpus, part, parts):
+    """One part per usable CPU, of at least _PART_BYTES each: the 1,000-row file (59,996 bytes) is one part
+    at the real part size or on one CPU, and three of 16 KiB; the rows equal those of the read in one part."""
+    p = tmp_path / "scores.csv"
+    _score_file(p, 1000)
+    cpus(1)
+    expected = _outcome(_read_table, p)
+    cpus(n_cpus)
+    with mock.patch.object(data, "_PART_BYTES", part):
+        assert len(data._parts(p)) == parts
+        assert _outcome(_read_table, p) == expected
+    assert forks["forks"] == parts - 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("at, bad, error", [
+    (700, b"0.5,abc,0.5", ParseError), (40, b"0.5,0.5", SchemaError), (900, b"0.5,\xff,0.5", ParseError),
+    (5, b"0.5,\xe2\x80,0.5", ParseError)],
+    ids=["bad_cell", "ragged_row", "not_utf8", "not_utf8_in_first_part"])
+def test_failing_part_is_read_again_in_one_part(tmp_path, forks, cpus, at, bad, error):
+    """A part that fails leaves no child behind, and the file read again in one part raises the
+    whole-text reader's error, with its class and message."""
+    p = tmp_path / "scores.csv"
+    _score_file(p, 1000)
+    lines = p.read_bytes().split(b"\n")
+    lines[at + 1] = bad
+    p.write_bytes(b"\n".join(lines))
+    cpus(3)
+    with mock.patch.object(data, "_PART_BYTES", 1 << 12), pytest.raises(error) as info:
+        load_scores(p)
+    assert forks["forks"] == 2
+    assert_no_child_left()
+    assert (type(info.value), str(info.value)) == _outcome(reader_reference.read_table, p)
+
+
+def test_non_utf8_byte_is_named_by_its_offset_in_the_file(tmp_path):
+    """A byte that is not UTF-8 is named by its offset in the file (after a byte-order mark), as the
+    whole-text reader names it, also when it lies past the first block and text before it is not ASCII."""
+    p = tmp_path / "table.csv"
+    p.write_bytes("\u00e9,S\n".encode() + b"\n".join(b"0.5,0" for _ in range(11000)) + b"\xff\n")
+    got = _outcome(_read_table, p)
+    assert got[0] is ParseError and "position 66004:" in got[1]  # 5 header bytes and 11,000 rows of 6
     assert got == _outcome(reader_reference.read_table, p)
+
+
+def test_fifo_is_one_part_and_is_not_opened_to_plan(tmp_path, cpus):
+    """A named pipe is read in one part, from its start; planning its parts neither opens nor seeks it."""
+    p = tmp_path / "scores.fifo"
+    os.mkfifo(p)
+    cpus(2)
+    with mock.patch.object(data, "_PART_BYTES", 1), mock.patch("builtins.open", side_effect=AssertionError):
+        assert data._parts(p) == [(0, None)]
+    writer = threading.Thread(target=lambda: p.write_bytes(b"score_s0,score_s1\n0.25,0.5\n1,0\n"), daemon=True)
+    writer.start()
+    try:
+        s0, s1, _ = load_scores(p)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    np.testing.assert_array_equal(np.column_stack([s0, s1]), [[0.25, 0.5], [1.0, 0.0]])
 
 
 def test_load_scores_peak_memory_is_bounded_by_its_arrays(tmp_path):

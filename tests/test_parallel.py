@@ -1,7 +1,8 @@
 """Repeats and consistency cells in forked workers: the same reports as one process, no child left behind.
 
 The worker count is forced through _parallel._cpus, the usable-CPU count the
-map reads; os.fork is wrapped to count the children the parent starts.
+map reads; os.fork is wrapped to count the children the parent starts (the
+cpus and forks fixtures of conftest.py).
 """
 
 import json
@@ -14,7 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import write_csv
+from conftest import assert_no_child_left, write_csv
 
 from fairthresh import _parallel
 from fairthresh.benchmark import BenchmarkConfig, run_benchmark, run_unlabeled_sweep
@@ -28,33 +29,6 @@ DIST = linear_distribution(0.35, 0.3, 0.05, 0.9, 0.5)
 CPUS = (1, 2, 5)  # in process; 3 items over 2 workers; more workers than items (one per item)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The number of children this process forks, under "forks"."""
-    counts = {"forks": 0}
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            counts["forks"] += 1
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return counts
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """cpus(n) makes the map see n usable CPUs."""
-    return lambda n: monkeypatch.setattr(_parallel, "_cpus", lambda: n)
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _same_for_every_worker_count(forks, cpus, run, items=3):
     """run() at each CPU count in CPUS: equal results and JSON bytes, one fork per worker but the parent."""
     results = []
@@ -63,7 +37,7 @@ def _same_for_every_worker_count(forks, cpus, run, items=3):
         forks["forks"] = 0
         results.append(run())
         assert forks["forks"] == min(n, items) - 1
-        _assert_no_child_left()
+        assert_no_child_left()
     as_json = [json.dumps(r, default=asdict).encode() for r in results]
     assert all(r == results[0] for r in results[1:])
     assert all(j == as_json[0] for j in as_json[1:])
@@ -114,7 +88,7 @@ def test_failing_repeat_raises_the_serial_exception(forks, cpus):
         with pytest.raises(GroupCoverageError) as info:
             run_unlabeled_sweep(ds, cfg, labeled_fraction=0.5, unlabeled_fractions=(0.05,))
         raised.append(str(info.value))
-        _assert_no_child_left()
+        assert_no_child_left()
     assert forks["forks"] == 1  # repeat 1, the first to fail, ran in the child
     assert raised[0] == raised[1] and "at least 2 rows in sensitive group" in raised[0]
     cpus(1)
@@ -132,7 +106,7 @@ def test_failing_repeat_exits_3_through_the_cli(forks, cpus, tmp_path, capsys):
         assert main(["sweep-unlabeled", "--data", str(data), "--config", str(cfg), "--repeats", "3", "--seed", "3",
                      "--labeled-fraction", "0.5", "--fractions", "0.05"]) == 3
         errors.append(capsys.readouterr().err)
-        _assert_no_child_left()
+        assert_no_child_left()
     assert forks["forks"] == 1
     assert errors[0] == errors[1] and "sensitive group" in errors[0]
 
@@ -145,7 +119,7 @@ def test_results_in_item_order_one_worker_per_residue(forks, cpus):
     assert pids[0::3] == [os.getpid()] * 3
     assert len(set(pids)) == 3 and all(pids[i] == pids[i % 3] for i in range(7))
     assert forks["forks"] == 2
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_lowest_failing_item_wins(cpus):
@@ -157,7 +131,7 @@ def test_lowest_failing_item_wins(cpus):
     cpus(2)
     with pytest.raises(ValueError, match="^item 1$"):
         _parallel.map_ordered(fn, range(6))
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_warning_as_error_in_a_child_fails_the_map(cpus):
@@ -171,7 +145,7 @@ def test_warning_as_error_in_a_child_fails_the_map(cpus):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="divide by zero"):
             _parallel.map_ordered(fn, range(2))
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("result", ["exit", "unpicklable"])
@@ -184,7 +158,7 @@ def test_child_without_a_result_is_an_error(cpus, result):
     cpus(2)
     with pytest.raises(ChildProcessError, match="ended without a result"):
         _parallel.map_ordered(fn, range(2))
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_interrupt_in_the_parent_stops_the_children(cpus):
@@ -199,7 +173,7 @@ def test_interrupt_in_the_parent_stops_the_children(cpus):
     with pytest.raises(KeyboardInterrupt):
         _parallel.map_ordered(fn, range(2))
     assert time.perf_counter() - start < 30
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_nested_maps_run_in_their_worker(forks, cpus):
@@ -244,4 +218,4 @@ def test_failed_fork_stops_the_started_children_and_closes_every_pipe(cpus, monk
     with pytest.raises(BlockingIOError):
         _parallel.map_ordered(lambda x: time.sleep(60) if x == 1 else x, range(3))
     assert len(os.listdir("/proc/self/fd")) == open_fds
-    _assert_no_child_left()
+    assert_no_child_left()
