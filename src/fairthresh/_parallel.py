@@ -11,8 +11,8 @@ serial loop would have raised first.  Items must not depend on one another's
 side effects, and fn's results must pickle.
 
 Its callers are the repeats of benchmark and the sweep, the cells of
-consistency, and the byte ranges of a large input CSV (data._read_table);
-worker_count(n) says how many workers n items get.
+consistency, and the byte ranges of a command's input CSVs, cut across its
+files (data.Inputs); worker_count(n) says how many workers n items get.
 
 The map runs in process off Linux (fork is missing on Windows, and macOS's
 BLAS is not fork-safe), when a second thread is alive, inside a worker (so

@@ -132,6 +132,24 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
+def _finite_order(bp: np.ndarray) -> np.ndarray:
+    """The rows whose switch point is finite, ascending, equal points in row order: a stable argsort's order.
+
+    The default sort (about a fifth of the stable one's time on 6e4 points) orders them, and a lexsort of
+    (row, run) over the entries of the runs of equal points, -0.0 and +0.0 alike, puts each run back in
+    row order.
+    """
+    order = np.flatnonzero(np.isfinite(bp))
+    order = order[bp[order].argsort()]
+    points = bp[order]
+    tied = points[1:] == points[:-1]
+    if tied.any():
+        runs = np.concatenate(([0], (~tied).cumsum()))  # each sorted entry's run of equal points
+        at = np.flatnonzero(np.concatenate((tied, [False])) | np.concatenate(([False], tied)))
+        order[at] = order[at][np.lexsort((order[at], runs[at]))]
+    return order
+
+
 def _switch_points(mode: str, scores, sensitive, constants) -> tuple[np.ndarray, np.ndarray]:
     """Every row's switch point bp and side: a rising row predicts 1 for theta >= bp, a falling one for theta <= bp.
 
@@ -176,7 +194,7 @@ class _Objective:
     - blind: columns (scores_s0, scores_s1, marginal); the weights are s1/S1 - s0/S0 (S_s the column
       sums), negated on rising rows; theta unbounded.  Rows whose switch point is not finite never
       switch and are left out (their weights, about |d|/N, are next to nothing), and the others are
-      sorted stably by switch point.
+      sorted by switch point, equal points in row order (_finite_order).
 
     constants holds what the switch points read: the joints, or the pooled means (E_0, E_1).
     """
@@ -201,8 +219,7 @@ class _Objective:
             weights = s1 / s1.sum()
             weights -= s0 / s0.sum()
             np.negative(weights, out=weights, where=side)
-            order = np.flatnonzero(np.isfinite(bp))
-            order = order[np.argsort(bp[order], kind="stable")]
+            order = _finite_order(bp)
             bp, side, weights = bp[order], side[order], weights[order]
             self.bp_rising, self.bp_falling = bp[side], bp[~side]
             rising, falling = weights[side], weights[~side]

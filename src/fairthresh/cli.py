@@ -5,11 +5,13 @@ consistency.  Every command is deterministic given its flags and seed,
 prints an aligned human-readable summary to stdout, and writes machine
 output (JSON, or CSV for tabular results) to the requested paths.
 
-Input files are read only through ``fairthresh.data`` (``load_csv`` for
-labeled data, ``load_features`` for calibration and prediction files, which
-drop the label column, ``load_scores`` for score files and ``read_text`` for
-model and config JSON), so every input obeys the same rules and a missing or
-unreadable file ends in exit code 2; this module opens no input file itself.
+Input files are read only through ``fairthresh.data``: a command's CSVs
+through one ``Inputs``, which parses them together and hands each out at its
+turn (``load_csv`` for labeled data, ``load_features`` for calibration and
+prediction files, which drop the label column, ``load_scores`` for score
+files), and model and config JSON through ``read_text``.  So every input
+obeys the same rules and a missing or unreadable file ends in exit code 2;
+this module opens no input file itself.
 
 Exit codes: 0 ok, 2 schema error, 3 group-coverage error, 4 numeric error,
 5 config error.
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import benchmark as bench
 from . import calibration, estimators, metrics, oracle
-from .data import UnlabeledDataset, load_csv, load_features, load_scores, read_text
+from .data import Inputs, UnlabeledDataset, load_csv, read_text
 from .errors import ConfigError, FairthreshError, SchemaError
 
 
@@ -87,10 +89,11 @@ def _estimator(args):
 
 
 def cmd_calibrate(args) -> int:
-    train = load_csv(args.train, args.sensitive_col, args.label_col)
+    inputs = Inputs(args.train, args.unlabeled, args.scores)
+    train = inputs.load_csv(args.train, args.sensitive_col, args.label_col)
     unlabeled = None
     if args.unlabeled:
-        X, S = load_features(args.unlabeled, args.sensitive_col, args.label_col)
+        X, S = inputs.load_features(args.unlabeled, args.sensitive_col, args.label_col)
         if args.mode == "aware" and S is None:
             raise SchemaError(f"{args.unlabeled}: group-aware calibration needs column {args.sensitive_col!r}")
         # blind calibration never reads S, so its group sizes are not checked
@@ -98,7 +101,7 @@ def cmd_calibrate(args) -> int:
 
     if args.scores:
         cal = unlabeled if unlabeled is not None else train
-        s0, s1, marg = load_scores(args.scores, need_marginal=args.mode == "blind")
+        s0, s1, marg = inputs.load_scores(args.scores, need_marginal=args.mode == "blind")
         _aligned(args.scores, len(s0), cal.n)
         clf = calibration.calibrate_scores(s0, s1, sensitive=cal.sensitive, marginal=marg, mode=args.mode)
     else:
@@ -128,21 +131,22 @@ def _load_model(path) -> calibration.FairClassifier:
         raise SchemaError(f"{path}: not a valid model file: {exc}") from exc
 
 
-def _predict(clf, X, S, scores_path) -> np.ndarray:
-    """Predictions from the model's own scores, or from a score file row-aligned with X."""
+def _predict(clf, X, S, inputs, scores_path) -> np.ndarray:
+    """Predictions from the model's own scores, or from a score file of inputs row-aligned with X."""
     if not scores_path:
         return clf.predict(X, S)
-    s0, s1, marg = load_scores(scores_path, need_marginal=clf.mode == "blind")
+    s0, s1, marg = inputs.load_scores(scores_path, need_marginal=clf.mode == "blind")
     _aligned(scores_path, len(s0), X.shape[0])
     return clf.predict_from_scores(scores_s0=s0, scores_s1=s1, sensitive=S, marginal=marg)
 
 
 def cmd_predict(args) -> int:
     clf = _load_model(args.model)
-    X, S = load_features(args.data, args.sensitive_col, args.label_col)
+    inputs = Inputs(args.data, args.scores)
+    X, S = inputs.load_features(args.data, args.sensitive_col, args.label_col)
     if clf.mode == "aware" and S is None:
         raise SchemaError(f"{args.data}: group-aware prediction needs column {args.sensitive_col!r}")
-    pred = _predict(clf, X, S, args.scores)
+    pred = _predict(clf, X, S, inputs, args.scores)
     if args.out:
         with _open_output(args.out, newline="") as fh:  # the bytes of csv.writer: \r\n line ends
             fh.write("\r\n".join(["prediction", *map(str, pred.tolist())]) + "\r\n")
@@ -154,8 +158,9 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     clf = _load_model(args.model)
-    test = load_csv(args.test, args.sensitive_col, args.label_col)
-    pred = _predict(clf, test.features, test.sensitive, args.scores)
+    inputs = Inputs(args.test, args.scores)
+    test = inputs.load_csv(args.test, args.sensitive_col, args.label_col)
+    pred = _predict(clf, test.features, test.sensitive, inputs, args.scores)
     report = metrics.deo(pred, test.labels, test.sensitive)
     if args.out:
         _write_json(args.out, asdict(report))
@@ -218,10 +223,11 @@ def _print_method_table(summaries):
 
 def cmd_benchmark(args) -> int:
     config = _benchmark_config(args)
-    ds = load_csv(args.data, config.sensitive_col, config.label_col)
-    test = load_csv(args.test, config.sensitive_col, config.label_col) if args.test else None
+    inputs = Inputs(args.data, args.test, args.unlabeled)
+    ds = inputs.load_csv(args.data, config.sensitive_col, config.label_col)
+    test = inputs.load_csv(args.test, config.sensitive_col, config.label_col) if args.test else None
     unl = (
-        UnlabeledDataset(*load_features(args.unlabeled, config.sensitive_col, config.label_col))
+        UnlabeledDataset(*inputs.load_features(args.unlabeled, config.sensitive_col, config.label_col))
         if args.unlabeled
         else None
     )

@@ -1,7 +1,7 @@
 r"""Dataset containers, CSV ingestion and seeded stratified splitting.
 
 Every input CSV (datasets, calibration and prediction files, score files) is
-parsed by one routine, ``_read_table``, which streams the file into the
+parsed by one routine, ``Inputs.table``, which streams the file into the
 parser and so holds its values only: UTF-8 with an optional byte-order mark,
 a mandatory header row, ``,`` as separator and ``.`` as decimal separator, no
 quoting in data rows, lines cut as ``str.splitlines`` cuts them (``\n``,
@@ -11,18 +11,20 @@ cell is a real number; the sensitive and label columns hold 0/1, score
 columns lie in [0, 1] and every other cell is finite.  Any violation raises
 a SchemaError subclass naming the file and the 0-based data row.  The label
 column is never a feature, and missing values are rejected rather than
-imputed.  A regular file of at least two parts of _PART_BYTES is cut into
-byte ranges just after a \n, one per usable CPU, which forked workers parse
-(``_parallel.map_ordered``); the parent joins their rows in order and checks
-them as one table, so the result and every error equal those of the read in
-one part.
+imputed.  A command reads all its input CSVs through one ``Inputs``: when
+their regular files hold at least two parts of _PART_BYTES in all, their
+bytes are cut into one byte range per usable CPU, each ending just after a
+\n, so a range may span the tail of one file and the head of the next, and
+forked workers parse them in one ``_parallel.map_ordered``.  Each file's
+rows are joined in order and checked as one table at its loader's turn, so
+the result and every error equal those of reading the files one by one, in
+one part each.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
-import functools
 import itertools
 import math
 import os
@@ -139,9 +141,10 @@ class UnlabeledDataset:
 
 SCORE_COLUMNS = ("score_s0", "score_s1", "score_marginal")
 _READ_CHARS = 1 << 16  # bytes of an input CSV read, and so at most characters decoded, at a time
-# least bytes per part of an input CSV parsed in forked workers, so files from 1 MiB are split: a fork, the
-# return of a part's rows and two parses at once cost 4-8 ms, and on 2 CPUs two parts of a score file
-# lost to one part at 512 KiB and won from 1 MiB (BENCH_parallel_ingest.json)
+# least bytes per byte range of a command's input CSVs parsed in forked workers, so inputs of 1 MiB in all are
+# split: a fork, the return of a range's rows and two parses at once cost 4-8 ms, and on 2 CPUs two parts of
+# one score file lost to one part at 512 KiB and won from 1 MiB (BENCH_parallel_ingest.json); the ranges are
+# cut across the files, so the threshold applies to their total (BENCH_joint_read.json)
 _PART_BYTES = 1 << 19
 
 
@@ -210,29 +213,56 @@ def _line_start(fh, pos: int):
     return None
 
 
-def _parts(path) -> list:
-    r"""Byte ranges (start, stop) of path to parse one per worker; the last runs to the end (stop None).
+def _plan(paths) -> list:
+    r"""Byte ranges of the regular files among paths, one per worker, each a list of (path, start, stop) pieces.
 
-    A cut falls just after a \n, so on a line end of str.splitlines and never
-    inside a UTF-8 sequence or a \r\n.  A file is split only when it is a
-    regular file, holds at least two parts of _PART_BYTES and has a \n to cut
-    after, and when _parallel would fork; otherwise it is one part, and a
-    file that is not regular is not opened.
+    The files' bytes, taken in the order of paths, are cut into equal shares,
+    each ending just after a \n (_line_start) or at a file's end, so one range
+    may hold the tail of one file and the head of the next.  A \n cut is on a
+    line end of str.splitlines, never inside a UTF-8 sequence or a \r\n; one
+    that would leave a file's first piece its header line alone moves to the
+    file's start.  A piece that runs to its file's end has stop None.  The plan
+    is empty unless the files hold at least two parts of _PART_BYTES in all,
+    _parallel would fork and a cut is found; files that are not regular, or
+    are empty, are left out and not opened.
     """
-    cuts = [0]
+    files = []  # (path, size) of the regular files, in order
+    for path in dict.fromkeys(paths):
+        try:
+            info = os.stat(path)
+        except OSError:  # the read at its loader's turn reports it
+            continue
+        if stat.S_ISREG(info.st_mode) and info.st_size:
+            files.append((path, info.st_size))
+    total = sum(size for _, size in files)
+    if (workers := _parallel.worker_count(total // _PART_BYTES)) < 2:
+        return []
+    targets, cuts, base = [total * i // workers for i in range(1, workers)], {0, total}, 0
     try:
-        info = os.stat(path)
-        size = info.st_size if stat.S_ISREG(info.st_mode) else 0
-        if (workers := _parallel.worker_count(size // _PART_BYTES)) > 1:
-            with open(path, "rb") as fh:
-                for i in range(1, workers):
-                    cut = _line_start(fh, max(size * i // workers, cuts[-1]))
-                    if cut is None or cut >= size:
-                        break
-                    cuts.append(cut)
-    except OSError:  # the read in one part reports it
-        cuts = [0]
-    return list(zip(cuts, cuts[1:] + [None]))
+        for path, size in files:
+            if mine := [t - base for t in targets if base <= t < base + size]:
+                with open(path, "rb") as fh:
+                    header_end = _line_start(fh, 0)
+                    for t in mine:
+                        cut = _line_start(fh, t)
+                        cuts.add(base + (size if cut is None else 0 if cut == header_end else min(cut, size)))
+            base += size
+    except OSError:  # the reads at their loaders' turns report it
+        return []
+    bounds, ranges = sorted(cuts), []
+    for lo, hi in zip(bounds, bounds[1:]):
+        pieces, base = [], 0
+        for path, size in files:
+            if lo < base + size and base < hi:
+                pieces.append((path, max(lo - base, 0), hi - base if hi < base + size else None))
+            base += size
+        ranges.append(pieces)
+    return ranges if len(ranges) > 1 else []
+
+
+def _parts(path) -> list:
+    """Byte ranges (start, stop) of path read alone, the last to its end (stop None): _plan's one-file case."""
+    return [(start, stop) for ((_, start, stop),) in _plan([path])] or [(0, None)]
 
 
 def _first_bad_cell(path, header, body, binary) -> None:
@@ -281,60 +311,113 @@ def _read_part(path, part):
     return header, values, sum(sizes) - (not start), reason
 
 
+def _read_pieces(pieces) -> list:
+    """_read_part of each (path, start, stop) piece of one worker's byte range."""
+    return [_read_part(path, (start, stop)) for path, start, stop in pieces]
+
+
 def _whole(read) -> bool:
     """Whether every part read parsed to one row per line and one column per header name."""
     # loadtxt skips blank lines and takes the width from the rows, so check both
     return all(v is not None and v.shape == (n, len(read[0][0])) for _, v, n, _ in read)
 
 
-def _read_table(path, binary=(), unit=()):
-    """Header and float64 body of a numeric CSV file: the one parse routine for all inputs.
-
-    Every data row must have one cell per header name and every cell must
-    parse as a real.  Columns named in binary (distinct, else ConfigError) must
-    hold 0/1, columns named in unit must lie in [0, 1], all others must be
-    finite.  Errors name the file and the 0-based data row.  A large file is
-    parsed in byte ranges (_parts) by forked workers and its rows joined in
-    order; if any part fails, the file is read again in one part, which
-    raises what it raises.
-    """
-    if len(set(binary)) < len(binary):
-        raise ConfigError(f"sensitive column {binary[0]!r} and label column {binary[1]!r} must differ")
-    read = None
-    if len(parts := _parts(path)) > 1:
-        try:
-            read = _parallel.map_ordered(functools.partial(_read_part, path), parts)
-        except (FairthreshError, ChildProcessError):
-            pass
-    if read is None or not _whole(read):  # read again in one part, which raises what it raises
-        read = [_read_part(path, (0, None))]
-        if not _whole(read):
-            _first_bad_cell(path, read[0][0], read_text(path).splitlines()[1:], binary)
-            raise ParseError(f"{path}: cannot parse the data rows: {read[0][3]}")
-    header = read[0][0]
-    values = read[0][1] if len(read) == 1 else np.concatenate([v for _, v, _, _ in read])
-
-    bad = ~np.isfinite(values)
-    for i, name in enumerate(header):
-        if name in binary:
-            bad[:, i] = (values[:, i] != 0.0) & (values[:, i] != 1.0)
-        elif name in unit:
-            bad[:, i] |= (values[:, i] < 0.0) | (values[:, i] > 1.0)
-    if bad.any():
-        r, i = np.argwhere(bad)[0]
-        where, v = f"{path}: row {r}, column {header[i]!r}", float(values[r, i])
-        if header[i] in binary:
-            raise DataValueError(f"{where}: value {v:g} is not 0 or 1")
-        if not np.isfinite(v):
-            raise ParseError(f"{where}: non-finite value {v!r}")
-        raise DataValueError(f"{where}: score {v:g} outside [0, 1]")
-    return header, values
-
-
 def _column_index(path, header, name, what) -> int:
     if name not in header:
         raise SchemaError(f"{path}: missing {what} column {name!r}")
     return header.index(name)
+
+
+class Inputs:
+    """The input CSVs of one command, parsed in one forked map and checked at their loaders' turns.
+
+    Inputs(*paths) takes every file the command may read, in the order it
+    reads them (None is skipped), and parses the byte ranges of their regular
+    files (_plan) in one _parallel.map_ordered.  Each loader then takes its
+    file's parts, joins their rows in order and checks them as one table, so
+    values and errors, and which of several bad files is reported, are those
+    of reading the files one by one.  A file the plan leaves out (too little
+    to split, not regular), or any file when the map fails (a piece's header
+    error, a dead child), is read in one part at its turn, as is a file read a
+    second time.  The module's load_csv, load_features and load_scores are
+    the one-file case.
+    """
+
+    def __init__(self, *paths):
+        ranges = _plan([p for p in paths if p is not None])
+        self._reads = {}  # path -> its part reads, in file order
+        try:
+            reads = _parallel.map_ordered(_read_pieces, ranges)
+        except (FairthreshError, ChildProcessError):
+            return
+        for pieces, parts in zip(ranges, reads):
+            for (path, _, _), part in zip(pieces, parts):
+                self._reads.setdefault(path, []).append(part)
+
+    def table(self, path, binary=(), unit=()):
+        """Header and float64 body of a numeric CSV file: the one parse routine for all inputs.
+
+        Every data row must have one cell per header name and every cell must
+        parse as a real.  Columns named in binary (distinct, else ConfigError)
+        must hold 0/1, columns named in unit must lie in [0, 1], all others
+        must be finite.  Errors name the file and the 0-based data row.  If any
+        part of the file failed, it is read again in one part, which raises
+        what it raises.
+        """
+        if len(set(binary)) < len(binary):
+            raise ConfigError(f"sensitive column {binary[0]!r} and label column {binary[1]!r} must differ")
+        read = self._reads.pop(path, None)
+        if read is None or not _whole(read):  # read again in one part, which raises what it raises
+            read = [_read_part(path, (0, None))]
+            if not _whole(read):
+                _first_bad_cell(path, read[0][0], read_text(path).splitlines()[1:], binary)
+                raise ParseError(f"{path}: cannot parse the data rows: {read[0][3]}")
+        header = read[0][0]
+        values = read[0][1] if len(read) == 1 else np.concatenate([v for _, v, _, _ in read])
+
+        bad = ~np.isfinite(values)
+        for i, name in enumerate(header):
+            if name in binary:
+                bad[:, i] = (values[:, i] != 0.0) & (values[:, i] != 1.0)
+            elif name in unit:
+                bad[:, i] |= (values[:, i] < 0.0) | (values[:, i] > 1.0)
+        if bad.any():
+            r, i = np.argwhere(bad)[0]
+            where, v = f"{path}: row {r}, column {header[i]!r}", float(values[r, i])
+            if header[i] in binary:
+                raise DataValueError(f"{where}: value {v:g} is not 0 or 1")
+            if not np.isfinite(v):
+                raise ParseError(f"{where}: non-finite value {v!r}")
+            raise DataValueError(f"{where}: score {v:g} outside [0, 1]")
+        return header, values
+
+    def load_csv(self, path, sensitive_col: str, label_col: str) -> "LabeledDataset":
+        """data.load_csv of path, from this command's read."""
+        header, values = self.table(path, binary=(sensitive_col, label_col))
+        s = values[:, _column_index(path, header, sensitive_col, "sensitive")]
+        y = values[:, _column_index(path, header, label_col, "label")]
+        feat_idx = [i for i, h in enumerate(header) if h not in (sensitive_col, label_col)]
+        return LabeledDataset(values[:, feat_idx], s, y, tuple(header[i] for i in feat_idx))
+
+    def load_features(self, path, sensitive_col: str, label_col: str):
+        """data.load_features of path, from this command's read."""
+        header, values = self.table(path, binary=(sensitive_col, label_col))
+        S = values[:, header.index(sensitive_col)].astype(np.int64) if sensitive_col in header else None
+        return values[:, [i for i, h in enumerate(header) if h not in (sensitive_col, label_col)]], S
+
+    def load_scores(self, path, need_marginal: bool = False):
+        """data.load_scores of path, from this command's read."""
+        header, values = self.table(path, unit=SCORE_COLUMNS)
+        for name in SCORE_COLUMNS[: 3 if need_marginal else 2]:
+            _column_index(path, header, name, "score")
+        s0, s1 = (values[:, header.index(c)] for c in SCORE_COLUMNS[:2])
+        marginal = values[:, header.index("score_marginal")] if "score_marginal" in header else None
+        return s0, s1, marginal
+
+
+def _read_table(path, binary=(), unit=()):
+    """Inputs.table of path read alone."""
+    return Inputs(path).table(path, binary, unit)
 
 
 def load_csv(path, sensitive_col: str, label_col: str) -> LabeledDataset:
@@ -344,11 +427,7 @@ def load_csv(path, sensitive_col: str, label_col: str) -> LabeledDataset:
     DataValueError when a sensitive/label cell is not 0/1, and ParseError
     (with the offending row index) when a feature cell is not a finite real.
     """
-    header, values = _read_table(path, binary=(sensitive_col, label_col))
-    s = values[:, _column_index(path, header, sensitive_col, "sensitive")]
-    y = values[:, _column_index(path, header, label_col, "label")]
-    feat_idx = [i for i, h in enumerate(header) if h not in (sensitive_col, label_col)]
-    return LabeledDataset(values[:, feat_idx], s, y, tuple(header[i] for i in feat_idx))
+    return Inputs(path).load_csv(path, sensitive_col, label_col)
 
 
 def load_features(path, sensitive_col: str, label_col: str):
@@ -357,9 +436,7 @@ def load_features(path, sensitive_col: str, label_col: str):
     The label column is not a feature and is dropped whenever present; the
     rules of load_csv apply to every cell.
     """
-    header, values = _read_table(path, binary=(sensitive_col, label_col))
-    S = values[:, header.index(sensitive_col)].astype(np.int64) if sensitive_col in header else None
-    return values[:, [i for i, h in enumerate(header) if h not in (sensitive_col, label_col)]], S
+    return Inputs(path).load_features(path, sensitive_col, label_col)
 
 
 def load_scores(path, need_marginal: bool = False):
@@ -368,12 +445,7 @@ def load_scores(path, need_marginal: bool = False):
     Scores must be finite and lie in [0, 1]; score_marginal is required when
     need_marginal is set (blind mode).
     """
-    header, values = _read_table(path, unit=SCORE_COLUMNS)
-    for name in SCORE_COLUMNS[: 3 if need_marginal else 2]:
-        _column_index(path, header, name, "score")
-    s0, s1 = (values[:, header.index(c)] for c in SCORE_COLUMNS[:2])
-    marginal = values[:, header.index("score_marginal")] if "score_marginal" in header else None
-    return s0, s1, marginal
+    return Inputs(path).load_scores(path, need_marginal)
 
 
 @dataclass(frozen=True)

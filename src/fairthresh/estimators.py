@@ -82,10 +82,12 @@ def logistic_descent(X: np.ndarray, y: np.ndarray, cfg: LogisticConfig):
 
     Each step solves (X1' diag(p(1-p)) X1 / n + lambda I) delta = -grad,
     backtracks on delta by the Armijo rule and keeps the accepted candidate's
-    logits for the next p.  When the solve fails or delta is not a descent
-    direction (lambda = 0 on separable data, say) the step falls back to
-    -grad.  Returns (weights, intercept, converged, losses); the loss
-    sequence is non-increasing and len(losses) - 1 is the iteration count.
+    logits for the next p.  When the solve fails on a singular Hessian
+    (equal columns at lambda = 0, say) delta is the minimum-norm
+    least-squares solution, and when delta is not a descent direction the
+    step falls back to -grad.  Returns (weights, intercept, converged,
+    losses); the loss sequence is non-increasing and len(losses) - 1 is the
+    iteration count.
     """
     X1 = np.hstack([np.ones((X.shape[0], 1)), X])
     lam, w = cfg.l2_lambda, np.zeros(X1.shape[1])
@@ -102,7 +104,7 @@ def logistic_descent(X: np.ndarray, y: np.ndarray, cfg: LogisticConfig):
         try:
             delta = -np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
-            delta = -grad
+            delta = -np.linalg.lstsq(hess, grad)[0]
         slope = float(grad @ delta)
         if not (np.isfinite(slope) and slope < 0.0):  # also a NaN or inf from a near-singular solve
             delta, slope = -grad, -float(grad @ grad)

@@ -288,6 +288,31 @@ class TestBlind:
             grid_best = _Objective("blind", (s0, s1, m)).value(grid).min()
             assert val <= grid_best + 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(hst.data())
+    def test_switch_point_order_equals_the_stable_argsort(self, data):
+        """The default sort plus the row order of each run of equal points gives the stable argsort's order,
+        and so the same sorted points and sums, on columns full of ties: few distinct scores, rows with
+        d = 0 (s1/E_1 = s0/E_0, never switching), and marginal 0.5, whose switch point is -0.0 or +0.0."""
+        n = data.draw(hst.integers(1, 80))
+        cell = hst.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
+        s0, s1, m = (np.array(data.draw(hst.lists(cell, min_size=n, max_size=n))) for _ in range(3))
+        equal = np.array(data.draw(hst.lists(hst.booleans(), min_size=n, max_size=n)))
+        s1[equal] = s0[equal]
+        s0[0] = s1[-1] = 0.5  # positive column means
+        objective = _Objective("blind", (s0, s1, m))
+        bp, side = calibration._switch_points("blind", [s0, s1, m], None, objective.constants)
+        order = np.flatnonzero(np.isfinite(bp))
+        order = order[np.argsort(bp[order], kind="stable")]
+        assert calibration._finite_order(bp).tobytes() == order.tobytes()
+        weights = s1 / s1.sum() - s0 / s0.sum()
+        weights = np.where(side, -weights, weights)[order]
+        side = side[order]
+        assert objective.bp_rising.tobytes() == bp[order][side].tobytes()
+        assert objective.bp_falling.tobytes() == bp[order][~side].tobytes()
+        assert objective.prefix.tobytes() == np.concatenate(([0.0], weights[side].cumsum())).tobytes()
+        assert objective.suffix.tobytes() == np.concatenate((weights[~side][::-1].cumsum()[::-1], [0.0])).tobytes()
+
     def test_zero_direction_everywhere_has_no_breakpoints(self):
         # identical group columns make d(x) = 0 on every row, so no row ever switches
         s = np.array([0.7, 0.4, 0.6, 0.2])

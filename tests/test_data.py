@@ -2,6 +2,7 @@ import os
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -324,6 +325,209 @@ def test_fifo_is_one_part_and_is_not_opened_to_plan(tmp_path, cpus):
         writer.join(timeout=10)
     assert not writer.is_alive()
     np.testing.assert_array_equal(np.column_stack([s0, s1]), [[0.25, 0.5], [1.0, 0.0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=hst.lists(table_text(), min_size=1, max_size=3), boms=hst.lists(hst.booleans(), min_size=3, max_size=3),
+       block=hst.sampled_from([1, 3, 1 << 16]), n_cpus=hst.integers(1, 5), part=hst.sampled_from([1, 2, 3, 5, 8, 40]))
+def test_joint_read_matches_whole_text_reader_per_table(reader_dir, texts, boms, block, n_cpus, part):
+    """Tables read together, their bytes cut a few at a time so a range may hold the tail of one file and
+    the head of the next, each give what the whole-text reader and the one-part read of the file alone
+    give, header and bits or error class and message, whichever of them fail."""
+    paths = [reader_dir / f"joint{i}.csv" for i in range(len(texts))]
+    for p, text, bom in zip(paths, texts, boms):
+        p.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+    with mock.patch.object(data, "_READ_CHARS", block), mock.patch.object(data, "_PART_BYTES", part):
+        with mock.patch.object(_parallel, "_cpus", lambda: n_cpus):
+            inputs = data.Inputs(*paths)
+            got = [_outcome(inputs.table, p) for p in paths]
+        with mock.patch.object(_parallel, "_cpus", lambda: 1):
+            one_part = [_outcome(_read_table, p) for p in paths]
+    for p, text in zip(paths, texts):
+        p.write_bytes(text.encode("utf-8"))
+    assert got == one_part == [_outcome(reader_reference.read_table, p) for p in paths]
+
+
+def _labeled_file(path, rows, seed, sensitive=True):
+    rng = np.random.default_rng(seed)
+    header, cols = ["x1", "S", "Y"], [rng.normal(size=rows), np.arange(rows) % 2, rng.integers(0, 2, rows)]
+    if not sensitive:
+        header, cols = ["x1", "Y"], [cols[0], cols[2]]
+    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    return str(path)
+
+
+@pytest.fixture
+def command_files(tmp_path):
+    """A calibration set (train, unlabeled and their scores, 600 rows) and a test set (data, scores, 400 rows)."""
+    for name, rows, seed in (("train", 600, 1), ("pool", 600, 2), ("test", 400, 3)):
+        _labeled_file(tmp_path / f"{name}.csv", rows, seed)
+    for name, rows in (("train_scores", 600), ("pool_scores", 600), ("test_scores", 400)):
+        _score_file(tmp_path / f"{name}.csv", rows)
+    names = ("train", "pool", "test", "train_scores", "pool_scores", "test_scores")
+    return {k: str(tmp_path / f"{k}.csv") for k in names}
+
+
+def _commands(f, out):
+    cal = ["--train", f["train"], "--unlabeled", f["pool"], "--scores", f["pool_scores"]]
+    return [
+        ["calibrate", "--train", f["train"]],
+        ["calibrate", "--train", f["train"], "--scores", f["train_scores"]],
+        ["calibrate", *cal, "--out", out],
+        ["calibrate", *cal, "--mode", "blind"],
+        ["predict", "--model", out, "--data", f["test"], "--scores", f["test_scores"]],
+        ["evaluate", "--model", out, "--test", f["test"], "--scores", f["test_scores"]],
+        ["benchmark", "--data", f["train"], "--test", f["test"], "--unlabeled", f["pool"], "--repeats", "1",
+         "--cv-folds", "2", "--estimator", "knn", "--methods", "plugin"],
+    ]
+
+
+@pytest.mark.parametrize("n_cpus", [2, 3])
+def test_a_command_forks_once_whatever_its_file_count(tmp_path, command_files, forks, cpus, capsys, n_cpus):
+    """Each command's input CSVs, one to three of them, are parsed in one map: W - 1 children, W the usable
+    CPUs, forked once per command; its output equals that of the reads in one part."""
+    from fairthresh.cli import main
+
+    out, outputs = str(tmp_path / "model.json"), {}
+    for cpu_count in (1, n_cpus):
+        cpus(cpu_count)
+        for argv in _commands(command_files, out):
+            forks["forks"] = 0
+            with mock.patch.object(data, "_PART_BYTES", 1 << 10):
+                assert main(argv) == 0
+            assert forks["forks"] == cpu_count - 1, argv
+            assert_no_child_left()
+            outputs.setdefault(" ".join(argv), []).append(capsys.readouterr().out)
+    assert all(a == b for a, b in outputs.values())
+
+
+def _error(argv, capsys):
+    from fairthresh.cli import main
+
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def test_first_bad_file_wins_and_checks_between_reads_come_first(tmp_path, command_files, forks, cpus, capsys):
+    """With two bad files the command reports the first one's error, as reads one by one would, and a check
+    made between two reads (aware calibration needs S) comes before a later bad file's error; the same holds
+    when the map fails on a piece's header error and every file is read again at its turn."""
+    f = command_files
+    bad_train, bad_scores = tmp_path / "bad_train.csv", tmp_path / "bad_scores.csv"
+    lines = Path(f["train"]).read_text().splitlines()
+    lines[300] = "abc,1,0"
+    bad_train.write_text("\n".join(lines) + "\n")
+    lines = Path(f["pool_scores"]).read_text().splitlines()
+    lines[500] = "0.5,7,0.5"
+    bad_scores.write_text("\n".join(lines) + "\n")
+    bad_header = tmp_path / "bad_header.csv"
+    bad_header.write_text("x1,x1,S,Y\n" + "1,2,0,1\n" * 300)
+    no_s = _labeled_file(tmp_path / "no_s.csv", 600, 4, sensitive=False)
+    cases = [
+        (["calibrate", "--train", str(bad_train), "--unlabeled", f["pool"], "--scores", str(bad_scores)],
+         (2, f"error: {bad_train}: row 299, column 'x1': cannot parse 'abc'\n")),
+        (["calibrate", "--train", f["train"], "--unlabeled", no_s, "--scores", str(bad_scores)],
+         (2, f"error: {no_s}: group-aware calibration needs column 'S'\n")),
+        (["calibrate", "--train", f["train"], "--unlabeled", f["pool"], "--scores", str(bad_scores)],
+         (2, f"error: {bad_scores}: row 499, column 'score_s1': score 7 outside [0, 1]\n")),
+        (["calibrate", "--train", f["train"], "--unlabeled", str(bad_header), "--scores", str(bad_scores)],
+         (2, f"error: {bad_header}: header names must be non-blank and distinct, got ['x1', 'x1', 'S', 'Y']\n")),
+    ]
+    for n_cpus in (1, 2, 3):
+        cpus(n_cpus)
+        for argv, expected in cases:
+            forks["forks"] = 0
+            with mock.patch.object(data, "_PART_BYTES", 1 << 10):
+                assert _error(argv, capsys) == expected
+            assert forks["forks"] == n_cpus - 1
+            assert_no_child_left()
+
+
+def test_a_dead_child_leaves_each_file_to_its_turn(command_files, forks, cpus):
+    """A worker that dies without a result makes the map fail; the files are then read at their loaders'
+    turns, in one part each, and give the same arrays; no child is left."""
+    f, parent = command_files, os.getpid()
+    read_pieces = data._read_pieces
+
+    def dying(pieces):
+        if os.getpid() != parent:
+            os._exit(1)
+        return read_pieces(pieces)
+
+    cpus(1)
+    expected = [_bits(a) for a in load_features(f["pool"], "S", "Y")[:1] + load_scores(f["pool_scores"])[:2]]
+    cpus(2)
+    with mock.patch.object(data, "_PART_BYTES", 1 << 10), mock.patch.object(data, "_read_pieces", dying):
+        inputs = data.Inputs(f["pool"], f["pool_scores"])
+        assert inputs._reads == {}
+        got = [_bits(a) for a in inputs.load_features(f["pool"], "S", "Y")[:1] + inputs.load_scores(f["pool_scores"])[:2]]
+    assert got == expected
+    assert forks["forks"] == 1
+    assert_no_child_left()
+
+
+def test_fifo_never_joins_the_map(tmp_path, command_files, forks, cpus):
+    """A named pipe among a command's files is left out of the plan, never opened to plan it, and read in one
+    part at its loader's turn; the regular files around it are still parsed in one map."""
+    f, fifo = command_files, tmp_path / "scores.fifo"
+    os.mkfifo(fifo)
+    cpus(2)
+    real_open = open
+
+    def guarded(path, *args, **kwargs):
+        assert str(path) != str(fifo)
+        return real_open(path, *args, **kwargs)
+
+    with mock.patch.object(data, "_PART_BYTES", 1 << 10):
+        with mock.patch("builtins.open", guarded):
+            ranges = data._plan([f["train"], fifo, f["pool"]])
+        assert len(ranges) == 2 and all(str(fifo) not in {str(p) for p, _, _ in r} for r in ranges)
+        inputs = data.Inputs(f["train"], fifo, f["pool"])
+    assert forks["forks"] == 1
+    assert_no_child_left()
+    writer = threading.Thread(target=lambda: fifo.write_bytes(b"score_s0,score_s1\n0.25,0.5\n1,0\n"), daemon=True)
+    writer.start()
+    try:
+        train = inputs.load_csv(f["train"], "S", "Y")
+        s0, s1, _ = inputs.load_scores(fifo)
+        pool, _ = inputs.load_features(f["pool"], "S", "Y")
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    np.testing.assert_array_equal(np.column_stack([s0, s1]), [[0.25, 0.5], [1.0, 0.0]])
+    assert train.n == 600 and pool.shape == (600, 1)
+    assert forks["forks"] == 1
+
+
+def test_plan_cuts_balanced_ranges_across_files(tmp_path, cpus):
+    """The ranges hold equal shares of the files' bytes, give or take a line, in file order; each piece
+    after a file's first starts just after a \n, and a cut that would leave a first piece its header line
+    alone falls at the file's start instead."""
+    paths = [_labeled_file(tmp_path / f"f{i}.csv", rows, i) for i, rows in enumerate((300, 40, 500))]
+    sizes = {p: os.path.getsize(p) for p in paths}
+    cpus(4)
+    with mock.patch.object(data, "_PART_BYTES", 1 << 10):
+        ranges = data._plan(paths)
+    assert len(ranges) == 4
+    spans = [[(p, start, sizes[p] if stop is None else stop) for p, start, stop in r] for r in ranges]
+    shares = [sum(stop - start for _, start, stop in r) for r in spans]
+    assert sum(shares) == sum(sizes.values())
+    assert max(shares) - min(shares) < 2 * 80  # a row holds fewer than 45 bytes
+    pieces = [piece for r in spans for piece in r]
+    assert [p for p, _, _ in pieces] == sorted((p for p, _, _ in pieces), key=paths.index)
+    for p in paths:  # each file's pieces follow one another from its start to its end
+        mine = [(start, stop) for q, start, stop in pieces if q == p]
+        assert mine[0][0] == 0 and mine[-1][1] == sizes[p]
+        assert all(a[1] == b[0] for a, b in zip(mine, mine[1:]))
+        text = Path(p).read_bytes()
+        assert all(text[start - 1 : start] == b"\n" for start, _ in mine[1:])
+    long_header = tmp_path / "long_header.csv"
+    long_header.write_bytes(b"x" * 3000 + b",S,Y\n" + b"1,0,1\n" * 100)
+    cpus(2)
+    with mock.patch.object(data, "_PART_BYTES", 1 << 10):
+        assert data._plan([long_header]) == []  # the one cut, after the header, moves to the start
+        # the cut's target lies in the second file's header: the ranges are the two files
+        assert data._plan([paths[1], long_header]) == [[(paths[1], 0, None)], [(long_header, 0, None)]]
 
 
 def test_load_scores_peak_memory_is_bounded_by_its_arrays(tmp_path):
