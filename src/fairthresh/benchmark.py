@@ -33,8 +33,9 @@ h_s of the slot's train rows held out by one fold.  The chosen grid points
 are refitted once per repeat and, in the sweep, score the labeled part and
 the other rows once for every unlabeled fraction.  The scores then go through
 the public calibration API as score columns: calibration.calibrate_scores
-floors a calibration sample's scores with its own c (exact: c is never below
-the default floor), and both arms predict from the same test scores.
+floors a calibration sample's scores with its own c, never below the default
+floor, so the shared k-NN tables stay unfloored, and both arms predict from
+the same test scores, floored with that c.
 
 Every repeat is seeded on its own ([seed, r] for its split and CV,
 [seed, r, 7] for its carve, [seed, r, 917] for the sweep's permutation), so
@@ -56,7 +57,7 @@ from ._parallel import map_ordered
 from .calibration import _columns, _fit_estimator, _row_scores, calibrate  # noqa: F401
 from .data import LabeledDataset, SplitPlan, UnlabeledDataset, split
 from .errors import ConfigError, GroupCoverageError
-from .estimators import FLOOR_MIN, KnnConfig, LogisticConfig, _knn_order, _knn_path, _slots
+from .estimators import KnnConfig, LogisticConfig, _knn_order, _knn_path, _slots
 from .metrics import deo as deo_report
 
 LOGISTIC_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-4, 4, 30))
@@ -217,8 +218,9 @@ def _evaluate(cal, test, mode, methods) -> dict:
 
 
 def _knn_fold_tables(train: LabeledDataset, folds, mode: str):
-    """For each (held rows, k values) fold, the _row_scores of every train row under the k-NN
-    path model fitted on the fold's other rows, one column per k.
+    """For each (held rows, k values) fold, the raw k-NN scores of every train row under the path model
+    fitted on the fold's other rows, one column per k, in the form _row_scores gives them but unfloored:
+    calibrate_scores and _predict_grid floor them with the calibration sample's c.
 
     Each model slot (estimators._slots: group 0, group 1 and, blind, the
     pooled model, which is also the order of a blind table's rows) orders its
@@ -263,7 +265,7 @@ def _knn_fold_tables(train: LabeledDataset, folds, mode: str):
                 kept = keep.sum(axis=1)
                 first = np.cumsum(kept) - kept  # where each query's kept labels start in near_labels[keep]
                 sums = np.cumsum(near_labels[keep][first[:, None] + np.arange(ks.max())], axis=1, dtype=np.int64)
-                (table if mode == "aware" else table[s])[queries] = np.maximum(sums[:, ks - 1] / ks, FLOOR_MIN)
+                (table if mode == "aware" else table[s])[queries] = sums[:, ks - 1] / ks
         yield table
 
 

@@ -52,7 +52,7 @@ from dataclasses import KW_ONLY, asdict, dataclass, replace
 
 import numpy as np
 
-from .data import LabeledDataset, UnlabeledDataset
+from .data import LabeledDataset, UnlabeledDataset, json_number, json_numbers
 from .errors import ConfigError, GroupCoverageError, SchemaError
 from .estimators import (
     JITTER_MAX,
@@ -91,8 +91,8 @@ class GroupStatistics:
 
 
 def _positive(values, field: str) -> tuple[float, ...]:
-    """A model file's number vector as floats; SchemaError naming the field unless each is finite and > 0."""
-    out = tuple(float(v) for v in values)
+    """A model file's list of numbers as floats; SchemaError naming the field unless each is finite and > 0."""
+    out = tuple(json_numbers(values, field).tolist())
     if not all(0.0 < v < np.inf for v in out):
         raise SchemaError(f"{field} must be finite and > 0, got {list(out)}")
     return out
@@ -445,7 +445,7 @@ class FairClassifier:
         version = obj.get("format_version", FORMAT_VERSION)
         if version != FORMAT_VERSION or isinstance(version, bool):
             raise SchemaError(f"unsupported model format_version {version!r}, expected {FORMAT_VERSION}")
-        theta = float(obj["theta_hat"])
+        theta = json_number(obj["theta_hat"], "theta_hat")
         if not (isinstance(obj.get("model"), dict) and obj["model"]):
             raise SchemaError("model file needs a score model")
         model = ScoreModel.from_json(obj["model"])
@@ -463,6 +463,8 @@ class FairClassifier:
         if model.mode == "blind" and (means is None or len(means) != 2):
             raise SchemaError("blind model needs two blind_means")
         unfairness = obj.get("unfairness_hat")
+        if unfairness is not None and not 0.0 <= json_number(unfairness, "unfairness_hat") < np.inf:
+            raise SchemaError(f"unfairness_hat must be finite and >= 0, or null, got {unfairness!r}")
         return FairClassifier(
             model=model,
             theta_hat=theta,
@@ -542,9 +544,8 @@ def calibrate(
     X_u, S_u = cal.features, cal.sensitive
     if mode == "aware" and S_u is None:
         raise SchemaError("group-aware calibration needs a sensitive column in the unlabeled sample")
-    model = _fit_estimator(train, estimator, mode).with_floor(floor_value(X_u.shape[0]))
-    if jitter_amplitude:
-        model = replace(model, jitter_amplitude=jitter_amplitude)
+    model = replace(_fit_estimator(train, estimator, mode), floor=floor_value(X_u.shape[0]),
+                    jitter_amplitude=float(jitter_amplitude))
     return _calibrate(model, _row_scores(model, X_u, S_u)[None], S_u)[0]
 
 

@@ -9,9 +9,9 @@ Input files are read only through ``fairthresh.data``: a command's CSVs
 through one ``Inputs``, which parses them together and hands each out at its
 turn (``load_csv`` for labeled data, ``load_features`` for calibration and
 prediction files, which drop the label column, ``load_scores`` for score
-files), and model and config JSON through ``read_text``.  So every input
-obeys the same rules and a missing or unreadable file ends in exit code 2;
-this module opens no input file itself.
+files), and model, config and distribution JSON through ``read_json``.  So
+every input obeys the same rules and a missing or unreadable file ends in
+exit code 2; this module opens no input file itself.
 
 Exit codes: 0 ok, 2 schema error, 3 group-coverage error, 4 numeric error,
 5 config error.
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import benchmark as bench
 from . import calibration, estimators, metrics, oracle
-from .data import Inputs, UnlabeledDataset, load_csv, read_text
+from .data import Inputs, UnlabeledDataset, load_csv, read_json
 from .errors import ConfigError, FairthreshError, SchemaError
 
 
@@ -124,10 +124,9 @@ def cmd_calibrate(args) -> int:
 
 
 def _load_model(path) -> calibration.FairClassifier:
-    text = read_text(path)
     try:
-        return calibration.FairClassifier.from_json(json.loads(text))
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON decoding
+        return calibration.FairClassifier.from_json(read_json(path))
+    except (KeyError, TypeError, ValueError) as exc:  # a missing field, or a value of the wrong shape
         raise SchemaError(f"{path}: not a valid model file: {exc}") from exc
 
 
@@ -174,14 +173,9 @@ def cmd_evaluate(args) -> int:
 
 
 def _benchmark_config(args) -> bench.BenchmarkConfig:
-    fields = {}
-    if args.config:
-        try:
-            fields = json.loads(read_text(args.config))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{args.config}: not valid JSON: {exc}") from exc
-        if not isinstance(fields, dict):
-            raise SchemaError(f"{args.config}: a benchmark config is a JSON object, got {type(fields).__name__}")
+    fields = read_json(args.config) if args.config else {}
+    if not isinstance(fields, dict):
+        raise SchemaError(f"{args.config}: a benchmark config is a JSON object, got {type(fields).__name__}")
     overrides = {
         "sensitive_col": args.sensitive_col,
         "label_col": args.label_col,
@@ -270,7 +264,7 @@ def cmd_sweep_unlabeled(args) -> int:
 
 
 def cmd_consistency(args) -> int:
-    dist = oracle.load_distribution(args.dist)
+    dist = oracle.SyntheticDistribution.from_json(read_json(args.dist))
     est = "exact" if args.estimator == "exact" else _estimator(args)
     n_grid = _parse_list(args.n_grid, int, "--n-grid")
     N_grid = _parse_list(args.N_grid, int, "--N-grid")

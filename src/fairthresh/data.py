@@ -18,7 +18,9 @@ bytes are cut into one byte range per usable CPU, each ending just after a
 forked workers parse them in one ``_parallel.map_ordered``.  Each file's
 rows are joined in order and checked as one table at its loader's turn, so
 the result and every error equal those of reading the files one by one, in
-one part each.
+one part each.  ``load_csv`` and ``load_features`` read one file alone.
+Model, config and distribution files are JSON (``read_json``), whose numbers
+must be JSON numbers, not strings or true/false (``json_number``).
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from __future__ import annotations
 import codecs
 import csv
 import itertools
+import json
 import math
 import os
 import stat
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -92,10 +95,6 @@ class LabeledDataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
     def take(self, indices) -> "LabeledDataset":
         """The rows at indices (either group may be absent); they are not validated again."""
         idx = np.asarray(indices, dtype=np.int64)
@@ -134,10 +133,6 @@ class UnlabeledDataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
 
 SCORE_COLUMNS = ("score_s0", "score_s1", "score_marginal")
 _READ_CHARS = 1 << 16  # bytes of an input CSV read, and so at most characters decoded, at a time
@@ -168,6 +163,40 @@ def read_text(path) -> str:
     """Whole text of an input file, a leading byte-order mark skipped; _input_file names its errors."""
     with _input_file(path) as fh:
         return fh.read().decode("utf-8-sig")
+
+
+def read_json(path):
+    """The JSON value of an input file; SchemaError naming the file when it is not valid JSON."""
+    try:
+        return json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:  # also nesting too deep, or (Python >= 3.10.7) too many digits
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+
+
+def json_number(value, field: str) -> float:
+    """A JSON number (an int or a float, not true or false) as a float; SchemaError naming field otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an integer past the float range
+            return float(value)
+    raise SchemaError(f"{field} must be a number, got {value!r}")
+
+
+def json_numbers(value, field: str, depth: int = 1) -> np.ndarray:
+    """A JSON list of numbers (depth 1), or of such lists (depth 2), as a float64 array, tuples taken as lists
+    (a record's asdict); SchemaError naming the field, or its first entry, that is not."""
+    rows = value if depth > 1 else [value]
+    if (isinstance(value, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows)
+            and {type(v) for r in rows for v in r} <= {int, float}):  # JSON's own types, checked in one pass
+        with suppress(OverflowError):  # an integer past the float range is named below
+            return np.array(value, dtype=np.float64)
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{field} must be a list, got {value!r}")
+    for i, v in enumerate(value):
+        if depth > 1:
+            json_numbers(v, f"{field}[{i}]", depth - 1)
+        else:
+            json_number(v, f"{field}[{i}]")
+    return np.array(value, dtype=np.float64)
 
 
 def _decoded_blocks(fh, start: int, stop):
@@ -260,11 +289,6 @@ def _plan(paths) -> list:
     return ranges if len(ranges) > 1 else []
 
 
-def _parts(path) -> list:
-    """Byte ranges (start, stop) of path read alone, the last to its end (stop None): _plan's one-file case."""
-    return [(start, stop) for ((_, start, stop),) in _plan([path])] or [(0, None)]
-
-
 def _first_bad_cell(path, header, body, binary) -> None:
     """Raise for the first row of body that is ragged or holds an unparseable cell."""
     for r, line in enumerate(body):
@@ -339,8 +363,8 @@ class Inputs:
     of reading the files one by one.  A file the plan leaves out (too little
     to split, not regular), or any file when the map fails (a piece's header
     error, a dead child), is read in one part at its turn, as is a file read a
-    second time.  The module's load_csv, load_features and load_scores are
-    the one-file case.
+    second time.  The module's load_csv and load_features are the one-file
+    case, and Inputs(path).load_scores(path) reads a score file alone.
     """
 
     def __init__(self, *paths):
@@ -406,18 +430,14 @@ class Inputs:
         return values[:, [i for i, h in enumerate(header) if h not in (sensitive_col, label_col)]], S
 
     def load_scores(self, path, need_marginal: bool = False):
-        """data.load_scores of path, from this command's read."""
+        """Score columns (score_s0, score_s1, score_marginal or None) of a score file, from this command's read;
+        score_marginal is required when need_marginal is set (blind mode)."""
         header, values = self.table(path, unit=SCORE_COLUMNS)
         for name in SCORE_COLUMNS[: 3 if need_marginal else 2]:
             _column_index(path, header, name, "score")
         s0, s1 = (values[:, header.index(c)] for c in SCORE_COLUMNS[:2])
         marginal = values[:, header.index("score_marginal")] if "score_marginal" in header else None
         return s0, s1, marginal
-
-
-def _read_table(path, binary=(), unit=()):
-    """Inputs.table of path read alone."""
-    return Inputs(path).table(path, binary, unit)
 
 
 def load_csv(path, sensitive_col: str, label_col: str) -> LabeledDataset:
@@ -437,15 +457,6 @@ def load_features(path, sensitive_col: str, label_col: str):
     rules of load_csv apply to every cell.
     """
     return Inputs(path).load_features(path, sensitive_col, label_col)
-
-
-def load_scores(path, need_marginal: bool = False):
-    """Score columns (score_s0, score_s1, score_marginal or None) of a score file.
-
-    Scores must be finite and lie in [0, 1]; score_marginal is required when
-    need_marginal is set (blind mode).
-    """
-    return Inputs(path).load_scores(path, need_marginal)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,11 @@ how extreme the raw estimates are.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, json_number, json_numbers
 from .errors import ConfigError, GroupCoverageError, SchemaError
 
 FLOOR_MIN = 1e-6
@@ -126,6 +125,8 @@ def _as_matrix(X) -> np.ndarray:
 
 def _row_hash_fractions(X: np.ndarray, salt: int) -> np.ndarray:
     # deterministic per-row value in [-1, 1] from a digest of the row bytes
+    import hashlib  # imported here: a few ms, and only the jitter hashes rows
+
     out = np.empty(X.shape[0])
     for i, row in enumerate(np.ascontiguousarray(X, dtype=np.float64)):
         digest = hashlib.blake2b(row.tobytes(), digest_size=8, salt=salt.to_bytes(8, "little"))
@@ -150,9 +151,6 @@ class ScoreModel:
     jitter_amplitude: float = 0.0
     converged: bool = True
     mode = property(lambda self: "blind" if len(self.params) == 3 else "aware")
-
-    def with_floor(self, c: float) -> "ScoreModel":
-        return replace(self, floor=c)
 
     def _raw(self, X: np.ndarray, params) -> np.ndarray:
         if self.kind == "external":
@@ -236,11 +234,13 @@ class ScoreModel:
             if payload is None:
                 return None
             if kind == "logistic":
-                w, b = np.asarray(payload["weights"], dtype=np.float64), float(payload["intercept"])
+                w = json_numbers(payload["weights"], "logistic weights")
+                b = json_number(payload["intercept"], "logistic intercept")
                 if not (np.isfinite(w).all() and np.isfinite(b)):
                     raise SchemaError("logistic weights and intercept must be finite")
                 return w, b
-            feats, labels, k = np.asarray(payload["features"], dtype=np.float64), payload["labels"], payload["k"]
+            feats = json_numbers(payload["features"], "k-NN features", 2)
+            labels, k = payload["labels"], payload["k"]
             if feats.ndim != 2 or feats.shape[1] < 1 or not np.isfinite(feats).all():
                 raise SchemaError(f"k-NN features must be a finite 2-D array with >= 1 column, got shape {feats.shape}")
             if not isinstance(labels, list) or not all(v in (0, 1) and not isinstance(v, bool) for v in labels):
@@ -252,10 +252,11 @@ class ScoreModel:
                 raise SchemaError(f"k-NN model needs 1 <= k <= its row count and one label per row, got k={k}")
             return feats, labels, k
 
-        floor = float(obj["floor"])
+        floor = json_number(obj["floor"], "floor")
         if not FLOOR_MIN <= floor <= FLOOR_MAX:
             raise SchemaError(f"floor must lie in [{FLOOR_MIN}, {FLOOR_MAX}], got {floor!r}")
-        jitter, converged = float(obj.get("jitter_amplitude", 0.0)), obj.get("converged", True)
+        jitter = json_number(obj.get("jitter_amplitude", 0.0), "jitter_amplitude")
+        converged = obj.get("converged", True)
         if not 0.0 <= jitter <= JITTER_MAX:
             raise SchemaError(f"jitter_amplitude must lie in [0, {JITTER_MAX}], got {jitter!r}")
         if not isinstance(converged, bool):

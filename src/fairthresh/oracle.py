@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from ._parallel import map_ordered
 # calibrate is not called here, but perfbench/spans.py wraps fairthresh.oracle.calibrate by name
 from .calibration import _columns, _fit_estimator, calibrate, calibrate_scores  # noqa: F401
-from .data import LabeledDataset, UnlabeledDataset, read_text
+from .data import LabeledDataset, UnlabeledDataset, json_number, json_numbers
 from .errors import ConfigError, NumericError, SchemaError
 from .metrics import deo as deo_report
 
@@ -105,35 +104,19 @@ class SyntheticDistribution:
     def from_json(obj: dict) -> "SyntheticDistribution":
         """The law a JSON description gives; SchemaError naming the field that is missing, not a number,
         or a knot that is not a [u, eta] pair."""
-
-        def number(value, field: str) -> float:
-            try:
-                return float(value)
-            except (TypeError, ValueError):
-                raise SchemaError(f"distribution field {field} must be a number, got {value!r}") from None
-
         try:
             groups = []
             for s, g in enumerate(obj["groups"]):
-                knots = []
+                knots, field = [], f"distribution field groups[{s}]"
                 for j, knot in enumerate(g["knots"]):
-                    field = f"groups[{s}].knots[{j}]"
                     if not isinstance(knot, (list, tuple)) or len(knot) != 2:
-                        raise SchemaError(f"distribution field {field} must be a [u, eta] pair, got {knot!r}")
-                    knots.append((number(knot[0], f"{field}[0]"), number(knot[1], f"{field}[1]")))
-                location, scale = (number(g[key], f"groups[{s}].{key}") for key in ("location", "scale"))
+                        raise SchemaError(f"{field}.knots[{j}] must be a [u, eta] pair, got {knot!r}")
+                    knots.append(tuple(json_numbers(knot, f"{field}.knots[{j}]").tolist()))
+                location, scale = (json_number(g[key], f"{field}.{key}") for key in ("location", "scale"))
                 groups.append(GroupSpec(location, scale, tuple(knots)))
-            return SyntheticDistribution(number(obj["pi_1"], "pi_1"), tuple(groups))
+            return SyntheticDistribution(json_number(obj["pi_1"], "distribution field pi_1"), tuple(groups))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed distribution description: {exc}") from exc
-
-
-def load_distribution(path) -> SyntheticDistribution:
-    try:
-        obj = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return SyntheticDistribution.from_json(obj)
 
 
 def linear_distribution(

@@ -1,4 +1,4 @@
-"""The whole-text CSV reader that ``fairthresh.data._read_table`` replaced, used only by the tests.
+"""The whole-text CSV reader that ``fairthresh.data.Inputs.table`` replaced, used only by the tests.
 
 It reads the whole file, cuts it with ``str.splitlines`` and hands the list
 of lines to ``np.loadtxt``.  The streamed reader must return the same header

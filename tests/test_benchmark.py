@@ -474,11 +474,12 @@ def test_knn_cross_validate_equals_full_stable_argsort_order(monkeypatch, estima
 
 
 def _assert_fold_tables_equal_per_fold_path_models(train, cv_folds, mode):
-    """_knn_fold_tables over (held rows, fit part, k values) folds equals a k-NN path model fitted per fold."""
+    """_knn_fold_tables over (held rows, fit part, k values) folds equals the unfloored scores of a k-NN path
+    model fitted per fold."""
     tables = benchmark._knn_fold_tables(train, [(held, ks) for held, _, ks in cv_folds], mode)
     for (held, fit, ks), table in zip(cv_folds, tables):
-        path = _knn_path([fit_knn(fit, KnnConfig(k=int(k)), mode) for k in ks])
-        expected = _row_scores(path, train.features, train.sensitive)
+        path = replace(_knn_path([fit_knn(fit, KnnConfig(k=int(k)), mode) for k in ks]), floor=0.0)
+        expected = _row_scores(path, train.features, train.sensitive)  # raw k-NN scores are >= 0, so exact
         assert table.shape == expected.shape and np.array_equal(table, expected)
 
 

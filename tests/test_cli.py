@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import sys
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -329,6 +330,19 @@ class TestConsistencyCommand:
         assert main(["consistency", "--dist", _write(tmp_path / "dist.json", json.dumps(law))]) == 2
         assert capsys.readouterr().err == "error: distribution field pi_1 must be a number, got 'abc'\n"
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("pi_1",), "0.5", "pi_1"), (("groups", 1, "scale"), True, "groups[1].scale"),
+        (("groups", 0, "knots", 1, 0), "1.0", "groups[0].knots[1][0]")])
+    def test_dist_number_of_another_json_type_exit_2(self, tmp_path, capsys, path, value, field):
+        # a number given as a string or as true used to load as that number
+        law = json.loads(json.dumps(asdict(DIST)))
+        node = law
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert main(["consistency", "--dist", _write(tmp_path / "dist.json", json.dumps(law))]) == 2
+        assert capsys.readouterr().err == f"error: distribution field {field} must be a number, got {value!r}\n"
+
     def test_dist_short_knot_exit_2(self, tmp_path, capsys):
         # a one-entry knot used to end in an IndexError traceback and exit 1
         law = asdict(DIST)
@@ -525,6 +539,13 @@ MODEL_FILE_CASES = {
     "blind_means_in_aware": (("blind_means",), [0.5, 0.5], "blind_means must be null"),
     # used to exit 2 with the message 'features', as if the logistic weights were k-NN parameters
     "external_with_parameters": (("model", "kind"), "external", "external score model holds no parameters"),
+    # these used to load and predict with exit 0, the string "56" as the joints (5.0, 6.0), or to end in a traceback
+    "unfairness_hat_nan": (("unfairness_hat",), float("nan"), "unfairness_hat"),
+    "joint_string": (("stats", "joint"), "56", "stats.joint"),
+    "theta_hat_string": (("theta_hat",), "0.5", "theta_hat must be a number"),
+    "weight_nested": (("model", "groups", 0, "weights", 0), [0.5], "logistic weights[0] must be a number"),
+    "weights_string": (("model", "groups", 1, "weights"), "0.5", "logistic weights must be a list"),
+    "theta_hat_integer_past_float": (("theta_hat",), 10**400, "theta_hat must be a number"),
 }
 
 # the same for a blind logistic model file; stats_in_blind used to load, and to predict or evaluate with exit 0
@@ -602,6 +623,24 @@ def _assert_malformed_model_exit_2(model_path, path, value, message, tmp_path, t
         assert main(["evaluate", "--model", bad, "--test", test_csv, *flags]) == 2
     if message:
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested_too_deep"),
+        pytest.param("1" * 5000, id="long_integer", marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no limit on integer digits")),
+    ],
+)
+@pytest.mark.parametrize("flag", ["--model", "--dist", "--config"])
+def test_undecodable_json_exit_2(tmp_path, train_csv, test_csv, capsys, text, flag):
+    # both used to end in a traceback: a RecursionError, and a ValueError that is not a JSONDecodeError
+    path = _write(tmp_path / "input.json", text)
+    argv = {"--model": ["predict", "--model", path, "--data", test_csv], "--dist": ["consistency", "--dist", path],
+            "--config": ["benchmark", "--data", train_csv, "--config", path]}[flag]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON: ")
 
 
 @pytest.mark.parametrize(
@@ -829,3 +868,68 @@ def test_malformed_input_ends_in_documented_exit_code(property_inputs, case, dat
         code = main([path if a == "{f}" else a for a in argv])
     assert code in (2, 3, 4, 5)
     assert err.getvalue().startswith("error: ")
+
+
+# calibrate flags of each kind of model file: logistic, k-NN and score-file models, aware and blind
+MODEL_KINDS = {
+    **{f"logistic_{mode}": ["--mode", mode] for mode in ("aware", "blind")},
+    **{f"knn_{mode}": ["--estimator", "knn", "--knn-k", "3", "--mode", mode] for mode in ("aware", "blind")},
+    **{f"scores_{mode}": ["--scores", "{scores}", "--mode", mode] for mode in ("aware", "blind")},
+}
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory, train_csv):
+    d = tmp_path_factory.mktemp("leaves")
+    rows = np.random.default_rng(7).uniform(0.05, 0.95, (800, 3))
+    cal_scores = _write(d / "cal_scores.csv", "score_s0,score_s1,score_marginal\n"
+                        + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows.tolist()))
+    models = {}
+    for kind, flags in MODEL_KINDS.items():
+        out = str(d / f"{kind}.json")
+        argv = ["calibrate", "--train", train_csv, "--out", out, *(cal_scores if f == "{scores}" else f for f in flags)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        models[kind] = _read_json(out)
+    scores = _write(d / "scores.csv", "score_s0,score_s1,score_marginal\n" + "0.5,0.5,0.5\n" * 400)  # as test_csv
+    return {"dir": d, "models": models, "scores": scores}
+
+
+def _leaves(node, path=()):
+    """Paths to the numbers and lists of a model's JSON; of a list, only its first and last entries are walked."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        yield path
+        for i in sorted({0, len(node) - 1}) if node else ():
+            yield from _leaves(node[i], path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_model_file_leaf_of_the_wrong_json_type_exits_2(model_files, test_csv, data):
+    """One leaf of a model file changed in type, a number to its string or to true and a list to its JSON text,
+    makes predict and evaluate exit 2 with one error line, whatever the model: such values used to load
+    ("joint": "56" as (5.0, 6.0)), or to end in an IndexError or ValueError traceback."""
+    kind = data.draw(st.sampled_from(sorted(model_files["models"])))
+    model = json.loads(json.dumps(model_files["models"][kind]))
+    path = data.draw(st.sampled_from(list(_leaves(model))))
+    node = model
+    for key in path[:-1]:
+        node = node[key]
+    value = node[path[-1]]
+    text = json.dumps(value)
+    node[path[-1]] = text if isinstance(value, list) else data.draw(st.sampled_from([text, True]))
+    bad = _write(model_files["dir"] / "bad.json", json.dumps(model))
+    scores = ["--scores", model_files["scores"]]
+    for flags in [scores] if kind.startswith("scores") else [[], scores]:
+        for argv in (["predict", "--model", bad, "--data", test_csv, *flags],
+                     ["evaluate", "--model", bad, "--test", test_csv, *flags]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code == 2, (kind, path, node[path[-1]], argv[0])
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()

@@ -18,10 +18,8 @@ from fairthresh.data import (
     SplitPlan,
     UnlabeledDataset,
     _apportion,
-    _read_table,
     load_csv,
     load_features,
-    load_scores,
     split,
 )
 from fairthresh.errors import (
@@ -44,7 +42,7 @@ class TestLoadCsv:
         p = _write(tmp_path, "x1,x2,S,Y\n1.0,2.0,0,1\n3.5,-1.0,1,0\n0.0,0.25,0,0\n2.5,1.5,1,1\n")
         ds = load_csv(p, "S", "Y")
         assert isinstance(ds, LabeledDataset)
-        assert ds.n == 4 and ds.d == 2
+        assert ds.n == 4 and ds.features.shape[1] == 2
         assert ds.feature_names == ("x1", "x2")
         np.testing.assert_array_equal(ds.sensitive, [0, 1, 0, 1])
 
@@ -118,7 +116,8 @@ class TestLoadCsv:
 
 class TestLoadScores:
     def test_columns_and_optional_marginal(self, tmp_path):
-        s0, s1, marg = load_scores(_write(tmp_path, "score_s1,score_s0\n0.25,0.5\n1,0\n"))
+        p = _write(tmp_path, "score_s1,score_s0\n0.25,0.5\n1,0\n")
+        s0, s1, marg = data.Inputs(p).load_scores(p)
         np.testing.assert_array_equal(s0, [0.5, 0.0])
         np.testing.assert_array_equal(s1, [0.25, 1.0])
         assert marg is None
@@ -132,11 +131,12 @@ class TestLoadScores:
     def test_bad_score_names_row(self, tmp_path, body, error):
         p = _write(tmp_path, "score_s0,score_s1\n" + body)
         with pytest.raises(error, match="row 1"):
-            load_scores(p)
+            data.Inputs(p).load_scores(p)
 
     def test_blind_needs_marginal(self, tmp_path):
+        p = _write(tmp_path, "score_s0,score_s1\n0.5,0.5\n")
         with pytest.raises(SchemaError, match="score_marginal"):
-            load_scores(_write(tmp_path, "score_s0,score_s1\n0.5,0.5\n"), need_marginal=True)
+            data.Inputs(p).load_scores(p, need_marginal=True)
 
 
 def _bits(a):
@@ -161,7 +161,7 @@ def test_line_endings_give_bit_identical_arrays(tmp_path, ending, final_newline)
     def load_all(path):
         ds = load_csv(path, "S", "Y")
         return [_bits(a) for a in (ds.features, ds.sensitive, ds.labels, *load_features(path, "S", "Y"),
-                                   *load_scores(path, need_marginal=True))]
+                                   *data.Inputs(path).load_scores(path, need_marginal=True))]
 
     lines = [",".join(row) for row in MIXED_TABLE]
     expected = load_all(_write(tmp_path, "\n".join(lines) + "\n", "lf.csv"))
@@ -250,9 +250,9 @@ def test_read_table_matches_whole_text_reader(reader_dir, text, block, n_cpus, p
     p.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
     with mock.patch.object(data, "_READ_CHARS", block), mock.patch.object(data, "_PART_BYTES", part):
         with mock.patch.object(_parallel, "_cpus", lambda: n_cpus):
-            got = _outcome(_read_table, p)
+            got = _outcome(data.Inputs(p).table, p)
         with mock.patch.object(_parallel, "_cpus", lambda: 1):
-            one_part = _outcome(_read_table, p)
+            one_part = _outcome(data.Inputs(p).table, p)
     p.write_bytes(text.encode("utf-8"))
     assert got == one_part == _outcome(reader_reference.read_table, p)
 
@@ -271,11 +271,11 @@ def test_split_read_forks_one_child_per_part_but_the_first(tmp_path, forks, cpus
     p = tmp_path / "scores.csv"
     _score_file(p, 1000)
     cpus(1)
-    expected = _outcome(_read_table, p)
+    expected = _outcome(data.Inputs(p).table, p)
     cpus(n_cpus)
     with mock.patch.object(data, "_PART_BYTES", part):
-        assert len(data._parts(p)) == parts
-        assert _outcome(_read_table, p) == expected
+        assert len(data._plan([p])) == (parts if parts > 1 else 0)
+        assert _outcome(data.Inputs(p).table, p) == expected
     assert forks["forks"] == parts - 1
     assert_no_child_left()
 
@@ -294,7 +294,7 @@ def test_failing_part_is_read_again_in_one_part(tmp_path, forks, cpus, at, bad, 
     p.write_bytes(b"\n".join(lines))
     cpus(3)
     with mock.patch.object(data, "_PART_BYTES", 1 << 12), pytest.raises(error) as info:
-        load_scores(p)
+        data.Inputs(p).load_scores(p)
     assert forks["forks"] == 2
     assert_no_child_left()
     assert (type(info.value), str(info.value)) == _outcome(reader_reference.read_table, p)
@@ -305,7 +305,7 @@ def test_non_utf8_byte_is_named_by_its_offset_in_the_file(tmp_path):
     whole-text reader names it, also when it lies past the first block and text before it is not ASCII."""
     p = tmp_path / "table.csv"
     p.write_bytes("\u00e9,S\n".encode() + b"\n".join(b"0.5,0" for _ in range(11000)) + b"\xff\n")
-    got = _outcome(_read_table, p)
+    got = _outcome(data.Inputs(p).table, p)
     assert got[0] is ParseError and "position 66004:" in got[1]  # 5 header bytes and 11,000 rows of 6
     assert got == _outcome(reader_reference.read_table, p)
 
@@ -316,11 +316,11 @@ def test_fifo_is_one_part_and_is_not_opened_to_plan(tmp_path, cpus):
     os.mkfifo(p)
     cpus(2)
     with mock.patch.object(data, "_PART_BYTES", 1), mock.patch("builtins.open", side_effect=AssertionError):
-        assert data._parts(p) == [(0, None)]
+        assert data._plan([p]) == []
     writer = threading.Thread(target=lambda: p.write_bytes(b"score_s0,score_s1\n0.25,0.5\n1,0\n"), daemon=True)
     writer.start()
     try:
-        s0, s1, _ = load_scores(p)
+        s0, s1, _ = data.Inputs(p).load_scores(p)
     finally:
         writer.join(timeout=10)
     assert not writer.is_alive()
@@ -342,7 +342,7 @@ def test_joint_read_matches_whole_text_reader_per_table(reader_dir, texts, boms,
             inputs = data.Inputs(*paths)
             got = [_outcome(inputs.table, p) for p in paths]
         with mock.patch.object(_parallel, "_cpus", lambda: 1):
-            one_part = [_outcome(_read_table, p) for p in paths]
+            one_part = [_outcome(data.Inputs(p).table, p) for p in paths]
     for p, text in zip(paths, texts):
         p.write_bytes(text.encode("utf-8"))
     assert got == one_part == [_outcome(reader_reference.read_table, p) for p in paths]
@@ -455,7 +455,8 @@ def test_a_dead_child_leaves_each_file_to_its_turn(command_files, forks, cpus):
         return read_pieces(pieces)
 
     cpus(1)
-    expected = [_bits(a) for a in load_features(f["pool"], "S", "Y")[:1] + load_scores(f["pool_scores"])[:2]]
+    expected = [_bits(a) for a in load_features(f["pool"], "S", "Y")[:1]
+                + data.Inputs(f["pool_scores"]).load_scores(f["pool_scores"])[:2]]
     cpus(2)
     with mock.patch.object(data, "_PART_BYTES", 1 << 10), mock.patch.object(data, "_read_pieces", dying):
         inputs = data.Inputs(f["pool"], f["pool_scores"])
@@ -538,7 +539,7 @@ def test_load_scores_peak_memory_is_bounded_by_its_arrays(tmp_path):
                header="score_s0,score_s1,score_marginal", comments="")
     tracemalloc.start()
     try:
-        arrays = load_scores(p, need_marginal=True)
+        arrays = data.Inputs(p).load_scores(p, need_marginal=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

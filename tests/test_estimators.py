@@ -384,7 +384,7 @@ class TestScoreModel:
     def test_scoring_deterministic(self):
         rng = np.random.default_rng(4)
         ds = LabeledDataset(rng.normal(size=(100, 2)), rng.integers(0, 2, 100), rng.integers(0, 2, 100))
-        model = fit_logistic(ds, LogisticConfig(l2_lambda=0.1)).with_floor(0.05)
+        model = replace(fit_logistic(ds, LogisticConfig(l2_lambda=0.1)), floor=0.05)
         a = model.score_rowwise(ds.features, ds.sensitive)
         b = model.score_rowwise(ds.features, ds.sensitive)
         np.testing.assert_array_equal(a, b)
@@ -402,7 +402,7 @@ class TestScoreModel:
             model = fit_knn(ds, KnnConfig(k=3), mode=mode)
         else:
             model = external_score_model(mode=mode)
-        model = replace(model.with_floor(0.07), jitter_amplitude=jitter)
+        model = replace(model, floor=0.07, jitter_amplitude=jitter)
         text = json.dumps(model.to_json())
         back = ScoreModel.from_json(json.loads(text))
         assert json.dumps(back.to_json()) == text
@@ -429,9 +429,7 @@ class TestScoreModel:
     def test_jitter_deterministic_and_bounded(self):
         rng = np.random.default_rng(8)
         ds = LabeledDataset(rng.normal(size=(50, 2)), rng.integers(0, 2, 50), rng.integers(0, 2, 50))
-        base = fit_logistic(ds, LogisticConfig(l2_lambda=0.1)).with_floor(0.05)
-        from dataclasses import replace
-
+        base = replace(fit_logistic(ds, LogisticConfig(l2_lambda=0.1)), floor=0.05)
         jittered = replace(base, jitter_amplitude=1e-7)
         a = jittered.score_rowwise(ds.features, ds.sensitive)
         b = jittered.score_rowwise(ds.features, ds.sensitive)

@@ -1,9 +1,9 @@
-"""No command-line run imports numpy.ma.
+"""No command-line run imports numpy.ma, and importing the CLI leaves hashlib out.
 
 numpy's set routines (np.unique, np.setdiff1d, ...) import numpy.ma on their
 first call, about 18 ms per process; the package uses sort-and-mask instead.
-The runs happen in a fresh interpreter, because this one may already hold
-numpy.ma.
+hashlib costs a few ms more, and only the score jitter needs it.  The runs
+happen in a fresh interpreter, because this one may already hold both.
 """
 
 import json
@@ -32,6 +32,12 @@ for argv in json.loads(sys.argv[1]):
         first = " ".join(argv)
 print(json.dumps({"failed": failed, "first_numpy_ma": first}))
 """
+
+
+def _env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(fairthresh.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def _scores(path, n, seed):
@@ -65,11 +71,16 @@ def test_no_run_imports_numpy_ma(tmp_path):
         *(["consistency", "--dist", dist, "--estimator", e, "--n-grid", "200", "--N-grid", "100",
            "--repeats", "1", "--test-size", "1000"] for e in ("exact", "logistic")),
     ]
-    src = str(Path(fairthresh.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(runs)], env=env, cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(runs)], env=_env(), cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["failed"] == [], proc.stderr
     assert result["first_numpy_ma"] is None, f"numpy.ma first imported by: {result['first_numpy_ma']}"
+
+
+def test_cli_import_leaves_hashlib_out():
+    code = "import sys, fairthresh.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -13,7 +13,7 @@ from oracle_reference import (
 )
 
 from fairthresh.calibration import calibrate, calibrate_scores
-from fairthresh.data import UnlabeledDataset
+from fairthresh.data import UnlabeledDataset, read_json
 from fairthresh.errors import ConfigError, NumericError, SchemaError
 from fairthresh.estimators import KnnConfig, LogisticConfig
 from fairthresh.metrics import deo
@@ -28,7 +28,6 @@ from fairthresh.oracle import (
     exact_marginal_scores,
     exact_scores,
     linear_distribution,
-    load_distribution,
     risk_of_threshold_rule,
     sample,
     solve_theta_star,
@@ -66,13 +65,13 @@ class TestConstruction:
 
         p = tmp_path / "dist.json"
         p.write_text(json.dumps(asdict(ASYM)))
-        assert load_distribution(p) == ASYM
+        assert SyntheticDistribution.from_json(read_json(p)) == ASYM
 
     def test_malformed_json_is_schema_error(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"pi_1": 0.5}')
         with pytest.raises(SchemaError):
-            load_distribution(p)
+            SyntheticDistribution.from_json(read_json(p))
 
     @pytest.mark.parametrize(
         "edit, field",
