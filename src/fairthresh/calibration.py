@@ -84,6 +84,8 @@ class GroupStatistics:
 
     @staticmethod
     def from_json(obj: dict) -> "GroupStatistics":
+        if not isinstance(obj, dict):
+            raise SchemaError(f"stats must be a JSON object, got {type(obj).__name__}")
         vectors = [_positive(obj[key], f"stats.{key}") for key in ("p", "mean_score", "joint")]
         if any(len(v) != 2 for v in vectors):
             raise SchemaError("stats p, mean_score and joint need one value per group")

@@ -182,18 +182,19 @@ def json_number(value, field: str) -> float:
 
 
 def json_numbers(value, field: str, depth: int = 1) -> np.ndarray:
-    """A JSON list of numbers (depth 1), or of such lists (depth 2), as a float64 array, tuples taken as lists
-    (a record's asdict); SchemaError naming the field, or its first entry, that is not."""
+    """A JSON list of numbers (depth 1), or of such lists of one length (depth 2), as a float64 array, tuples
+    taken as lists (a record's asdict); SchemaError naming the field, or its first entry, that is not."""
     rows = value if depth > 1 else [value]
     if (isinstance(value, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows)
             and {type(v) for r in rows for v in r} <= {int, float}):  # JSON's own types, checked in one pass
-        with suppress(OverflowError):  # an integer past the float range is named below
+        with suppress(OverflowError, ValueError):  # an integer past the float range or ragged rows, named below
             return np.array(value, dtype=np.float64)
     if not isinstance(value, (list, tuple)):
         raise SchemaError(f"{field} must be a list, got {value!r}")
     for i, v in enumerate(value):
         if depth > 1:
-            json_numbers(v, f"{field}[{i}]", depth - 1)
+            if len(json_numbers(v, f"{field}[{i}]", depth - 1)) != len(value[0]):
+                raise SchemaError(f"{field}[{i}] holds {len(v)} numbers, {field}[0] {len(value[0])}")
         else:
             json_number(v, f"{field}[{i}]")
     return np.array(value, dtype=np.float64)

@@ -162,8 +162,7 @@ class ScoreModel:
             w, b = params
             return _sigmoid(X @ w + b)
         feats, labels, k = params
-        k = np.asarray(k)  # an array of k (a path model) scores one column per k
-        return _knn_label_sums(X, feats, labels, int(k.max()))[:, k - 1] / k
+        return _knn_label_sums(X, feats, labels, k) / k  # an array of k (a path model) scores one column per k
 
     def _finish(self, raw: np.ndarray, X: np.ndarray, salt: int) -> np.ndarray:
         if self.jitter_amplitude > 0.0:
@@ -221,6 +220,8 @@ class ScoreModel:
     @staticmethod
     def from_json(obj: dict) -> "ScoreModel":
         kind, mode, groups = obj["kind"], obj["mode"], obj["groups"]
+        if not isinstance(groups, list):
+            raise SchemaError(f"score model groups must be a list, got {type(groups).__name__}")
         if kind not in ("logistic", "knn", "external") or mode not in ("aware", "blind") or len(groups) != 2:
             raise SchemaError(f"bad score model: kind {kind!r}, mode {mode!r}, {len(groups)} groups")
         slots = [*groups, obj.get("marginal")] if mode == "blind" else groups
@@ -230,9 +231,11 @@ class ScoreModel:
             raise SchemaError(f"a {kind!r} score model in mode {mode!r} must hold the parameters of groups 0 and 1 and "
                               + ("of the marginal" if mode == "blind" else "no marginal"))
 
-        def unpack(payload):
+        def unpack(payload, slot):
             if payload is None:
                 return None
+            if not isinstance(payload, dict):
+                raise SchemaError(f"score model {slot} must be a JSON object or null, got {type(payload).__name__}")
             if kind == "logistic":
                 w = json_numbers(payload["weights"], "logistic weights")
                 b = json_number(payload["intercept"], "logistic intercept")
@@ -263,7 +266,7 @@ class ScoreModel:
             raise SchemaError(f"converged must be true or false, got {converged!r}")
         return ScoreModel(
             kind=kind,
-            params=tuple(unpack(p) for p in slots),
+            params=tuple(unpack(p, slot) for p, slot in zip(slots, ("groups[0]", "groups[1]", "marginal"))),
             floor=floor,
             jitter_amplitude=jitter,
             converged=converged,
@@ -281,8 +284,9 @@ def _knn_path(models) -> ScoreModel:
     return replace(models[0], params=tuple((feats, labels, ks) for feats, labels, _ in models[0].params))
 
 
-def _knn_order(queries: np.ndarray, feats: np.ndarray, depth: int) -> np.ndarray:
-    """Training row indices of the depth nearest neighbours of each query, nearest first: a (queries, depth) table.
+def _knn_blocks(queries: np.ndarray, feats: np.ndarray, depth: int):
+    """Training row indices of the depth nearest neighbours of each query, nearest first: yields (rows, table)
+    per block of queries, table[i] the order of queries[rows][i].
 
     Neighbours are ordered by (distance, training row index), so a distance tie
     goes to the smaller row index.  One uint64 key per (query, training row):
@@ -298,45 +302,73 @@ def _knn_order(queries: np.ndarray, feats: np.ndarray, depth: int) -> np.ndarray
     T, d = feats.shape
     if d == 0:  # every distance would be 0 and the neighbours the first rows in file order
         raise ConfigError("k-NN needs at least one feature column")
-    out = np.empty((queries.shape[0], depth), dtype=np.intp)
     b = max(1, (T - 1).bit_length())
     low = np.uint64(2**b - 1)
     cut = min(depth + 1, T)  # the keys sorted: the kept ones and, below T, the first one left out
-    # each block's (block, T, d) difference temporary holds about 2**16 float64 entries (0.5 MiB), so it and
-    # the block's distance and key temporaries stay in cache
-    block = max(1, int(2**16 // (T * d)))
+    # a block holds < 2**13 (query, training row) entries, so its distance and key buffers take < 128 KiB
+    # together: glibc keeps that much at the top of its heap when it trims, so they are reused, call after call,
+    # without page faults, and stay in cache; from 2**13 training rows on, one query's row alone passes that,
+    # and a block holds about 2**16 (query, training row, feature) entries
+    block = (2**13 - 1) // T or max(1, 2**16 // (T * d))
+    d2_buf, keys = np.empty((block, T)), np.empty((block, T), np.uint64)
+    scratch, index, cols = keys.view(np.float64), np.arange(T, dtype=np.uint64), np.ascontiguousarray(feats.T)
+    # numpy's sum adds fewer than 8 terms one by one, so below 8 features the squared distances are summed
+    # feature by feature in that order and keep its bits; from 8 on, numpy's sum takes step queries at a time,
+    # in a (step, T, d) difference temporary of about 2**16 entries
+    step = max(1, 2**16 // (T * d))
+    ranks = np.arange(block)[:, None]
     for start in range(0, queries.shape[0], block):
         q = queries[start : start + block]
-        d2 = ((q[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
-        keys = d2.view(np.uint64) & ~low
-        keys |= np.arange(T, dtype=np.uint64)
-        keys.partition(cut - 1, axis=1)
-        keys[:, :cut].sort(axis=1)
-        order = (keys[:, :depth] & low).astype(np.intp)
+        n = q.shape[0]
+        d2, k = d2_buf[:n], keys[:n]
+        if d < 8:
+            for j in range(d):  # feature j's squared difference, added to the distances
+                term = scratch[:n] if j else d2
+                np.subtract(q[:, j, None], cols[j], out=term)
+                np.square(term, out=term)
+                if j:
+                    d2 += term
+        else:
+            for i in range(0, n, step):
+                ((q[i : i + step, None, :] - feats[None, :, :]) ** 2).sum(axis=2, out=d2[i : i + step])
+        np.bitwise_and(d2.view(np.uint64), ~low, out=k)
+        k |= index
+        k.partition(cut - 1, axis=1)
+        k[:, :cut].sort(axis=1)
+        order = (k[:, :depth] & low).astype(np.intp)
         if depth < T:
-            near = np.flatnonzero((keys[:, depth - 1] | low) == (keys[:, depth] | low))
+            near = np.flatnonzero((k[:, depth - 1] ^ k[:, depth]) <= low)
             if near.size:
                 d2_near = d2[near]
                 kth = np.partition(d2_near, depth - 1, axis=1)[:, depth - 1 : depth]
                 less, at = d2_near < kth, d2_near == kth
                 keep = less | (at & (np.cumsum(at, axis=1) <= depth - less.sum(axis=1, keepdims=True)))
                 order[near] = np.nonzero(keep)[1].reshape(near.size, depth)  # depth rows each, in index order
-        kept = np.take_along_axis(d2, order, axis=1)
+        kept = d2[ranks[:n], order]
         unsorted = np.flatnonzero((kept[:, 1:] < kept[:, :-1]).any(axis=1))
         if unsorted.size:
             by_distance = np.argsort(kept[unsorted], axis=1, kind="stable")
             order[unsorted] = np.take_along_axis(order[unsorted], by_distance, axis=1)
-        out[start : start + block] = order
-        del d2, keys  # freed before the next block's distances are built
+        yield slice(start, start + n), order
+
+
+def _knn_order(queries: np.ndarray, feats: np.ndarray, depth: int) -> np.ndarray:
+    """The (queries, depth) table of _knn_blocks: each query's depth nearest training rows, nearest first."""
+    out = np.empty((queries.shape[0], depth), dtype=np.intp)
+    for rows, order in _knn_blocks(queries, feats, depth):
+        out[rows] = order
     return out
 
 
-def _knn_label_sums(queries: np.ndarray, feats: np.ndarray, labels: np.ndarray, k_max: int) -> np.ndarray:
-    """Label sums over the j nearest training rows of each query, j = 1..k_max: a (queries, k_max) int64 table.
-
-    The k-NN score at k is table[:, k - 1] / k.
-    """
-    return np.cumsum(labels[_knn_order(queries, feats, k_max)], axis=1, dtype=np.int64)
+def _knn_label_sums(queries: np.ndarray, feats: np.ndarray, labels: np.ndarray, ks) -> np.ndarray:
+    """Label sums over the k nearest training rows of each query, one column per entry of ks (a scalar k gives
+    one value per query): an int64 table whose scores are table / ks.  Each block of _knn_blocks is reduced
+    to these columns, so no (queries, max k) table is built."""
+    ks = np.asarray(ks)
+    out = np.empty(queries.shape[:1] + ks.shape, dtype=np.int64)
+    for rows, order in _knn_blocks(queries, feats, int(ks.max())):
+        out[rows] = labels[order].cumsum(axis=1, dtype=np.int64)[:, ks - 1]
+    return out
 
 
 def _slots(sensitive: np.ndarray, mode: str) -> list[np.ndarray]:

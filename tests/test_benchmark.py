@@ -245,14 +245,13 @@ class TestOneFitPerFold:
 def test_carve_cv_orders_neighbours_once_per_fold_slot_and_query_set(ds, monkeypatch, mode, slots):
     """Every k of the grid shares its fold's carve and so one k-NN kernel call per model slot
     (each group, and blind the pooled model) and query set (calibration sample, held-out part)."""
-    calls, real_order = [], estimators._knn_order
+    calls, real_blocks = [], estimators._knn_blocks
 
-    def order(*args):
+    def blocks(*args):
         calls.append(args)
-        return real_order(*args)
+        return real_blocks(*args)
 
-    monkeypatch.setattr(estimators, "_knn_order", order)
-    monkeypatch.setattr(benchmark, "_knn_order", order)
+    monkeypatch.setattr(estimators, "_knn_blocks", blocks)
     folds = 3
     cfg = small_config(estimator="knn", knn_grid=(1, 5, 15, 41), cv_folds=folds, mode=mode, unlabeled=0.3)
     rows = cross_validate(ds, cfg, [2])["plugin"]
@@ -463,12 +462,11 @@ def test_knn_cross_validate_equals_full_stable_argsort_order(monkeypatch, estima
     rows = cross_validate(train, cfg, [3])
     assert _as_json(rows) == _as_json(_cv_reference(train, cfg, [3]))
 
-    def full_order(queries, feats, depth):
+    def full_order(queries, feats, depth):  # every query in one block
         d2 = ((queries[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
-        return np.argsort(d2, axis=1, kind="stable")[:, :depth]
+        yield slice(None), np.argsort(d2, axis=1, kind="stable")[:, :depth]
 
-    monkeypatch.setattr(estimators, "_knn_order", full_order)
-    monkeypatch.setattr(benchmark, "_knn_order", full_order)
+    monkeypatch.setattr(estimators, "_knn_blocks", full_order)
     assert cross_validate(train, cfg, [3]) == rows
     assert all(r.folds_used == 5 for r in rows["plugin"])
 

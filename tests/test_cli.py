@@ -546,6 +546,12 @@ MODEL_FILE_CASES = {
     "weight_nested": (("model", "groups", 0, "weights", 0), [0.5], "logistic weights[0] must be a number"),
     "weights_string": (("model", "groups", 1, "weights"), "0.5", "logistic weights must be a list"),
     "theta_hat_integer_past_float": (("theta_hat",), 10**400, "theta_hat must be a number"),
+    # a block of the wrong JSON type; these used to exit 2 with Python's own message, which named no field
+    "stats_true": (("stats",), True, "stats must be a JSON object, got bool"),
+    "stats_list": (("stats",), [1, 2], "stats must be a JSON object, got list"),
+    "group_list": (("model", "groups", 0), [0.5, 0.0], "score model groups[0] must be a JSON object or null"),
+    "groups_object": (("model", "groups"), {"0": None, "1": None}, "score model groups must be a list, got dict"),
+    "groups_number": (("model", "groups"), 5, "score model groups must be a list, got int"),
 }
 
 # the same for a blind logistic model file; stats_in_blind used to load, and to predict or evaluate with exit 0
@@ -565,6 +571,8 @@ KNN_MODEL_FILE_CASES = {
     "feature_nan": (("model", "groups", 1, "features", 0, 0), float("nan"), "k-NN features"),
     "features_one_dimensional": (("model", "groups", 0, "features"), [0.5] * 3, "k-NN features"),
     "features_no_column": (("model", "groups", 0, "features"), [[]] * 3, ">= 1 column"),
+    # used to exit 2 with numpy's text on an inhomogeneous shape
+    "feature_row_longer": (("model", "groups", 1, "features", 1), [0.5, 0.5], "k-NN features[1] holds 2 numbers"),
     **{f"k_{name}": (("model", "groups", 0, "k"), v, "k-NN k")
        for name, v in {"fraction": 2.7, "true": True, "string": "3"}.items()},
 }

@@ -17,6 +17,7 @@ from fairthresh.estimators import (
     ScoreModel,
     _knn_label_sums,
     _knn_order,
+    _knn_path,
     _logistic_loss,
     _sigmoid,
     external_score_model,
@@ -278,45 +279,60 @@ class TestKnn:
         assert np.abs(est - truth).mean() <= 0.05
 
 
-def _knn_scores_reference(queries, feats, labels, k):
-    """The per-k k-NN score by a full stable argsort of every query's distances."""
-    out = np.empty(queries.shape[0])
-    block = max(1, int(2**22 // max(1, feats.shape[0])))
+def _knn_order_reference(queries, feats, depth):
+    """The depth nearest training rows of each query by a full stable argsort of its distances."""
+    out = np.empty((queries.shape[0], depth), dtype=np.intp)
+    block = max(1, int(2**20 // max(1, feats.size)))
     for start in range(0, queries.shape[0], block):
         q = queries[start : start + block]
         d2 = ((q[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
         # stable argsort: distance ties resolve to the smaller training row index
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        out[start : start + block] = labels[order].mean(axis=1)
+        out[start : start + block] = np.argsort(d2, axis=1, kind="stable")[:, :depth]
     return out
 
 
-def _assert_table_matches_reference(queries, feats, labels, k_max):
-    sums = _knn_label_sums(queries, feats, labels, k_max)
-    assert sums.shape == (queries.shape[0], k_max)
-    for k in range(1, k_max + 1):
-        assert np.array_equal(sums[:, k - 1] / k, _knn_scores_reference(queries, feats, labels, k)), k
+def _knn_scores_reference(queries, feats, labels, ks):
+    """The k-NN scores at each k of ks, one column each, from the stable-argsort order."""
+    near = labels[_knn_order_reference(queries, feats, int(np.max(ks)))]
+    return np.stack([near[:, :k].mean(axis=1) for k in np.atleast_1d(ks)], axis=1)
+
+
+def _assert_table_matches_reference(queries, feats, labels, ks):
+    ks = np.asarray(ks)
+    sums = _knn_label_sums(queries, feats, labels, ks)
+    assert sums.shape == (queries.shape[0], ks.size)
+    assert np.array_equal(sums / ks, _knn_scores_reference(queries, feats, labels, ks))
 
 
 @settings(max_examples=300, deadline=None)
-@example(seed=0, T=6, Q=5, d=1, decimals=0, copies=3, k_share=1.0, ulps=0)  # k = training size, heavy ties
-@example(seed=1, T=1, Q=2, d=2, decimals=None, copies=1, k_share=0.0, ulps=0)  # one training row
+@example(seed=0, T=6, Q=5, blocks=0, d=1, decimals=0, copies=3, k_share=1.0, ulps=0)  # k = training size, heavy ties
+@example(seed=1, T=1, Q=2, blocks=0, d=2, decimals=None, copies=1, k_share=0.0, ulps=0)  # one training row
 # near ties (distances a few ulps apart) at T = 32 = 2**5 and T = 33, whose row indices need 5 and 6 bits, and at k = T
-@example(seed=2, T=32, Q=4, d=1, decimals=None, copies=0, k_share=0.3, ulps=6)
-@example(seed=3, T=33, Q=4, d=2, decimals=None, copies=0, k_share=0.5, ulps=9)
-@example(seed=4, T=16, Q=3, d=3, decimals=None, copies=0, k_share=1.0, ulps=4)
+@example(seed=2, T=32, Q=4, blocks=0, d=1, decimals=None, copies=0, k_share=0.3, ulps=6)
+@example(seed=3, T=33, Q=4, blocks=0, d=2, decimals=None, copies=0, k_share=0.5, ulps=9)
+@example(seed=4, T=16, Q=3, blocks=0, d=3, decimals=None, copies=0, k_share=1.0, ulps=4)
+# both ways of summing the distances (one by one below 8 features, numpy's own sum from 8 on, a few queries at a
+# time), over several blocks of queries and at their edges
+@example(seed=5, T=63, Q=9, blocks=2, d=7, decimals=1, copies=5, k_share=1.0, ulps=0)
+@example(seed=6, T=65, Q=1, blocks=1, d=9, decimals=0, copies=2, k_share=0.5, ulps=0)
+@example(seed=7, T=127, Q=30, blocks=2, d=128, decimals=None, copies=0, k_share=1.0, ulps=3)
+@example(seed=8, T=129, Q=7, blocks=1, d=129, decimals=1, copies=4, k_share=0.2, ulps=0)
 @given(
     seed=hst.integers(0, 2**32 - 1),
-    T=hst.integers(1, 40),
+    # any small training size, or a power of two +- 1 up to 129 (row indices of b and b + 1 bits)
+    T=hst.one_of(hst.integers(1, 40), hst.builds(lambda e, s: max(1, 2**e + s), hst.integers(0, 7),
+                                                   hst.sampled_from([-1, 0, 1]))),
     Q=hst.integers(1, 30),
-    d=hst.integers(1, 3),
+    blocks=hst.sampled_from([0, 0, 1, 2]),  # full blocks of queries before the last Q
+    d=hst.sampled_from([1, 2, 3, 7, 8, 9, 16, 128, 129]),
     decimals=hst.sampled_from([0, 1, None]),
     copies=hst.integers(0, 10),
     k_share=hst.floats(0.0, 1.0),
     ulps=hst.sampled_from([0, 0, 3, 40]),
 )
-def test_knn_label_sums_equal_per_k_stable_argsort(seed, T, Q, d, decimals, copies, k_share, ulps):
+def test_knn_label_sums_equal_per_k_stable_argsort(seed, T, Q, blocks, d, decimals, copies, k_share, ulps):
     rng = np.random.default_rng(seed)
+    Q += blocks * ((2**13 - 1) // T)  # a block holds (2**13 - 1) // T queries
     feats, queries = rng.normal(size=(T, d)), rng.normal(size=(Q, d))
     if decimals is not None:  # rounded features put distance ties on the k_max boundary
         feats, queries = np.round(feats, decimals), np.round(queries, decimals)
@@ -326,38 +342,42 @@ def test_knn_label_sums_equal_per_k_stable_argsort(seed, T, Q, d, decimals, copi
         offsets = rng.choice([-1.0, 1.0], T) * (1.0 + rng.integers(0, ulps + 1, T) * np.spacing(1.0))
         feats = queries[-1] + offsets[:, None] * (np.arange(d) == 0)
     k_max = max(1, int(np.ceil(k_share * T)))
-    _assert_table_matches_reference(queries, feats, rng.integers(0, 2, T), k_max)
+    assert np.array_equal(_knn_order(queries, feats, k_max), _knn_order_reference(queries, feats, k_max))
+    ks = np.unique(np.append(rng.integers(1, k_max + 1, 3), k_max))  # a path model's k values, k_max the last
+    _assert_table_matches_reference(queries, feats, rng.integers(0, 2, T), ks)
 
 
 def test_knn_label_sums_across_query_blocks():
-    # 2**16 // T = 32 query rows per block, far fewer than Q; rounding leaves some queries tied
+    # (2**13 - 1) // T = 3 query rows per block at T = 2**11, far fewer than Q; from T = 2**13 on, one row passes
+    # that budget and a block holds 2**16 // T = 7 rows; rounding leaves some queries tied
     rng = np.random.default_rng(11)
-    T, Q = 2**11, 2100
-    feats = np.round(rng.normal(size=(T, 1)), 2)
-    queries = np.concatenate([feats[rng.integers(0, T, Q // 2)], rng.normal(size=(Q - Q // 2, 1))])
-    _assert_table_matches_reference(queries, feats, rng.integers(0, 2, T), 3)
+    for T, Q in ((2**11, 2100), (2**13 + 1, 40)):
+        feats = np.round(rng.normal(size=(T, 1)), 2)
+        queries = np.concatenate([feats[rng.integers(0, T, Q // 2)], rng.normal(size=(Q - Q // 2, 1))])
+        _assert_table_matches_reference(queries, feats, rng.integers(0, 2, T), [1, 2, 3])
 
 
 def test_knn_label_sums_memory_bounded_in_feature_count():
-    # blocks are sized by T * d: a block sized by T alone builds a (4194, 1000, 8) temporary, 256 MiB
+    # the distances are summed feature by feature into (block, T) buffers: the (block, T, 8) difference
+    # temporary of a block sized by T alone held 256 MiB
     rng = np.random.default_rng(12)
     T, Q, d = 1000, 4200, 8
     feats, queries, labels = rng.normal(size=(T, d)), rng.normal(size=(Q, d)), rng.integers(0, 2, T)
     tracemalloc.start()
     try:
-        sums = _knn_label_sums(queries, feats, labels, 5)
+        sums = _knn_label_sums(queries, feats, labels, np.array([1, 5]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
     for start in range(0, Q, 600):
-        for k in (1, 5):
-            ref = _knn_scores_reference(queries[start : start + 600], feats, labels, k)
-            assert np.array_equal(sums[start : start + 600, k - 1] / k, ref)
+        ref = _knn_scores_reference(queries[start : start + 600], feats, labels, np.array([1, 5]))
+        assert np.array_equal(sums[start : start + 600] / np.array([1, 5]), ref)
 
 
 def test_knn_order_memory_stays_near_its_block_budget():
-    # blocks of about 2**16 (query, train row) entries: blocks of 2**22 held several 32 MiB temporaries (85 MiB);
+    # blocks of (2**13 - 1) // T queries, with one distance and one key buffer of < 64 KiB each: blocks of
+    # 2**22 (query, train row) entries held several 32 MiB temporaries (85 MiB);
     # with no feature column every distance would be 0, so the order is refused before any block is built
     rng = np.random.default_rng(13)
     T, Q, depth = 1200, 6000, 60
@@ -375,9 +395,28 @@ def test_knn_order_memory_stays_near_its_block_budget():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, d
-        for k in (1, 7, depth):
-            ref = _knn_scores_reference(queries, feats, labels, k)
-            assert np.array_equal(labels[order[:, :k]].mean(axis=1), ref), (d, k)
+        ks = np.array([1, 7, depth])
+        ref = _knn_scores_reference(queries, feats, labels, ks)
+        assert np.array_equal(np.stack([labels[order[:, :k]].mean(axis=1) for k in ks], axis=1), ref), d
+
+
+def test_knn_path_scoring_builds_no_table_to_the_largest_k():
+    # label sums are reduced to the path's k columns block by block: the order, label and prefix-sum
+    # tables to the largest k would each hold Q * 51 int64 entries (7.8 MiB)
+    rng = np.random.default_rng(14)
+    T, Q, ks = 1000, 20_000, (5, 15, 31, 51)
+    train = LabeledDataset(rng.normal(size=(2 * T, 1)), np.repeat([0, 1], T), rng.integers(0, 2, 2 * T))
+    path = replace(_knn_path([fit_knn(train, KnnConfig(k=k)) for k in ks]), floor=0.0)
+    queries = rng.normal(size=(Q, 1))
+    tracemalloc.start()
+    try:
+        scores = path.score_group(queries, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < Q * 51 * 8
+    feats, labels, _ = path.params[0]
+    assert np.array_equal(scores, _knn_scores_reference(queries, feats, labels, np.array(ks)))
 
 
 class TestScoreModel:
