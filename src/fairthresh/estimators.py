@@ -82,11 +82,12 @@ def logistic_descent(X: np.ndarray, y: np.ndarray, cfg: LogisticConfig):
     Each step solves (X1' diag(p(1-p)) X1 / n + lambda I) delta = -grad,
     backtracks on delta by the Armijo rule and keeps the accepted candidate's
     logits for the next p.  When the solve fails on a singular Hessian
-    (equal columns at lambda = 0, say) delta is the minimum-norm
-    least-squares solution, and when delta is not a descent direction the
-    step falls back to -grad.  Returns (weights, intercept, converged,
-    losses); the loss sequence is non-increasing and len(losses) - 1 is the
-    iteration count.
+    (equal columns at lambda = 0, say), by raising or by returning a delta
+    that is not finite or leaves ||H delta + grad|| > 1e-8 ||grad||, delta
+    is the minimum-norm least-squares solution, and when delta is not a
+    descent direction the step falls back to -grad.  Returns (weights,
+    intercept, converged, losses); the loss sequence is non-increasing and
+    len(losses) - 1 is the iteration count.
     """
     X1 = np.hstack([np.ones((X.shape[0], 1)), X])
     lam, w = cfg.l2_lambda, np.zeros(X1.shape[1])
@@ -96,16 +97,20 @@ def logistic_descent(X: np.ndarray, y: np.ndarray, cfg: LogisticConfig):
     while True:
         p = _sigmoid(z)
         grad = X1.T @ (p - y) / len(y) + lam * w
-        converged = float(np.sqrt(grad @ grad)) <= cfg.grad_tolerance  # np.linalg.norm of a 1-D float vector
+        norm = float(np.sqrt(grad @ grad))  # np.linalg.norm of a 1-D float vector
+        converged = norm <= cfg.grad_tolerance
         if converged or len(losses) > cfg.max_iters:
             return w[1:], float(w[0]), converged, losses
         hess = (X1.T * (p * (1.0 - p))) @ X1 / len(y) + penalty
-        try:
+        try:  # a solve on a Hessian singular only at working precision returns, and its delta is no solution
             delta = -np.linalg.solve(hess, grad)
+            solved = np.isfinite(delta).all() and np.linalg.norm(hess @ delta + grad) <= 1e-8 * norm
         except np.linalg.LinAlgError:
+            solved = False
+        if not solved:
             delta = -np.linalg.lstsq(hess, grad)[0]
         slope = float(grad @ delta)
-        if not (np.isfinite(slope) and slope < 0.0):  # also a NaN or inf from a near-singular solve
+        if not (np.isfinite(slope) and slope < 0.0):  # also a NaN or inf
             delta, slope = -grad, -float(grad @ grad)
         for step in steps:
             val, z_try = _logistic_loss(w_try := w + step * delta, X1, y, lam)
@@ -360,14 +365,40 @@ def _knn_order(queries: np.ndarray, feats: np.ndarray, depth: int) -> np.ndarray
     return out
 
 
+def _knn_window_sums(queries: np.ndarray, feats: np.ndarray, labels: np.ndarray, ks, out: np.ndarray) -> np.ndarray:
+    """_knn_label_sums on one feature column from windows of the sorted training values; returns the rows of
+    the queries it leaves to _knn_blocks.  Along either side of a query, (q - f)**2 never decreases, so the k
+    nearest training rows are one window of k values in sorted order, whose label sum is a difference of two
+    prefix sums, wherever the k-th and (k+1)-th distances differ; queries where they are equal for some k are
+    left to _knn_blocks, which breaks the tie by row index."""
+    T, order = feats.shape[0], np.argsort(feats[:, 0], kind="stable")
+    # values[i + 1] is the i-th sorted value, between sentinels at an infinite distance
+    values = np.concatenate(([-np.inf], feats[order, 0], [np.inf]))
+    csum = np.concatenate(([0], labels[order].cumsum(dtype=np.int64)))
+    q, k = queries[:, 0], ks.reshape(-1, 1)  # (k, query) arrays: numpy's loops run along the queries
+    p = np.searchsorted(values[1:-1], q)  # training values below each query, so its window starts in [p - k, p]
+    start, last = np.maximum(p - k, 0), np.minimum(p, T - k)
+    for step in 1 << np.arange(int(k.max()).bit_length())[::-1]:  # bisection on each (k, query) window's start
+        c = np.minimum(start + step, last)
+        # the value before a window starting at c lies farther than the last one in it: the window starts at c or later
+        start = np.where(q - values[c] > values[c + k] - q, c, start)
+    kth = np.maximum(np.square(q - values[start + 1]), np.square(q - values[start + k]))
+    out[...] = (csum[start + k] - csum[start]).T.reshape(out.shape)
+    tied = ~(kth < np.minimum(np.square(q - values[start]), np.square(q - values[start + k + 1])))
+    return np.flatnonzero(tied.any(axis=0))
+
+
 def _knn_label_sums(queries: np.ndarray, feats: np.ndarray, labels: np.ndarray, ks) -> np.ndarray:
     """Label sums over the k nearest training rows of each query, one column per entry of ks (a scalar k gives
-    one value per query): an int64 table whose scores are table / ks.  Each block of _knn_blocks is reduced
-    to these columns, so no (queries, max k) table is built."""
+    one value per query): an int64 table whose scores are table / ks.  On one feature column a query's sums
+    come from windows of the sorted training values (_knn_window_sums); queries whose k-th and (k+1)-th
+    distances tie, and every query on two or more features, go through _knn_blocks, each block reduced to these
+    columns, so no (queries, max k) table is built."""
     ks = np.asarray(ks)
     out = np.empty(queries.shape[:1] + ks.shape, dtype=np.int64)
-    for rows, order in _knn_blocks(queries, feats, int(ks.max())):
-        out[rows] = labels[order].cumsum(axis=1, dtype=np.int64)[:, ks - 1]
+    todo = _knn_window_sums(queries, feats, labels, ks, out) if feats.shape[1] == 1 else np.arange(out.shape[0])
+    for rows, order in _knn_blocks(queries[todo], feats, int(ks.max())):
+        out[todo[rows]] = labels[order].cumsum(axis=1, dtype=np.int64)[:, ks - 1]
     return out
 
 

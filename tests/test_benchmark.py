@@ -245,13 +245,13 @@ class TestOneFitPerFold:
 def test_carve_cv_orders_neighbours_once_per_fold_slot_and_query_set(ds, monkeypatch, mode, slots):
     """Every k of the grid shares its fold's carve and so one k-NN kernel call per model slot
     (each group, and blind the pooled model) and query set (calibration sample, held-out part)."""
-    calls, real_blocks = [], estimators._knn_blocks
+    calls, real_sums = [], estimators._knn_label_sums
 
-    def blocks(*args):
+    def sums(*args):
         calls.append(args)
-        return real_blocks(*args)
+        return real_sums(*args)
 
-    monkeypatch.setattr(estimators, "_knn_blocks", blocks)
+    monkeypatch.setattr(estimators, "_knn_label_sums", sums)
     folds = 3
     cfg = small_config(estimator="knn", knn_grid=(1, 5, 15, 41), cv_folds=folds, mode=mode, unlabeled=0.3)
     rows = cross_validate(ds, cfg, [2])["plugin"]

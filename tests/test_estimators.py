@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from fairthresh import estimators
 from fairthresh.data import LabeledDataset
 from fairthresh.errors import ConfigError, SchemaError
 from fairthresh.estimators import (
@@ -155,27 +156,30 @@ def kernel_problems(draw):
           (np.linspace(-3.0, 3.0, 300) > 0).astype(np.float64), LogisticConfig(l2_lambda=0.0)))
 # the max_iters cap, before the gradient tolerance is met
 @example((np.linspace(-1.0, 1.0, 50)[:, None], np.tile([0.0, 1.0], 25), LogisticConfig(max_iters=1)))
+# one row, 20 columns: the Hessian is singular only at working precision, so solves return without raising; a
+# step taken from such a solve sent |w| to 5e16, after which the fit ran 1,000 steps unconverged (seed 288) or
+# exhausted its line search (seed 179)
+@example((np.random.default_rng(288).normal(0.0, 10.0, (1, 20)), np.array([1.0]), LogisticConfig(l2_lambda=0.0)))
+@example((np.random.default_rng(179).normal(0.0, 10.0, (1, 20)), np.array([1.0]), LogisticConfig(l2_lambda=0.0)))
 def test_logistic_kernel_matches_reference(problem):
-    """Where no Newton solve fails, the lean kernel gives the reference kernel's weights, intercept, flag and
-    loss list bit for bit.  Where one fails (a singular Hessian), the kernel takes the least-squares step
-    where the reference fell back to -grad: its losses still fall, and uncapped it converges, to a loss
-    within the gradient tolerance of the reference's."""
-    solve, failed = np.linalg.solve, []
+    """Every fit ends converged or at a max_iters cap below 1000.  Where no Newton solve fails, the lean
+    kernel gives the reference kernel's weights, intercept, flag and loss list bit for bit.  Where one fails
+    (a singular Hessian: the solve raises, or its delta is not a solution), the kernel takes the least-squares
+    step where the reference fell back to -grad or took that delta: its losses still fall, and converged, it
+    ends within the gradient tolerance of the reference's loss."""
+    lstsq, failed = np.linalg.lstsq, []
 
-    def spy(a, b):
-        try:
-            return solve(a, b)
-        except np.linalg.LinAlgError:
-            failed.append(True)
-            raise
+    def spy(a, b):  # the kernel calls lstsq exactly when a solve failed
+        failed.append(True)
+        return lstsq(a, b)
 
-    with mock.patch.object(np.linalg, "solve", spy):
+    with mock.patch.object(np.linalg, "lstsq", spy):
         w, b, converged, losses = logistic_descent(*problem)
     w_ref, b_ref, converged_ref, losses_ref = reference.logistic_descent(*problem)
+    cfg = problem[2]
+    assert converged or len(losses) - 1 == cfg.max_iters < 1000
     if failed:
-        cfg = problem[2]
         assert np.all(np.diff(losses) <= 0.0)
-        assert converged or len(losses) - 1 == cfg.max_iters < 1000
         assert not converged or losses[-1] <= losses_ref[-1] + cfg.grad_tolerance
         return
     assert w.tobytes() == w_ref.tobytes() and np.float64(b).tobytes() == np.float64(b_ref).tobytes()
@@ -355,6 +359,72 @@ def test_knn_label_sums_across_query_blocks():
         feats = np.round(rng.normal(size=(T, 1)), 2)
         queries = np.concatenate([feats[rng.integers(0, T, Q // 2)], rng.normal(size=(Q - Q // 2, 1))])
         _assert_table_matches_reference(queries, feats, rng.integers(0, 2, T), [1, 2, 3])
+
+
+def _with_zero_column(x):
+    """x with an all-zero second feature column: its squared distances are x's bits, through _knn_blocks."""
+    return np.column_stack([x, np.zeros(x.shape[0])])
+
+
+@settings(max_examples=300, deadline=None)
+@example(seed=0, T=1, Q=3, decimals=None, dups=0.0, copies=1, outside=2, ulps=0, k_share=1.0, scalar=True)
+@example(seed=1, T=9, Q=12, decimals=0, dups=0.5, copies=6, outside=3, ulps=0, k_share=1.0, scalar=False)
+@example(seed=2, T=33, Q=5, decimals=None, dups=0.0, copies=0, outside=0, ulps=3, k_share=0.0, scalar=False)
+@example(seed=3, T=40, Q=20, decimals=1, dups=0.3, copies=10, outside=4, ulps=40, k_share=0.5, scalar=True)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    T=hst.one_of(hst.integers(1, 40), hst.builds(lambda e, s: max(1, 2**e + s), hst.integers(0, 7),
+                                                   hst.sampled_from([-1, 0, 1]))),
+    Q=hst.integers(1, 30),
+    decimals=hst.sampled_from([0, 1, None]),  # rounded values tie
+    dups=hst.sampled_from([0.0, 0.0, 0.3, 0.8]),  # the share of training values that copy another row's value
+    copies=hst.integers(0, 10),  # queries equal to training values
+    outside=hst.integers(0, 4),  # queries beyond both ends of the training values
+    ulps=hst.sampled_from([0, 0, 3, 40]),
+    k_share=hst.floats(0.0, 1.0),
+    scalar=hst.booleans(),  # one k (a model) or an array of them (a path model)
+)
+def test_knn_one_feature_windows_equal_blocked_kernel(seed, T, Q, decimals, dups, copies, outside, ulps, k_share,
+                                                      scalar):
+    """On one feature column, the label sums from sorted windows (the tied queries left to _knn_blocks) equal
+    those of the same rows with an all-zero second column, which go through _knn_blocks alone."""
+    rng = np.random.default_rng(seed)
+    feats, queries = rng.normal(size=(T, 1)), rng.normal(size=(Q, 1))
+    if decimals is not None:
+        feats, queries = np.round(feats, decimals), np.round(queries, decimals)
+    copied = rng.random(T) < dups
+    feats[copied] = feats[rng.integers(0, T, int(copied.sum()))]
+    n_copies = min(copies, Q)
+    queries[:n_copies] = feats[rng.integers(0, T, n_copies)]
+    queries[Q - min(outside, Q) :, 0] = rng.choice([-1.0, 1.0], min(outside, Q)) * (np.abs(feats).max() + 1.0)
+    if ulps:  # training values on both sides of the first query at distances about 1, up to `ulps` ulps apart
+        offsets = rng.choice([-1.0, 1.0], T) * (1.0 + rng.integers(0, ulps + 1, T) * np.spacing(1.0))
+        feats = queries[0] + offsets[:, None]
+    labels = rng.integers(0, 2, T)
+    k_max = max(1, int(np.ceil(k_share * T)))
+    ks = k_max if scalar else np.unique(np.append(rng.integers(1, k_max + 1, 3), k_max))
+    sums = _knn_label_sums(queries, feats, labels, ks)
+    twin = _knn_label_sums(_with_zero_column(queries), _with_zero_column(feats), labels, ks)
+    assert sums.shape == twin.shape == queries.shape[:1] + np.shape(ks) and np.array_equal(sums, twin)
+
+
+def test_knn_one_feature_hands_exactly_the_tied_queries_to_the_blocks():
+    # training values 3, 2, 1, 0 in rows 0-3: queries 1.5 and 2.5 lie halfway between two values, so their
+    # nearest (k = 1) is a distance tie, which goes to the smaller row index (rows 1 and 0); 0.2 and 10 tie at
+    # neither k
+    feats, labels = np.array([[3.0], [2.0], [1.0], [0.0]]), np.array([1, 0, 1, 0])
+    queries, ks = np.array([[1.5], [0.2], [2.5], [10.0]]), np.array([1, 2])
+    seen, blocks = [], estimators._knn_blocks
+
+    def spy(q, *args):
+        seen.append(q.copy())
+        return blocks(q, *args)
+
+    with mock.patch.object(estimators, "_knn_blocks", spy):
+        sums = _knn_label_sums(queries, feats, labels, ks)
+    assert len(seen) == 1 and np.array_equal(seen[0], queries[[0, 2]])
+    assert sums.tolist() == [[0, 1], [0, 1], [1, 1], [1, 1]]
+    assert np.array_equal(sums / ks, _knn_scores_reference(queries, feats, labels, ks))
 
 
 def test_knn_label_sums_memory_bounded_in_feature_count():
