@@ -17,12 +17,16 @@ neighbour table per group and query set.  CV fits the whole grid per fold and
 calibrates on the fold's fit part or, with a held-out unlabeled fraction, on
 one carve per fold shared by every grid point.  Either way every grid point
 of a fold calibrates on the same rows and predicts the same held-out rows, so
-the fold's scores come as grid-major blocks, (K, n) or blind (K, 3, n), and
-_evaluate takes the whole fold at once: one calibrate_scores call (one score
-check and floor, per-row group statistics, one exact argmin per row), one
-switch-point pass deciding both method arms for every row and one DEO call
-on the (arms x K, n_held) prediction matrix.  A final refit is the case
-K = 1.
+the fold's scores come as grid-major blocks, (K, n) or blind (K, 3, n).
+_evaluate takes a batch of such folds at once: one calibrate_scores call for
+all of them (each fold floored with its own c, per-row group statistics, one
+exact argmin for every row of every fold), then per fold one switch-point
+pass deciding both method arms for every row and one DEO call on the
+(arms x K, n_held) prediction matrix.  cross_validate hands it all of a
+repeat's folds, in batches of about calibration._BATCH_ENTRIES calibration
+scores, so a large fold's blocks are not all held at once; _run_repeat hands
+it all of its final refits, one sample per target holding every chosen grid
+point's row.
 
 k-NN calibrating on its fit parts skips the fits: the folds of a repeat share
 one neighbour order per model slot (_knn_fold_tables) of at most
@@ -32,10 +36,11 @@ neighbours in some fold is ordered again to depth k_max + h_s, with at most
 h_s of the slot's train rows held out by one fold.  The chosen grid points
 are refitted once per repeat and, in the sweep, score the labeled part and
 the other rows once for every unlabeled fraction.  The scores then go through
-the public calibration API as score columns: calibration.calibrate_scores
-floors a calibration sample's scores with its own c, never below the default
-floor, so the shared k-NN tables stay unfloored, and both arms predict from
-the same test scores, floored with that c.
+calibration.calibrate_scores as blocks the benchmark owns: it floors a
+calibration sample's scores in place with its own c, never below the default
+floor, so the shared k-NN tables, from which each fold's blocks are copied,
+stay unfloored, and both arms predict from the same test scores, floored with
+that c into a new array.
 
 Every repeat is seeded on its own ([seed, r] for its split and CV,
 [seed, r, 7] for its carve, [seed, r, 917] for the sweep's permutation), so
@@ -54,7 +59,7 @@ import numpy as np
 from . import calibration
 from ._parallel import map_ordered
 # calibrate is not called here, but perfbench/spans.py wraps fairthresh.benchmark.calibrate by name
-from .calibration import _columns, _fit_estimator, _row_scores, calibrate  # noqa: F401
+from .calibration import _batches, _fit_estimator, _row_scores, calibrate  # noqa: F401
 from .data import LabeledDataset, SplitPlan, UnlabeledDataset, split
 from .errors import ConfigError, GroupCoverageError
 from .estimators import KnnConfig, LogisticConfig, _knn_order, _knn_path, _slots
@@ -204,17 +209,19 @@ def _score_members(models: list, queries) -> list[np.ndarray]:
     return [np.stack([_row_scores(model, q.features, q.sensitive) for model in models]) for q in queries]
 
 
-def _evaluate(cal, test, mode, methods) -> dict:
-    """Calibrate each grid row of cal = (score block, S) on its own, then predict test = (score block,
-    labels, S) with each method arm, every row and arm in one decision and one DEO pass:
-    {method: [(report, classifier) per grid row]}."""
-    classifiers = calibration.calibrate_scores(**_columns(*cal, mode), mode=mode)
-    arms = [[clf if m == "plugin" else replace(clf, theta_hat=0.0) for clf in classifiers] for m in methods]
-    scores, labels, sensitive = test
-    thetas = [[clf.theta_hat for clf in row] for row in arms]
-    pred = calibration._predict_grid(classifiers, thetas, _columns(scores, sensitive, mode))
-    reports = iter(deo_report(pred.reshape(-1, pred.shape[-1]), labels, sensitive))
-    return {m: [(next(reports), clf) for clf in row] for m, row in zip(methods, arms)}
+def _evaluate(cals, tests, mode, methods) -> list[dict]:
+    """Calibrate every grid row of every cal = (score block, S) in one calibrate_scores call, then predict
+    each sample's test = (score block, labels, S) with each method arm, a sample's rows and arms in one
+    decision and one DEO pass: per sample, {method: [(report, classifier) per grid row]}.  The calibration
+    blocks are the caller's own: they are floored in place."""
+    out = []
+    for classifiers, (scores, labels, sensitive) in zip(calibration.calibrate_scores(samples=cals, mode=mode), tests):
+        arms = [[clf if m == "plugin" else replace(clf, theta_hat=0.0) for clf in classifiers] for m in methods]
+        thetas = [[clf.theta_hat for clf in row] for row in arms]
+        pred = calibration._predict_grid(classifiers, thetas, scores, sensitive)
+        reports = iter(deo_report(pred.reshape(-1, pred.shape[-1]), labels, sensitive))
+        out.append({m: [(next(reports), clf) for clf in row] for m, row in zip(methods, arms)})
+    return out
 
 
 def _knn_fold_tables(train: LabeledDataset, folds, mode: str):
@@ -336,11 +343,12 @@ def cross_validate(train: LabeledDataset, config: BenchmarkConfig, seed) -> dict
     else:
         scored = _fitted_cv_scores(parts, grid, config.mode, skipped)
     done = [[] for _ in grid]  # per grid point: (fold, {method: (report, clf)})
-    for f, cal, held, members, cal_scores, held_scores in scored:
-        test = (held_scores, held.labels, held.sensitive)
-        evaluated = _evaluate((cal_scores, cal.sensitive), test, config.mode, config.methods)
-        for j, i in enumerate(members):
-            done[i].append((f, {m: evaluated[m][j] for m in config.methods}))
+    for batch in _batches(scored, lambda fold: fold[4].size):  # the folds whose calibration scores fill a batch
+        cals = [(cal_scores, cal.sensitive) for _, cal, _, _, cal_scores, _ in batch]
+        tests = [(held_scores, held.labels, held.sensitive) for _, _, held, _, _, held_scores in batch]
+        for (f, _, _, members, _, _), evaluated in zip(batch, _evaluate(cals, tests, config.mode, config.methods)):
+            for j, i in enumerate(members):
+                done[i].append((f, {m: evaluated[m][j] for m in config.methods}))
     rows = {m: [] for m in config.methods}
     for (label, _), flags_i, done_i in zip(grid, skipped, done):
         for m in config.methods:
@@ -395,18 +403,21 @@ def _run_repeat(train, fit_part, queries, targets, config: BenchmarkConfig, repe
     else:
         cv = {m: tuple(rows) for m, rows in cross_validate(train, config, [config.seed, repeat]).items()}
         chosen = {m: select_hyperparameters(rows, config.shortlist_fraction) for m, rows in cv.items()}
-    outcomes = [{} for _ in targets]
     members = list(dict.fromkeys(chosen.values()))
     blocks = _score_members([_fit_estimator(fit_part, grid[i][1], config.mode) for i in members], queries)
-    for j, i in enumerate(members):
-        label, arms = grid[i][0], [m for m in config.methods if chosen[m] == i]
-        scores = [block[j : j + 1] for block in blocks]  # the grid point's own row of each block
-        for out, ((c, c_rows), (t, t_rows)) in zip(outcomes, targets):
-            cal = (_pick(scores[c], c_rows), _pick(queries[c].sensitive, c_rows))
-            test = (_pick(scores[t], t_rows), _pick(queries[t].labels, t_rows), _pick(queries[t].sensitive, t_rows))
-            for m, [(report, clf)] in _evaluate(cal, test, config.mode, arms).items():
-                out[m] = RepeatOutcome(repeat=repeat, method=m, param=label, acc=report.accuracy, deo=report.deo,
-                                       theta_hat=clf.theta_hat, flags=tuple(report.flags), cv_table=cv[m])
+    cals, tests = [], []  # per target, every chosen grid point's rows; a calibration block of its own
+    for (c, c_rows), (t, t_rows) in targets:
+        cal_scores = blocks[c].copy() if c_rows is None else blocks[c][..., c_rows]
+        cals.append((cal_scores, _pick(queries[c].sensitive, c_rows)))
+        tests.append((_pick(blocks[t], t_rows), _pick(queries[t].labels, t_rows), _pick(queries[t].sensitive, t_rows)))
+    outcomes = []
+    for evaluated in _evaluate(cals, tests, config.mode, config.methods):
+        outcomes.append({})
+        for m in config.methods:
+            report, clf = evaluated[m][members.index(chosen[m])]
+            outcomes[-1][m] = RepeatOutcome(repeat=repeat, method=m, param=grid[chosen[m]][0], acc=report.accuracy,
+                                            deo=report.deo, theta_hat=clf.theta_hat, flags=tuple(report.flags),
+                                            cv_table=cv[m])
     return outcomes
 
 

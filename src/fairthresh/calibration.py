@@ -21,29 +21,39 @@ point, and _switch_points gives each row that point and its side ("rising":
 theta >= bp, "falling": theta <= bp).  Aware switch points keep the form
 joint_1*(2 - 1/eta) and joint_0*(1/eta - 2): the product form can round the
 other way within a few ulps, and the objective and FairClassifier._decide
-(one expression) both read the switch points, so they agree exactly.  One
-objective class, _Objective, keeps each side's switch points in ascending
-order with the rising rows' weights as prefix sums and the falling ones' as
-suffix sums, and exposes .breakpoints, .value(thetas) and .argmin() -> (theta,
-value); the modes differ only in the constants, weights and bound its
-constructor sets up.  value() looks each theta up in both sides by binary
-search; argmin() merges the two sides in one stable sort and reads every
-breakpoint's and midpoint's counts off one walk along the merge (_runs), a
-block at a time, so it needs no search per candidate.  fit_theta, fit_theta_blind,
-empirical_unfairness, blind_unfairness and breakpoints are one-liners over
-it.  _distinct dedups the switch points without numpy.ma, which numpy's set
-routines import.  calibrate scores the calibration sample with the fitted
-estimator; calibrate_scores and predict_from_scores take score columns, which
-one adapter (_column_scores) checks and puts in the same form; _columns is its
-inverse.  Both calibrations floor the scores once and hand them to one core,
+(one expression) both read the switch points, so they agree exactly.
+
+One objective class, _Objective, holds R calibration rows at once, each with
+its own sides: the switch points of each side in ascending order, with the
+rising rows' weights as prefix sums and the falling ones' as suffix sums,
+padded to one width by points that never switch at a finite theta.  It
+exposes .breakpoints(row), .value(thetas) and .argmin() -> (theta, value)
+per row; the modes differ only in the constants, weights and bound the side
+builders (_aware_sides, _blind_batch) set up.  value() looks each theta up in
+both sides by binary search; argmin() counts the probes against each side,
+merges each row's two sides in one stable sort and reads every breakpoint's
+and midpoint's counts off one walk along all rows' merges (_runs), a block
+at a time, so it needs no search per candidate and no loop over the rows.
+fit_theta, fit_theta_blind, empirical_unfairness, blind_unfairness and
+breakpoints are one-liners over a one-row objective.  _distinct dedups the
+switch points without numpy.ma, which numpy's set routines import.
+
+calibrate scores the calibration sample with the fitted estimator;
+calibrate_scores takes score columns, which one adapter (_column_scores)
+checks and puts in the same form, and predict_from_scores decides from
+them.  Both calibrations floor the scores and hand them to one core,
 _calibrate, so they give the same theta_hat on the same scores, and the
-classifier carries the objective value at theta_hat.  The core takes a
-leading grid axis: a block of K score rows that share the calibration
-sample, one classifier per row (the benchmark's CV folds), with group
-statistics from reductions along the rows and one _Objective per row; a
-single calibration is the case K = 1.  _predict_grid decides such a block at
-a theta per (arm, row) in one switch-point pass, through the decision rule
-(_decisions) FairClassifier._decide applies to one classifier.
+classifier carries the objective value at theta_hat.  The core takes a list
+of calibration samples, each a block of K score rows that share the sample
+(the benchmark's grid), and gives one classifier per row: it packs the rows
+of all samples into batches of about _BATCH_ENTRIES scores, and each batch
+is one objective and one argmin.  The benchmark hands it, through
+calibrate_scores(samples=...), all folds of a repeat's cross-validation in
+one call (as many as that budget holds) and all of a repeat's final refits
+in another; a single calibration is one sample of one row.  _predict_grid
+decides a sample's test block at a theta per (arm, row) in one switch-point
+pass, through the decision rule (_decisions) FairClassifier._decide applies
+to one classifier.
 """
 
 from __future__ import annotations
@@ -70,7 +80,7 @@ _CANDIDATE_BLOCK = 1 << 12  # merged switch points per block of the argmin's wal
 _BOUNDED_PROBES = np.array([0.0, -THETA_BOUND, THETA_BOUND])  # the argmin's probes in aware mode, 0 first
 # [-bound, bound] as searchsorted's side="left" reads it: #switch points < -bound, #switch points <= bound
 _AWARE_SPAN, _BLIND_SPAN = np.array([-THETA_BOUND, np.nextafter(THETA_BOUND, np.inf)]), np.array([-np.inf, np.inf])
-_NAN, _ZERO = np.array([np.nan]), np.zeros(1)
+_BATCH_ENTRIES = 1 << 15  # calibration scores per objective; the benchmark hands over folds by the same count
 FORMAT_VERSION = 1  # of the model JSON written by FairClassifier.to_json
 
 
@@ -106,24 +116,27 @@ def group_statistics(scores: np.ndarray, sensitive: np.ndarray) -> GroupStatisti
     sensitive = np.asarray(sensitive)
     if scores.shape != sensitive.shape:
         raise SchemaError(f"scores ({scores.shape}) and sensitive ({sensitive.shape}) misaligned")
-    return _grid_statistics(scores[None], sensitive)[0]
+    return _group_blocks(scores[None], sensitive)[1][0]
 
 
-def _grid_statistics(scores: np.ndarray, sensitive: np.ndarray) -> list[GroupStatistics]:
-    """The group statistics of each row of a (K, n) block of floored aware scores.
+def _group_blocks(scores: np.ndarray, sensitive) -> tuple[list[np.ndarray], list[GroupStatistics]]:
+    """Each group's scores of a (K, n) block of floored aware scores as a new (K, n_s) block, and the group
+    statistics of each row.
 
-    Each group's scores are compressed into a C-ordered (K, n_s) block, so a
-    row's mean sums in the order of the row's own 1-D mean and gives its bits
-    (fancy indexing, scores[:, mask], would give an F-ordered block).
+    compress gives C-ordered blocks, so a row's mean, its sum over n_s as
+    np.mean takes it, sums in the order of the row's own 1-D mean and gives
+    its bits (fancy indexing, scores[:, mask], would give an F-ordered block).
     """
-    p, means = [], []
+    blocks, p = [], []
     for s in (0, 1):
         mask = sensitive == s
-        if not mask.any():
+        count = int(np.count_nonzero(mask))
+        if not count:
             raise GroupCoverageError(f"group {s} absent from the calibration sample")
-        p.append(float(mask.mean()))
-        means.append(scores.compress(mask, axis=-1).mean(axis=-1).tolist())
-    return [GroupStatistics(tuple(p), (m0, m1), (m0 * p[0], m1 * p[1])) for m0, m1 in zip(*means)]
+        p.append(count / mask.size)
+        blocks.append(scores.compress(mask, axis=-1))
+    means = [(block.sum(axis=-1) / block.shape[-1]).tolist() for block in blocks]
+    return blocks, [GroupStatistics(tuple(p), (m0, m1), (m0 * p[0], m1 * p[1])) for m0, m1 in zip(*means)]
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -180,127 +193,255 @@ def _switch_points(mode: str, scores, sensitive, constants) -> tuple[np.ndarray,
     return bp, d >= 0.0
 
 
+def _sums(rising: np.ndarray, falling: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of the rising weights and suffix sums of the falling ones, along the last axis, each with
+    the empty sum as its extra entry (first for prefix sums, last for suffix sums)."""
+    prefix = np.zeros(rising.shape[:-1] + (rising.shape[-1] + 1,))
+    suffix = np.zeros(falling.shape[:-1] + (falling.shape[-1] + 1,))
+    np.cumsum(rising, axis=-1, out=prefix[..., 1:])
+    np.cumsum(falling[..., ::-1], axis=-1, out=suffix[..., -2::-1])
+    return prefix, suffix
+
+
+def _aware_sides(groups: list[np.ndarray], joint) -> tuple:
+    """The sides (bp_rising, prefix, bp_falling, suffix) of R aware rows from each group's floored scores,
+    (R, W_0) and (R, W_1) blocks sorted here in place, and the joints J_s as (2, R, 1).
+
+    The weights are the scores, and each side is divided by its own sum, so
+    F and R are the group TPRs.  A switch point rises with the score in group
+    1 and falls with it in group 0, also after rounding, so group 1 comes in
+    ascending and group 0 in descending score order.  Each group then sums in
+    descending score order, also across tied switch points, so identical
+    group multisets give exactly 0 at theta = 0.  The rows of samples of
+    different sizes come padded with zeros (_padded): a zero sorts below
+    every floored score and adds nothing to a sum, and its switch point is
+    +inf on the rising side, at the back, and -inf on the falling side, at
+    the front.
+    """
+    for block in groups:
+        block.sort(axis=-1)
+    rising, falling = groups[0][:, ::-1], groups[1]
+    prefix, suffix = _sums(rising, falling)
+    prefix /= prefix[:, -1:]
+    suffix /= suffix[:, :1]
+    with np.errstate(divide="ignore"):  # 1/0 of the pads
+        bp_rising, bp_falling = (_switch_points("aware", w, s, joint)[0] for w, s in ((rising, 0), (falling, 1)))
+    return bp_rising, prefix, bp_falling, suffix
+
+
+def _blind_sides(rows) -> tuple[tuple[float, float], tuple]:
+    """The pooled means (E_0, E_1) of one floored blind row (scores_s0, scores_s1, marginal) and its sides,
+    each with one row.
+
+    The weights are s1/S1 - s0/S0 (S_s the column sums), negated on rising
+    rows.  Rows whose switch point is not finite never switch and are left
+    out (their weights, about |d|/N, are next to nothing), and the others are
+    sorted by switch point, equal points in row order (_finite_order).
+    """
+    s0, s1, _ = rows
+    means = (float(s0.mean()), float(s1.mean()))
+    bp, side = _switch_points("blind", rows, None, means)
+    weights = s1 / s1.sum()
+    weights -= s0 / s0.sum()
+    np.negative(weights, out=weights, where=side)
+    order = _finite_order(bp)
+    bp, side, weights = bp[order], side[order], weights[order]
+    prefix, suffix = _sums(weights[side], weights[~side])
+    return means, (bp[side][None], prefix[None], bp[~side][None], suffix[None])
+
+
+def _aware_batch(samples) -> tuple[tuple, list[GroupStatistics]]:
+    """The sides of the rows of aware calibration samples (scores, sensitive), each scores a (K, n) block of
+    floored scores, each group's scores padded with zeros to one width, and each row's group statistics."""
+    groups, stats = zip(*(_group_blocks(scores, sensitive) for scores, sensitive in samples))
+    stats = [st for sample in stats for st in sample]
+    groups = [_padded([blocks[s] for blocks in groups], 0.0) for s in (0, 1)]
+    return _aware_sides(groups, np.array([st.joint for st in stats]).T[..., None]), stats
+
+
+def _blind_batch(blocks) -> tuple[tuple, list[tuple[float, float]]]:
+    """The sides of the rows of blind calibration samples, each a (K, 3, n) block of floored scores, padded
+    at the back to one width with +inf switch points and zero weights, and each row's pooled means."""
+    means, sides = zip(*(_blind_sides(rows) for block in blocks for rows in block))
+    bp_rising, prefix, bp_falling, suffix = zip(*sides)
+    return (_padded(bp_rising, np.inf), _padded(prefix, None), _padded(bp_falling, np.inf), _padded(suffix, 0.0)), means
+
+
+def _padded(blocks: list[np.ndarray], fill) -> np.ndarray:
+    """Row blocks of different widths as one array at least one column wide, each row padded on the right
+    with fill, or with its own last entry where fill is None."""
+    width = max(1, max(block.shape[-1] for block in blocks))
+    if len(blocks) == 1 and blocks[0].shape[-1] == width:
+        return blocks[0]
+    out = np.full((sum(len(block) for block in blocks), width), np.nan if fill is None else fill)
+    at = 0
+    for block in blocks:
+        out[at : at + len(block), : block.shape[-1]] = block
+        if fill is None:
+            out[at : at + len(block), block.shape[-1] :] = block[:, -1:]
+        at += len(block)
+    return out
+
+
+def _lexmin(values: np.ndarray, thetas: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The least (value, |theta|, theta) of each segment of flat candidates, the segments beginning at
+    starts, as a (3, segments) array, each segment's least value finite."""
+    low = np.minimum.reduceat(values, starts)
+    tied = np.flatnonzero(values == low.repeat(np.diff(starts, append=values.size)))
+    if tied.size > starts.size:  # some segment's least value is tied: its candidates by |theta|, then theta
+        segment = starts.searchsorted(tied, "right") - 1
+        order = np.lexsort((thetas[tied], np.abs(thetas[tied]), segment))
+        tied = tied[order[np.flatnonzero(np.diff(segment[order], prepend=-1))]]
+    return np.stack((low, np.abs(thetas[tied]), thetas[tied]))
+
+
 class _Objective:
-    """Piecewise-constant unfairness |F(theta) - R(theta)| of a calibration sample, in either mode.
+    """Piecewise-constant unfairness |F(theta) - R(theta)| of R calibration rows at once, in either mode.
 
-    R sums the weights of the rising rows with bp <= theta and F those of the falling rows with
-    bp >= theta, as prefix and suffix sums over each side in ascending switch-point order; rows with
-    tied switch points sum in the order they come in.  The modes differ only in the data set up here:
-
-    - aware: columns (scores1, scores0) and the joints J_s; the weights are the scores, and each side
-      is divided by its own sum, so F and R are the group TPRs; theta in [-2, 2].  A switch point
-      rises with the score in group 1 and falls with it in group 0, also after rounding, so group 1
-      comes in ascending and group 0 in descending score order.  Each group then sums in descending
-      score order, also across tied switch points, so identical group multisets give exactly 0 at
-      theta = 0.
-    - blind: columns (scores_s0, scores_s1, marginal); the weights are s1/S1 - s0/S0 (S_s the column
-      sums), negated on rising rows; theta unbounded.  Rows whose switch point is not finite never
-      switch and are left out (their weights, about |d|/N, are next to nothing), and the others are
-      sorted by switch point, equal points in row order (_finite_order).
-
-    constants holds what the switch points read: the joints, or the pooled means (E_0, E_1).
+    R sums the weights of a row's rising switch points bp <= theta and F those of its falling ones with
+    bp >= theta, as prefix and suffix sums over each side in ascending switch-point order; rows with tied
+    switch points sum in the order they come in.  Each calibration sample has its own group split,
+    constants and size (_aware_batch, _blind_batch), and its rows' sides are padded to one width: at the
+    back with +inf switch points or, on the aware falling side, at the front with -inf ones, each of zero
+    weight, so a pad never switches at a finite theta and value(), the probes, the merge and the walk run
+    once for every row.  bound is 2 in aware mode (theta in [-2, 2]) and +inf in blind mode.
     """
 
-    def __init__(self, mode: str, columns, joint=None):
-        if mode == "aware":
-            scores1, scores0 = (np.array(c, dtype=np.float64) for c in columns)
-            scores1.sort()
-            scores0.sort()
-            if scores1.size == 0 or scores0.size == 0:
-                raise GroupCoverageError("both groups need at least one calibration row")
-            self.constants, self.bound = tuple(joint), THETA_BOUND
-            rising, falling = scores0[::-1], scores1  # the weights of each side, in ascending switch-point order
-            self.bp_rising = _switch_points(mode, rising, 0, joint)[0]
-            self.bp_falling = _switch_points(mode, falling, 1, joint)[0]
-        else:
-            s0, s1, marginal = columns = [np.asarray(c, dtype=np.float64) for c in columns]
-            if not (s0.shape == s1.shape == marginal.shape):
-                raise SchemaError("marginal and per-group score arrays must align")
-            self.constants, self.bound = (float(s0.mean()), float(s1.mean())), np.inf
-            bp, side = _switch_points(mode, columns, None, self.constants)
-            weights = s1 / s1.sum()
-            weights -= s0 / s0.sum()
-            np.negative(weights, out=weights, where=side)
-            order = _finite_order(bp)
-            bp, side, weights = bp[order], side[order], weights[order]
-            self.bp_rising, self.bp_falling = bp[side], bp[~side]
-            rising, falling = weights[side], weights[~side]
-            del bp, weights  # so the sums below hold no sorted copy
-        self.prefix = np.concatenate((_ZERO, rising.cumsum()))
-        self.suffix = np.concatenate((falling[::-1].cumsum()[::-1], _ZERO))
-        if mode == "aware":
-            self.prefix /= self.prefix[-1]
-            self.suffix /= self.suffix[0]
+    def __init__(self, sides: tuple, bound: float):
+        self.bp_rising, self.prefix, self.bp_falling, self.suffix = sides
+        self.bound = bound
 
-    @property
-    def breakpoints(self) -> np.ndarray:
-        """Distinct switch points within [-bound, bound], ascending."""
-        t = np.concatenate([self.bp_rising, self.bp_falling])
+    def breakpoints(self, row: int = 0) -> np.ndarray:
+        """A row's distinct switch points within [-bound, bound], ascending."""
+        t = np.concatenate((self.bp_rising[row], self.bp_falling[row]))
+        t = t[np.isfinite(t)]  # without the pads
         return _distinct(t[(t >= -self.bound) & (t <= self.bound)])
 
     def value(self, thetas) -> np.ndarray:
+        """(R, T): every row's objective at each of the thetas, by binary search on each side."""
         thetas = np.asarray(thetas, dtype=np.float64)
-        rising = self.prefix[self.bp_rising.searchsorted(thetas, side="right")]
-        falling = self.suffix[self.bp_falling.searchsorted(thetas, side="left")]
-        return np.abs(falling - rising)
+        out = np.empty((len(self.prefix), thetas.size))
+        for row, (bp_rising, prefix, bp_falling, suffix) in enumerate(
+            zip(self.bp_rising, self.prefix, self.bp_falling, self.suffix)
+        ):
+            rising = prefix[bp_rising.searchsorted(thetas, "right")]
+            out[row] = np.abs(suffix[bp_falling.searchsorted(thetas, "left")] - rising)
+        return out
 
-    def _runs(self):
-        """The distinct switch points within the bound, ascending, a block at a time, with the counts value() reads.
-
-        Yields (points, after, rising, falling): the block's distinct points b, the next one up (NaN past the
-        last), #rising <= b, and #falling below the block's first b followed by #falling <= b.  All come off one
-        stable merge of the two ascending sides, which numpy's stable sort makes in linear time.  Ties keep the
-        sides' order, so a run of equal points ends in its last falling point i, and #falling <= b = i + 1, if
-        it has one, else in its last rising point j, and #rising <= b = j + 1; the two counts add up to the
-        points merged up to the run's end.
-        """
-        n_rising = self.bp_rising.size
-        t = np.concatenate((self.bp_rising, self.bp_falling, _NAN))
-        order = t.argsort(kind="stable")
-        span = _AWARE_SPAN if self.bound < np.inf else _BLIND_SPAN
-        rising_below, rising_in = self.bp_rising.searchsorted(span)
-        falling_span = self.bp_falling.searchsorted(span)
-        last, falling = rising_in + falling_span[1], falling_span[:1]
-        t[order[last]] = np.nan  # ends the last run within the bound
-        for lo in range(rising_below + falling[0] + 1, last + 1, _CANDIDATE_BLOCK):
-            pos = order[lo - 1 : min(lo + _CANDIDATE_BLOCK, last + 1)]  # the block and the position after it
-            w = t[pos]
-            ends = (w[1:] != w[:-1]).nonzero()[0]  # the last position of each run, counted from lo - 1
-            if ends.size:  # else the block lies within one run
-                merged, last_point = ends + lo, pos[ends]  # points up to each run's end, and its last point
-                rising = np.where(last_point < n_rising, last_point + 1, merged + (n_rising - 1) - last_point)
-                falling_le = merged - rising
-                yield w[ends], w[1:][ends], rising, np.concatenate((falling, falling_le))
-                falling = falling_le[-1:]
-
-    def argmin(self) -> tuple[float, float]:
-        """Exact minimizer and the value there; ties break toward the smallest |theta|, then the smaller theta.
-
-        Candidates are 0, both bounds (one unit past both extreme breakpoints when unbounded), every
-        breakpoint and the midpoint of every pair of consecutive breakpoints, which covers each constant
-        piece.  The probes go through value(); the breakpoints and midpoints are read off one walk along the
-        merged switch points (_runs), a block at a time, so memory stays bounded.  A midpoint takes the
-        counts of the breakpoint below it, as no switch point lies strictly between the two; one that
-        rounds onto a breakpoint is left out, as that breakpoint is a candidate itself.
-        """
+    def _probes(self) -> np.ndarray:
+        """(R, 3): each row's probes, 0 first: 0 and both bounds, or, unbounded, one unit past both extreme
+        switch points of the row (pads excluded), or only 0 (three times) for a row that never switches."""
         if self.bound < np.inf:
-            probes = _BOUNDED_PROBES
-        else:
-            extremes = [x for side in (self.bp_rising, self.bp_falling) if side.size for x in (side[0], side[-1])]
-            probes = np.array([0.0, min(extremes) - 1.0, max(extremes) + 1.0] if extremes else [0.0])
-        # (value, |theta|, theta) of the best candidate so far; of equal ones the earlier, so zero is the probe's +0.0
-        best = min(zip(self.value(probes).tolist(), np.abs(probes).tolist(), probes.tolist()))
-        for points, after, rising, falling in self._runs():
-            mids = points + after
+            return np.broadcast_to(_BOUNDED_PROBES, (len(self.prefix), 3))
+        # blind sides are padded at the back with +inf alone, so a row's first point is its lowest or a pad
+        low = np.minimum(self.bp_rising[:, 0], self.bp_falling[:, 0])
+        high = np.maximum(*(np.where(np.isfinite(side), side, -np.inf).max(axis=1)
+                            for side in (self.bp_rising, self.bp_falling)))
+        probes = np.stack((np.zeros(low.size), low - 1.0, high + 1.0), axis=1)
+        probes[~np.isfinite(low)] = 0.0
+        return probes
+
+    def _runs(self, low: float, high: float):
+        """The distinct switch points in [low, high) of every row, ascending, a block of merged points at a
+        time, with the counts value() reads.
+
+        Yields (rows, starts, points, after, rising, below, falling): for each run of equal points in
+        row-major order its row, its point b, the next point of the row (a pad's +inf or NaN past the last),
+        #rising <= b and #falling <= b, pads counted as points; the index of each row's first run in the
+        block, and #falling < b for that run.  All come off one stable merge of each row's two ascending
+        sides, which numpy's stable sort makes in linear time, walked as one stream: row after row, each
+        ended by a NaN.  Ties keep the sides' order, so a run of equal points ends in its last falling
+        point i, and #falling <= b = i + 1, if it has one, else in its last rising point j, and #rising <=
+        b = j + 1; the two counts add up to the points merged up to the run's end.  #falling < b is the
+        count #falling <= b of the row's run before, or #falling < low for its first.
+        """
+        rows, width = self.bp_rising.shape
+        t = np.concatenate((self.bp_rising, self.bp_falling, np.full((rows, 1), np.nan)), axis=1)
+        size = t.shape[1]
+        stream = t.argsort(axis=1, kind="stable")
+        stream += np.arange(0, rows * size, size)[:, None]  # entries of the flat t, each row's merged in turn
+        stream, t = stream.reshape(-1), t.reshape(-1)
+        carry = np.count_nonzero(self.bp_falling < low, axis=-1)  # per row, #falling <= the last run's point
+        for lo in range(0, stream.size - 1, _CANDIDATE_BLOCK):
+            pos = stream[lo : lo + _CANDIDATE_BLOCK + 1]  # the block and the position after it
+            w = t[pos]
+            head = w[:-1]
+            end = ((head != w[1:]) & (head >= low) & (head < high)).nonzero()[0]  # the last position of each run
+            if not end.size:
+                continue
+            row = (end + lo) // size
+            start = row * size
+            merged, last_point = end + (lo + 1) - start, pos[end] - start  # points up to the run's end in its row
+            rising = np.where(last_point < width, last_point + 1, merged + (width - 1) - last_point)
+            falling = merged - rising
+            first = np.ones(row.size, bool)
+            np.not_equal(row[1:], row[:-1], out=first[1:])
+            starts = first.nonzero()[0]
+            below = carry[row[starts]]
+            carry[row[np.append(starts[1:], end.size) - 1]] = falling[np.append(starts[1:], end.size) - 1]
+            yield row, starts, w[end], w[end + 1], rising, below, falling
+
+    def argmin(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's exact minimizer and the value there, as two (R,) arrays; ties break toward the
+        smallest |theta|, then the smaller theta.
+
+        Candidates are the probes (_probes), every breakpoint and the midpoint of every pair of consecutive
+        breakpoints, which covers each constant piece.  The probes are counted against each side; the
+        breakpoints and midpoints are read off one walk along every row's merged switch points (_runs), a
+        block at a time, so memory stays bounded.  A midpoint takes the counts of the breakpoint below it,
+        as no switch point lies strictly between the two; one that rounds onto a breakpoint is left out,
+        as that breakpoint is a candidate itself, and so is one past the last breakpoint within the bound.
+        """
+        rows = np.arange(len(self.prefix))[:, None]
+        probes = self._probes()
+        # each row's points against its probes along the rows, where numpy counts fastest
+        rising = np.count_nonzero(self.bp_rising[:, None, :] <= probes[:, :, None], axis=-1)
+        falling = np.count_nonzero(self.bp_falling[:, None, :] < probes[:, :, None], axis=-1)
+        values = np.abs(self.suffix[rows, falling] - self.prefix[rows, rising])
+        # (value, |theta|, theta) of each row's best candidate so far; of equal ones the earlier, so zero is the
+        # probe's +0.0
+        best = _lexmin(values.ravel(), probes.ravel(), np.arange(0, probes.size, 3))
+        low, high = _AWARE_SPAN if self.bound < np.inf else _BLIND_SPAN
+        prefix, suffix = self.prefix.reshape(-1), self.suffix.reshape(-1)  # read at flat indices, the fastest
+        for row, starts, points, after, rising, below, falling in self._runs(low, high):
+            at, row_suffix = prefix[row * self.prefix.shape[1] + rising], row * self.suffix.shape[1]
+            n, rows_in = points.size, row[starts]
+            # [breakpoints | midpoints]: a breakpoint's #falling < b is that of the midpoint below it
+            thetas, values = np.empty(2 * n), np.empty(2 * n)
+            thetas[:n] = points
+            mids = np.add(points, after, out=thetas[n:])
             mids *= 0.5
-            at, suffix = self.prefix[rising], self.suffix[falling]
-            inside = (points < mids) & (mids < after)
-            values = np.abs(np.concatenate((suffix[:-1] - at, np.where(inside, suffix[1:] - at, np.inf))))
-            low = values.min()
-            tied = np.concatenate((points, mids))[values == low]
-            theta = tied[0] if tied.size == 1 else tied[np.lexsort((tied, np.abs(tied)))[0]]  # one, as a rule
-            best = min(best, (low, abs(theta), theta))
-        return float(best[2]), float(best[0])
+            np.take(suffix, row_suffix + falling, out=values[n:])
+            values[1:n] = values[n : 2 * n - 1]
+            values[starts] = suffix[row_suffix[starts] + below]
+            values[:n] -= at
+            values[n:] -= at
+            np.abs(values, out=values)
+            values[n:][~((points < mids) & (mids < after) & (after < high))] = np.inf
+            found = _lexmin(values, thetas, np.concatenate((starts, starts + n)))
+            # each row's least of its breakpoints and of its midpoints, then against its best so far
+            for found in found[:, : starts.size], found[:, starts.size :]:
+                was = best[:, rows_in]
+                better = (found[0] < was[0]) | (found[0] == was[0]) & (
+                    (found[1] < was[1]) | (found[1] == was[1]) & (found[2] < was[2]))
+                best[:, rows_in[better]] = found[:, better]
+        return best[2], best[0]
+
+
+def _aware_objective(scores1, scores0, joint) -> _Objective:
+    """The objective of one aware calibration sample given as each group's scores and the joints."""
+    groups = [np.array(scores, dtype=np.float64)[None] for scores in (scores0, scores1)]
+    if groups[0].size == 0 or groups[1].size == 0:
+        raise GroupCoverageError("both groups need at least one calibration row")
+    return _Objective(_aware_sides(groups, np.array(joint, dtype=np.float64)[:, None, None]), THETA_BOUND)
+
+
+def _blind_objective(scores_s0, scores_s1, marginal) -> _Objective:
+    """The objective of one blind calibration sample given as its three score columns."""
+    columns = [np.asarray(c, dtype=np.float64) for c in (scores_s0, scores_s1, marginal)]
+    if not (columns[0].shape == columns[1].shape == columns[2].shape):
+        raise SchemaError("marginal and per-group score arrays must align")
+    return _Objective(_blind_batch([np.stack(columns)[None]])[0], np.inf)
 
 
 def empirical_unfairness(theta: float, scores1, scores0, stats: GroupStatistics) -> float:
@@ -309,7 +450,7 @@ def empirical_unfairness(theta: float, scores1, scores0, stats: GroupStatistics)
     Any real theta is accepted; values outside [-2, 2] simply evaluate the
     same formula.
     """
-    return float(_Objective("aware", (scores1, scores0), stats.joint).value([theta])[0])
+    return float(_aware_objective(scores1, scores0, stats.joint).value([theta])[0, 0])
 
 
 def fit_theta(scores1, scores0, stats: GroupStatistics) -> float:
@@ -317,12 +458,12 @@ def fit_theta(scores1, scores0, stats: GroupStatistics) -> float:
 
     Ties break toward the smallest |theta|, then the smaller theta.
     """
-    return _Objective("aware", (scores1, scores0), stats.joint).argmin()[0]
+    return float(_aware_objective(scores1, scores0, stats.joint).argmin()[0][0])
 
 
 def blind_unfairness(theta: float, marginal, scores_s0, scores_s1) -> float:
     """Blind-mode unfairness surrogate at a given theta (pooled expectations)."""
-    return float(_Objective("blind", (scores_s0, scores_s1, marginal)).value([theta])[0])
+    return float(_blind_objective(scores_s0, scores_s1, marginal).value([theta])[0, 0])
 
 
 def fit_theta_blind(marginal, scores_s0, scores_s1) -> float:
@@ -330,7 +471,7 @@ def fit_theta_blind(marginal, scores_s0, scores_s1) -> float:
 
     Ties break toward the smallest |theta|, then the smaller theta.
     """
-    return _Objective("blind", (scores_s0, scores_s1, marginal)).argmin()[0]
+    return float(_blind_objective(scores_s0, scores_s1, marginal).argmin()[0][0])
 
 
 def breakpoints(scores1, scores0, stats: GroupStatistics) -> np.ndarray:
@@ -338,7 +479,7 @@ def breakpoints(scores1, scores0, stats: GroupStatistics) -> np.ndarray:
 
     Raises GroupCoverageError when either group has no rows.
     """
-    return _Objective("aware", (scores1, scores0), stats.joint).breakpoints
+    return _aware_objective(scores1, scores0, stats.joint).breakpoints()
 
 
 def _row_scores(model: ScoreModel, X, S=None) -> np.ndarray:
@@ -353,39 +494,28 @@ def _column_scores(mode: str, scores_s0=None, scores_s1=None, sensitive=None, ma
 
     Aware mode needs scores_s0, scores_s1 and 0/1 sensitive values and reads
     each row's own group column; blind mode needs marginal, scores_s0 and
-    scores_s1.  Score columns may carry a leading grid axis, (K, N) each with
-    sensitive (N,), and the result then does too: (K, N), or (K, 3, N) blind.
-    A missing or misaligned column, or a score that is not a number in
-    [0, 1], is a SchemaError.
+    scores_s1.  A missing or misaligned column, or a score that is not a
+    number in [0, 1], is a SchemaError.
     """
     names = ("scores_s0", "scores_s1", "sensitive" if mode == "aware" else "marginal")
     columns = [scores_s0, scores_s1, sensitive if mode == "aware" else marginal]
     if any(c is None for c in columns):
         raise SchemaError(f"{mode} mode needs {', '.join(names)}")
     s0, s1, third = columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    third_shape = s0.shape[-1:] if mode == "aware" else s0.shape  # one sensitive value per row of the sample
-    if s0.ndim not in (1, 2) or s1.shape != s0.shape or third.shape != third_shape:
+    if s0.ndim != 1 or s1.shape != s0.shape or third.shape != s0.shape:
         shapes = ", ".join(f"{n} {c.shape}" for n, c in zip(names, columns))
-        raise SchemaError(f"score columns must be row-aligned, one- or two-dimensional, got {shapes}")
-    # each distinct score column once (the benchmark passes one array as both aware columns); a NaN fails
-    # both comparisons, and the initial values let an empty column pass
+        raise SchemaError(f"score columns must be one-dimensional and row-aligned, got {shapes}")
+    # each distinct score column once (one array may be passed as both aware columns); a NaN fails both
+    # comparisons, and the initial values let an empty column pass
     for name, c in zip(names, columns if mode == "blind" else columns[: 1 if s0 is s1 else 2]):
         if not (c.min(initial=0.0) >= 0.0 and c.max(initial=1.0) <= 1.0):
             bad = c[~((c >= 0.0) & (c <= 1.0))][0]
             raise SchemaError(f"{name} must hold scores in [0, 1], got {float(bad)}")
     if mode == "blind":
-        return np.stack(columns, axis=-2)
+        return np.stack(columns)
     if not ((third == 0) | (third == 1)).all():
         raise SchemaError("sensitive values must be 0 or 1")
     return np.where(third == 1, s1, s0)
-
-
-def _columns(scores, sensitive, mode) -> dict:
-    """Scores in the form _row_scores gives them, with or without a leading grid axis, as the score
-    columns of the calibration API."""
-    if mode == "aware":  # aware calibration and prediction read only each row's own group column
-        return {"scores_s0": scores, "scores_s1": scores, "sensitive": sensitive}
-    return dict(zip(("scores_s0", "scores_s1", "marginal"), np.moveaxis(scores, -2, 0)))
 
 
 @dataclass(frozen=True)
@@ -483,32 +613,59 @@ def _decisions(mode: str, scores: np.ndarray, sensitive, constants, theta) -> np
     return np.where(rising, theta >= bp, theta <= bp).astype(np.int64)
 
 
-def _predict_grid(classifiers: list, thetas, columns: dict) -> np.ndarray:
+def _predict_grid(classifiers: list, thetas, scores: np.ndarray, sensitive=None) -> np.ndarray:
     """Decisions of K classifiers calibrated on one sample, so with one floor, at thetas (A, K): an
-    (A, K, n) array from score columns with a leading grid axis of K rows, in one switch-point pass."""
+    (A, K, n) array from a block of K score rows in the form _row_scores gives them, floored into a new
+    array, in one switch-point pass."""
     mode, floor = classifiers[0].mode, classifiers[0].model.floor
-    scores = _column_scores(mode, **columns)
     constants = np.array([c._constants for c in classifiers]).T[..., None]  # (2, K, 1)
     theta = np.asarray(thetas, dtype=np.float64)[..., None]
-    return _decisions(mode, np.maximum(scores, floor, out=scores), columns.get("sensitive"), constants, theta)
+    return _decisions(mode, np.maximum(scores, floor), sensitive, constants, theta)
 
 
-def _calibrate(model: ScoreModel, scores: np.ndarray, sensitive) -> list[FairClassifier]:
-    """The calibration core: floored calibration scores, a leading grid axis of K rows each in the form
-    _row_scores gives them, to one classifier per row, each from its own exact argmin."""
-    if model.mode == "aware":
-        in_1, in_0 = (np.asarray(sensitive) == s for s in (1, 0))
-        stats = _grid_statistics(scores, sensitive)
-        # each row's group scores are taken as its objective is built, so no argmin holds them all
-        objectives = (_Objective("aware", (row[in_1], row[in_0]), st.joint) for row, st in zip(scores, stats))
-    else:
-        stats, objectives = [None] * scores.shape[0], (_Objective("blind", rows) for rows in scores)
-    classifiers = []
-    for objective, st in zip(objectives, stats):
-        theta, value = objective.argmin()
-        means = objective.constants if st is None else None
-        classifiers.append(FairClassifier(model, theta, st, blind_means=means, unfairness_hat=value))
-    return classifiers
+def _batches(items, size):
+    """items in order, in lists closed as soon as their sizes reach _BATCH_ENTRIES, so a list goes past it by
+    at most its last item, and no item after a full list is taken before the list is handed out."""
+    batch, total = [], 0
+    for item in items:
+        batch.append(item)
+        total += size(item)
+        if total >= _BATCH_ENTRIES:
+            yield batch
+            batch, total = [], 0
+    if batch:
+        yield batch
+
+
+def _calibrate(samples) -> list[list[FairClassifier]]:
+    """The calibration core: every sample (model, scores, sensitive) holds K score rows of one calibration
+    sample, (K, n) or blind (K, 3, n), each in the form _row_scores gives them, and gives K classifiers, one
+    per row, each from its own exact argmin.
+
+    Every block is floored in place with the model's floor.  The rows are
+    split and packed into batches of about _BATCH_ENTRIES scores,
+    and each batch is one _Objective: one padded set of sides, one merge and
+    one walk for all of its rows, so its memory stays bounded however many
+    samples come in.
+    """
+    pieces = []  # (sample index, model, rows, sensitive), each at most _BATCH_ENTRIES scores or one row
+    for i, (model, scores, sensitive) in enumerate(samples):
+        np.maximum(scores, model.floor, out=scores)
+        step = max(1, _BATCH_ENTRIES // scores.shape[-1])
+        pieces += [(i, model, scores[k : k + step], sensitive) for k in range(0, len(scores), step)]
+    out = [[] for _ in samples]
+    for batch in _batches(pieces, lambda piece: piece[2].size):
+        if batch[0][1].mode == "aware":
+            sides, stats = _aware_batch([(scores, sensitive) for _, _, scores, sensitive in batch])
+            means, bound = [None] * len(stats), THETA_BOUND
+        else:
+            sides, means = _blind_batch([scores for _, _, scores, _ in batch])
+            stats, bound = [None] * len(means), np.inf
+        models = [(i, model) for i, model, scores, _ in batch for _ in range(len(scores))]
+        theta, value = _Objective(sides, bound).argmin()
+        for (i, model), st, mean, t, v in zip(models, stats, means, theta.tolist(), value.tolist()):
+            out[i].append(FairClassifier(model, t, st, blind_means=mean, unfairness_hat=v))
+    return out
 
 
 def _check_mode(mode: str) -> None:
@@ -548,24 +705,28 @@ def calibrate(
         raise SchemaError("group-aware calibration needs a sensitive column in the unlabeled sample")
     model = replace(_fit_estimator(train, estimator, mode), floor=floor_value(X_u.shape[0]),
                     jitter_amplitude=float(jitter_amplitude))
-    return _calibrate(model, _row_scores(model, X_u, S_u)[None], S_u)[0]
+    return _calibrate([(model, _row_scores(model, X_u, S_u)[None], S_u)])[0][0]
 
 
 def calibrate_scores(
-    scores_s0, scores_s1, sensitive=None, marginal=None, mode: str = "aware"
-) -> FairClassifier | list[FairClassifier]:
+    scores_s0=None, scores_s1=None, sensitive=None, marginal=None, mode: str = "aware", *, samples=None
+) -> FairClassifier | list[list[FairClassifier]]:
     """Calibrate from precomputed score columns instead of a fitted estimator.
 
     Scores must be row-aligned with the calibration sample; they are floored
     with c = floor_value(N), N the number of rows.  Aware calibration reads
-    only the column of each row's own group.  Score columns with a leading
-    grid axis, (K, N) each with sensitive (N,), calibrate every grid row on
-    its own in one pass and give a list of K classifiers.
+    only the column of each row's own group.
+
+    samples, in place of the columns, calibrates many samples in one pass: a
+    list of (scores, sensitive), each a block of K score rows in the form
+    _row_scores gives them ((K, N), or blind (K, 3, N) with sensitive None),
+    in [0, 1] as the package's estimators give them (they are not checked),
+    and floored in place with the sample's own c.  It gives one list of K
+    classifiers per sample.
     """
     _check_mode(mode)
+    if samples is not None:
+        return _calibrate([(external_score_model(floor=floor_value(s.shape[-1]), mode=mode), s, S) for s, S in samples])
     scores = _column_scores(mode, scores_s0, scores_s1, sensitive, marginal)
-    c, grid = floor_value(scores.shape[-1]), np.ndim(scores_s0) == 2
-    # _column_scores returns a new array, so it can be floored in place
-    np.maximum(scores, c, out=scores)
-    classifiers = _calibrate(external_score_model(floor=c, mode=mode), scores if grid else scores[None], sensitive)
-    return classifiers if grid else classifiers[0]
+    c = floor_value(scores.shape[-1])
+    return _calibrate([(external_score_model(floor=c, mode=mode), scores[None], sensitive)])[0][0]

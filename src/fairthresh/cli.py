@@ -281,77 +281,67 @@ def cmd_consistency(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fairthresh",
-        description="Equal-opportunity-fair classification by group-dependent threshold calibration.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _data_columns(p) -> None:
+    p.add_argument("--sensitive-col", default="S")
+    p.add_argument("--label-col", default="Y")
 
-    def common_data(p):
-        p.add_argument("--sensitive-col", default="S")
-        p.add_argument("--label-col", default="Y")
 
-    p = sub.add_parser("calibrate", help="fit scores and the fair threshold shift")
+def _calibrate_arguments(p) -> None:
     p.add_argument("--train", required=True)
     p.add_argument("--unlabeled")
     p.add_argument("--scores", help="precomputed score file (score_s0, score_s1[, score_marginal])")
-    common_data(p)
+    _data_columns(p)
     p.add_argument("--estimator", choices=("logistic", "knn"), default="logistic")
     p.add_argument("--mode", choices=("aware", "blind"), default="aware")
     p.add_argument("--l2-lambda", type=float, default=1e-4)
     p.add_argument("--knn-k", type=int, default=11)
     p.add_argument("--jitter", type=float, default=0.0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("predict", help="predict labels with a calibrated model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--scores")
-    common_data(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="accuracy and test-set DEO of a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--scores")
-    common_data(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_evaluate)
+def _model_arguments(data: str):
+    """The arguments of predict (data "--data") and evaluate (data "--test")."""
+    def add(p) -> None:
+        p.add_argument("--model", required=True)
+        p.add_argument(data, required=True)
+        p.add_argument("--scores")
+        _data_columns(p)
+        p.add_argument("--out")
+    return add
 
-    def common_bench(p):
-        common_data(p)
-        p.set_defaults(sensitive_col=None, label_col=None)  # unset flags leave the config's names
-        p.add_argument("--config", help="JSON file with BenchmarkConfig fields; flags override")
-        p.add_argument("--estimator", choices=("logistic", "knn"))
-        p.add_argument("--repeats", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--cv-folds", type=int)
-        p.add_argument("--shortlist-fraction", type=float)
-        p.add_argument("--mode", choices=("aware", "blind"))
-        p.add_argument("--methods", help="comma list from: plugin,bayes")
-        p.add_argument("--out", help="JSON report path")
-        p.add_argument("--csv", help="per-row CSV path (plot-ready)")
 
-    p = sub.add_parser("benchmark", help="repeated-split protocol with two-step CV selection")
+def _bench_arguments(p) -> None:
+    _data_columns(p)
+    p.set_defaults(sensitive_col=None, label_col=None)  # unset flags leave the config's names
+    p.add_argument("--config", help="JSON file with BenchmarkConfig fields; flags override")
+    p.add_argument("--estimator", choices=("logistic", "knn"))
+    p.add_argument("--repeats", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--cv-folds", type=int)
+    p.add_argument("--shortlist-fraction", type=float)
+    p.add_argument("--mode", choices=("aware", "blind"))
+    p.add_argument("--methods", help="comma list from: plugin,bayes")
+    p.add_argument("--out", help="JSON report path")
+    p.add_argument("--csv", help="per-row CSV path (plot-ready)")
+
+
+def _benchmark_arguments(p) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--test", help="fixed test set; disables repeated splitting")
     p.add_argument("--unlabeled", help="unlabeled CSV used for calibration")
     p.add_argument("--train-fraction", type=float)
     p.add_argument("--unlabeled-fraction", type=float, help="carve this train fraction out for calibration")
-    common_bench(p)
-    p.set_defaults(func=cmd_benchmark)
+    _bench_arguments(p)
 
-    p = sub.add_parser("sweep-unlabeled", help="effect of the unlabeled sample size")
+
+def _sweep_arguments(p) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--labeled-fraction", type=float, default=0.1)
     p.add_argument("--fractions", default="0,0.1,0.2,0.4,0.8")
-    common_bench(p)
-    p.set_defaults(func=cmd_sweep_unlabeled)
+    _bench_arguments(p)
 
-    p = sub.add_parser("consistency", help="oracle-backed consistency experiment")
+
+def _consistency_arguments(p) -> None:
     p.add_argument("--dist", required=True, help="synthetic distribution JSON")
     p.add_argument("--n-grid", default="1000")
     p.add_argument("--N-grid", dest="N_grid", default="100,1000,10000")
@@ -362,14 +352,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--knn-k", type=int, default=11)
     p.add_argument("--test-size", type=int, default=100_000)
     p.add_argument("--out", help="CSV table path")
-    p.set_defaults(func=cmd_consistency)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, each registered with its help text, but with the arguments of command
+    alone, or of every subcommand for None: each add_argument builds a help formatter, which asks for the
+    terminal size, so a command's parser costs a fraction of the whole.  The help texts and usage errors
+    of the commands parsed are the same either way."""
+    parser = argparse.ArgumentParser(
+        prog="fairthresh",
+        description="Equal-opportunity-fair classification by group-dependent threshold calibration.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {  # built at each call, so each command runs the cmd_ function its module holds now
+        "calibrate": ("fit scores and the fair threshold shift", _calibrate_arguments, cmd_calibrate),
+        "predict": ("predict labels with a calibrated model", _model_arguments("--data"), cmd_predict),
+        "evaluate": ("accuracy and test-set DEO of a model", _model_arguments("--test"), cmd_evaluate),
+        "benchmark": ("repeated-split protocol with two-step CV selection", _benchmark_arguments, cmd_benchmark),
+        "sweep-unlabeled": ("effect of the unlabeled sample size", _sweep_arguments, cmd_sweep_unlabeled),
+        "consistency": ("oracle-backed consistency experiment", _consistency_arguments, cmd_consistency),
+    }
+    for name, (help_text, add_arguments, func) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else "").parse_args(argv)
     try:
         return args.func(args)
     except FairthreshError as exc:

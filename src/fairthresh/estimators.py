@@ -83,11 +83,12 @@ def logistic_descent(X: np.ndarray, y: np.ndarray, cfg: LogisticConfig):
     backtracks on delta by the Armijo rule and keeps the accepted candidate's
     logits for the next p.  When the solve fails on a singular Hessian
     (equal columns at lambda = 0, say), by raising or by returning a delta
-    that is not finite or leaves ||H delta + grad|| > 1e-8 ||grad||, delta
-    is the minimum-norm least-squares solution, and when delta is not a
-    descent direction the step falls back to -grad.  Returns (weights,
-    intercept, converged, losses); the loss sequence is non-increasing and
-    len(losses) - 1 is the iteration count.
+    that is not finite or leaves ||H delta + grad|| > 1e-8 ||grad||, the
+    Armijo search runs on both the minimum-norm least-squares step and
+    -grad, and the step whose accepted loss is lower wins (the least-squares
+    one on a tie).  A delta that is not a descent direction is replaced by
+    -grad.  Returns (weights, intercept, converged, losses); the loss
+    sequence is non-increasing and len(losses) - 1 is the iteration count.
     """
     X1 = np.hstack([np.ones((X.shape[0], 1)), X])
     lam, w = cfg.l2_lambda, np.zeros(X1.shape[1])
@@ -107,18 +108,19 @@ def logistic_descent(X: np.ndarray, y: np.ndarray, cfg: LogisticConfig):
             solved = np.isfinite(delta).all() and np.linalg.norm(hess @ delta + grad) <= 1e-8 * norm
         except np.linalg.LinAlgError:
             solved = False
-        if not solved:
-            delta = -np.linalg.lstsq(hess, grad)[0]
-        slope = float(grad @ delta)
-        if not (np.isfinite(slope) and slope < 0.0):  # also a NaN or inf
-            delta, slope = -grad, -float(grad @ grad)
-        for step in steps:
-            val, z_try = _logistic_loss(w_try := w + step * delta, X1, y, lam)
-            if val <= losses[-1] + ARMIJO * step * slope:
-                break
-        else:  # no step lowers the loss at working precision
+        accepted = []  # (loss, weights, logits) of each direction's accepted step
+        for delta in [delta] if solved else [-np.linalg.lstsq(hess, grad)[0], -grad]:
+            slope = float(grad @ delta)
+            if not (np.isfinite(slope) and slope < 0.0):  # also a NaN or inf
+                delta, slope = -grad, -float(grad @ grad)
+            for step in steps:
+                val, z_try = _logistic_loss(w_try := w + step * delta, X1, y, lam)
+                if val <= losses[-1] + ARMIJO * step * slope:
+                    accepted.append((val, w_try, z_try))
+                    break
+        if not accepted:  # no step lowers the loss at working precision
             return w[1:], float(w[0]), False, losses
-        w, z = w_try, z_try
+        val, w, z = min(accepted, key=lambda candidate: candidate[0])  # the first of equal losses
         losses.append(val)
 
 

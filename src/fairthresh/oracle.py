@@ -20,7 +20,7 @@ import numpy as np
 
 from ._parallel import map_ordered
 # calibrate is not called here, but perfbench/spans.py wraps fairthresh.oracle.calibrate by name
-from .calibration import _columns, _fit_estimator, calibrate, calibrate_scores  # noqa: F401
+from .calibration import _fit_estimator, calibrate, calibrate_scores  # noqa: F401
 from .data import LabeledDataset, UnlabeledDataset, json_number, json_numbers
 from .errors import ConfigError, NumericError, SchemaError
 from .metrics import deo as deo_report
@@ -328,9 +328,10 @@ def consistency_run(
             score = functools.partial(exact_scores, dist)
         else:
             score = _fit_estimator(sample(dist, n_grid[i_n], base + [0]), estimator, "aware").score_rowwise
-        clf = calibrate_scores(**_columns(score(cal.features, cal.sensitive), cal.sensitive, "aware"))
-        test_scores = score(test.features, test.sensitive)
-        pred = clf.predict_from_scores(**_columns(test_scores, test.sensitive, "aware"))
+        cal_scores, test_scores = score(cal.features, cal.sensitive), score(test.features, test.sensitive)
+        # each row reads its own group's column, so one score column serves as both
+        clf = calibrate_scores(cal_scores, cal_scores, sensitive=cal.sensitive)
+        pred = clf.predict_from_scores(test_scores, test_scores, sensitive=test.sensitive)
         report = deo_report(pred, test.labels, test.sensitive)
         deo = report.deo if report.deo is not None else 0.0
         return deo, (1.0 - report.accuracy) - sol.risk_star, abs(clf.theta_hat - sol.theta_star)

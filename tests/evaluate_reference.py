@@ -4,16 +4,18 @@ Each (fold, grid point) pair was one call: ``calibrate_scores`` on the grid
 point's own calibration column (group statistics from a boolean mask per
 group, then one ``_Objective``), one ``predict_from_scores`` and one ``deo``
 per method arm.  The batched evaluation of a fold's whole grid must give
-the same bits for every grid row.  ``_Objective`` and ``_switch_points`` are
-unchanged, so this module uses them as they are.  Tests import this module
-as they import conftest.
+the same bits for every grid row.  ``_switch_points`` is unchanged, so this
+module uses it as it is, and the per-row ``_Objective`` of that time is the
+one in ``objective_reference``.  Tests import this module as they import
+conftest.
 """
 
 from dataclasses import replace
 
 import numpy as np
+from objective_reference import _Objective
 
-from fairthresh.calibration import FairClassifier, GroupStatistics, _Objective, _switch_points
+from fairthresh.calibration import FairClassifier, GroupStatistics, _switch_points
 from fairthresh.errors import GroupCoverageError, SchemaError
 from fairthresh.estimators import external_score_model, floor_value
 from fairthresh.metrics import EvaluationReport

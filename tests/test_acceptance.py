@@ -11,7 +11,7 @@ from oracle_reference import random_distribution, risk_direct_quadrature
 
 from fairthresh.benchmark import BenchmarkConfig, run_benchmark, run_unlabeled_sweep
 from fairthresh.calibration import (
-    _Objective,
+    _aware_objective,
     calibrate_scores,
     empirical_unfairness,
     fit_theta,
@@ -149,7 +149,7 @@ def test_criterion_05_argmin_exactness():
         s1, s0, stats = random_calibration_instance(rng)
         theta = fit_theta(s1, s0, stats)
         at_theta = empirical_unfairness(theta, s1, s0, stats)
-        ok &= at_theta <= _Objective("aware", (s1, s0), stats.joint).value(grid).min()
+        ok &= at_theta <= _aware_objective(s1, s0, stats.joint).value(grid).min()
     check(5, "theta_hat never beaten by a 1e5-point grid on 100 instances (exact)", ok)
 
 
@@ -169,7 +169,7 @@ def test_criterion_06_piecewise_constancy():
             pts = lo + rng.uniform(0.05, 0.95, lo.size) * (hi - lo)
             inside = (pts > lo) & (pts < hi)
             pts[~inside] = 0.5 * (lo[~inside] + hi[~inside])
-            samples.append(_Objective("aware", (s1, s0), stats.joint).value(pts))
+            samples.append(_aware_objective(s1, s0, stats.joint).value(pts)[0])
         valid = (0.5 * (lo + hi) > lo) & (0.5 * (lo + hi) < hi)
         for other in samples[1:]:
             ok &= bool(np.all(samples[0][valid] == other[valid]))

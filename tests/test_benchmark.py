@@ -16,7 +16,7 @@ from fairthresh.benchmark import (
     run_unlabeled_sweep,
     select_hyperparameters,
 )
-from fairthresh.calibration import _columns, _row_scores, calibrate, calibrate_scores
+from fairthresh.calibration import _row_scores, calibrate, calibrate_scores
 from fairthresh.data import LabeledDataset, SplitPlan, UnlabeledDataset, split
 from fairthresh.errors import ConfigError, GroupCoverageError
 from fairthresh.estimators import KnnConfig, _knn_path, fit_knn, floor_value
@@ -197,16 +197,18 @@ class TestRunBenchmark:
 
 @pytest.fixture
 def calibrations(monkeypatch):
-    """Counts of calibration.calibrate_scores calls (one per CV fold, for its whole grid, and one per
-    refitted grid point and calibration sample): all of them, and those made inside cross_validate."""
+    """Counts of the score rows reaching the calibration core, calibration._calibrate (one per CV fold and
+    grid point, for both method arms, and one per refitted grid point and calibration sample): all of
+    them, and those calibrated inside cross_validate."""
     counts = {"all": 0, "cv": 0}
     inside_cv = []
-    real_calibrate, real_cross_validate = calibration.calibrate_scores, benchmark.cross_validate
+    real_calibrate, real_cross_validate = calibration._calibrate, benchmark.cross_validate
 
-    def calibrate(*args, **kwargs):
-        counts["all"] += 1
-        counts["cv"] += bool(inside_cv)
-        return real_calibrate(*args, **kwargs)
+    def calibrate(samples):
+        rows = sum(len(scores) for _, scores, _ in samples)
+        counts["all"] += rows
+        counts["cv"] += rows if inside_cv else 0
+        return real_calibrate(samples)
 
     def cross_validate(*args, **kwargs):
         inside_cv.append(True)
@@ -215,7 +217,7 @@ def calibrations(monkeypatch):
         finally:
             inside_cv.pop()
 
-    monkeypatch.setattr(calibration, "calibrate_scores", calibrate)
+    monkeypatch.setattr(calibration, "_calibrate", calibrate)
     monkeypatch.setattr(benchmark, "cross_validate", cross_validate)
     monkeypatch.setattr(_parallel, "_cpus", lambda: 1)  # calls counted in a forked worker never reach this process
     return counts
@@ -229,8 +231,8 @@ class TestOneFitPerFold:
         cfg = small_config(estimator="knn", knn_grid=(5, 51), cv_folds=folds, n_repeats=repeats)
         report = run_benchmark(ds, cfg)
         distinct_chosen = sum(len({m.rows[r].param for m in report.methods}) for r in range(repeats))
-        assert calibrations["cv"] == repeats * folds
-        assert calibrations["all"] == repeats * folds + distinct_chosen
+        assert calibrations["cv"] == repeats * folds * len(cfg.knn_grid)
+        assert calibrations["all"] == repeats * folds * len(cfg.knn_grid) + distinct_chosen
 
     def test_sweep_runs_cv_once_per_repeat(self, ds, calibrations):
         cfg = small_config(estimator="knn", knn_grid=(5, 51), cv_folds=3, n_repeats=2)
@@ -238,7 +240,7 @@ class TestOneFitPerFold:
         one_fraction = calibrations["cv"]
         calibrations["cv"] = 0
         run_unlabeled_sweep(ds, cfg, labeled_fraction=0.2, unlabeled_fractions=(0.0, 0.2, 0.4))
-        assert calibrations["cv"] == one_fraction == 2 * 3
+        assert calibrations["cv"] == one_fraction == 2 * 3 * len(cfg.knn_grid)
 
 
 @pytest.mark.parametrize("mode, slots", [("aware", 2), ("blind", 3)])
@@ -504,38 +506,45 @@ def _classifier_bits(clf):
     grid=hst.sampled_from([1, 2, 26]),
     n_cal=hst.integers(2, 80) | hst.just(20000),
     n_held=hst.integers(1, 30),
+    folds=hst.integers(1, 3),
     lattice=hst.sampled_from([1, 2, 5, 11, 51, None]),
     at_floor=hst.booleans(),
     undefined=hst.booleans(),
 )
-def test_fold_evaluation_equals_per_column_reference_bitwise(seed, mode, grid, n_cal, n_held, lattice, at_floor,
-                                                             undefined):
-    """One evaluation of a fold's whole grid gives, for every grid row and method arm, the bits of the
-    per-column evaluation it replaced: theta_hat, unfairness_hat, statistics, accuracy, DEO and flags."""
+def test_fold_evaluation_equals_per_column_reference_bitwise(seed, mode, grid, n_cal, n_held, folds, lattice,
+                                                             at_floor, undefined):
+    """One evaluation of a batch of folds, each with its whole grid, gives, for every fold, grid row and
+    method arm, the bits of the per-column evaluation it replaced: theta_hat, unfairness_hat, statistics,
+    accuracy, DEO and flags.  The first fold has n_cal calibration rows, the others from 2 to 80."""
     rng = np.random.default_rng(seed)
-    n = n_cal + n_held
-    shape = (grid, n) if mode == "aware" else (grid, 3, n)
-    # k-NN-style scores j/k, tied within and across rows, or continuous draws (lattice None)
-    scores = rng.random(shape) if lattice is None else rng.integers(0, lattice + 1, shape) / lattice
-    if at_floor:  # scores at, just below and far below the calibration floor, and at 1
-        c = floor_value(n_cal)
-        picks = rng.random(shape) < 0.3
-        scores[picks] = rng.choice([0.0, np.nextafter(c, 0.0), c, 1.0], size=int(picks.sum()))
-    sensitive, labels = rng.integers(0, 2, n), rng.integers(0, 2, n)
-    sensitive[:2] = [0, 1]  # both groups calibrate
-    if undefined:  # one held-out group has no positive label
-        labels[n_cal:][sensitive[n_cal:] == rng.integers(0, 2)] = 0
-    cal = (scores[..., :n_cal], sensitive[:n_cal])
-    test = (scores[..., n_cal:], labels[n_cal:], sensitive[n_cal:])
+    cals, tests = [], []
+    for f in range(folds):
+        n_fold = n_cal if f == 0 else int(rng.integers(2, 81))
+        n = n_fold + n_held
+        shape = (grid, n) if mode == "aware" else (grid, 3, n)
+        # k-NN-style scores j/k, tied within and across rows, or continuous draws (lattice None)
+        scores = rng.random(shape) if lattice is None else rng.integers(0, lattice + 1, shape) / lattice
+        if at_floor:  # scores at, just below and far below the calibration floor, and at 1
+            c = floor_value(n_fold)
+            picks = rng.random(shape) < 0.3
+            scores[picks] = rng.choice([0.0, np.nextafter(c, 0.0), c, 1.0], size=int(picks.sum()))
+        sensitive, labels = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        sensitive[:2] = [0, 1]  # both groups calibrate
+        if undefined:  # one held-out group has no positive label
+            labels[n_fold:][sensitive[n_fold:] == rng.integers(0, 2)] = 0
+        cals.append((scores[..., :n_fold], sensitive[:n_fold]))
+        tests.append((scores[..., n_fold:], labels[n_fold:], sensitive[n_fold:]))
     methods = ("plugin", "bayes")
-    batched = benchmark._evaluate(cal, test, mode, methods)
-    for k in range(grid):
-        expected = reference.evaluate((cal[0][k], cal[1]), (test[0][k], *test[1:]), mode, methods)
-        for m in methods:
-            (report, clf), (ref_report, ref_clf) = batched[m][k], expected[m]
-            assert _bits(asdict(report)) == _bits(asdict(ref_report))
-            assert _classifier_bits(clf) == _classifier_bits(ref_clf)
+    batched = benchmark._evaluate([(scores.copy(), S) for scores, S in cals], tests, mode, methods)
+    assert len(batched) == folds
+    for cal, test, evaluated in zip(cals, tests, batched):
+        for k in range(grid):
+            expected = reference.evaluate((cal[0][k], cal[1]), (test[0][k], *test[1:]), mode, methods)
+            for m in methods:
+                (report, clf), (ref_report, ref_clf) = evaluated[m][k], expected[m]
+                assert _bits(asdict(report)) == _bits(asdict(ref_report))
+                assert _classifier_bits(clf) == _classifier_bits(ref_clf)
     # the public one-column call is the K=1 case of the same routine
-    one = calibrate_scores(**_columns(cal[0][0], cal[1], mode), mode=mode)
-    assert _classifier_bits(one) == _classifier_bits(reference.calibrate_scores(**_columns(cal[0][0], cal[1], mode),
-                                                                                mode=mode))
+    columns = reference.columns(cals[0][0][0], cals[0][1], mode)
+    one = calibrate_scores(**columns, mode=mode)
+    assert _classifier_bits(one) == _classifier_bits(reference.calibrate_scores(**columns, mode=mode))

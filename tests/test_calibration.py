@@ -11,8 +11,9 @@ from fairthresh import calibration
 from fairthresh.calibration import (
     FairClassifier,
     GroupStatistics,
+    _aware_objective,
+    _blind_objective,
     _distinct,
-    _Objective,
     blind_unfairness,
     breakpoints,
     calibrate,
@@ -175,10 +176,10 @@ class TestFitTheta:
     def test_monotone_group_terms(self):
         rng = np.random.default_rng(4)
         s1, s0, st = random_instance(rng, max_n=500)
-        obj = _Objective("aware", (s1, s0), st.joint)
+        obj = _aware_objective(s1, s0, st.joint)
         thetas = np.sort(rng.uniform(-2, 2, 50))
-        t1 = obj.suffix[np.searchsorted(obj.bp_falling, thetas, side="left")]
-        t0 = obj.prefix[np.searchsorted(obj.bp_rising, thetas, side="right")]
+        t1 = obj.suffix[0][np.searchsorted(obj.bp_falling[0], thetas, side="left")]
+        t0 = obj.prefix[0][np.searchsorted(obj.bp_rising[0], thetas, side="right")]
         assert np.all(np.diff(t1) <= 1e-15)
         assert np.all(np.diff(t0) >= -1e-15)
 
@@ -271,9 +272,9 @@ class TestBlind:
         s0 = np.array([0.6, 0.2])  # ratios 1.5, 0.5
         s1 = np.array([0.5, 0.5])  # ratios 1.0, 1.0
         m = np.array([0.4, 0.9])
-        obj = _Objective("blind", (s0, s1, m))
+        obj = _blind_objective(s0, s1, m)
         expected = (1.0 - 2.0 * 0.4) / 0.5
-        assert any(bp == pytest.approx(expected, abs=1e-15) for bp in obj.breakpoints)
+        assert any(bp == pytest.approx(expected, abs=1e-15) for bp in obj.breakpoints())
 
     def test_beats_dense_grid(self):
         rng = np.random.default_rng(5)
@@ -285,7 +286,7 @@ class TestBlind:
             th = fit_theta_blind(m, s0, s1)
             val = blind_unfairness(th, m, s0, s1)
             grid = np.linspace(-50.0, 50.0, 20_001)
-            grid_best = _Objective("blind", (s0, s1, m)).value(grid).min()
+            grid_best = _blind_objective(s0, s1, m).value(grid).min()
             assert val <= grid_best + 1e-12
 
     @settings(max_examples=300, deadline=None)
@@ -300,23 +301,23 @@ class TestBlind:
         equal = np.array(data.draw(hst.lists(hst.booleans(), min_size=n, max_size=n)))
         s1[equal] = s0[equal]
         s0[0] = s1[-1] = 0.5  # positive column means
-        objective = _Objective("blind", (s0, s1, m))
-        bp, side = calibration._switch_points("blind", [s0, s1, m], None, objective.constants)
+        means, (bp_rising, prefix, bp_falling, suffix) = calibration._blind_sides([s0, s1, m])
+        bp, side = calibration._switch_points("blind", [s0, s1, m], None, means)
         order = np.flatnonzero(np.isfinite(bp))
         order = order[np.argsort(bp[order], kind="stable")]
         assert calibration._finite_order(bp).tobytes() == order.tobytes()
         weights = s1 / s1.sum() - s0 / s0.sum()
         weights = np.where(side, -weights, weights)[order]
         side = side[order]
-        assert objective.bp_rising.tobytes() == bp[order][side].tobytes()
-        assert objective.bp_falling.tobytes() == bp[order][~side].tobytes()
-        assert objective.prefix.tobytes() == np.concatenate(([0.0], weights[side].cumsum())).tobytes()
-        assert objective.suffix.tobytes() == np.concatenate((weights[~side][::-1].cumsum()[::-1], [0.0])).tobytes()
+        assert bp_rising[0].tobytes() == bp[order][side].tobytes()
+        assert bp_falling[0].tobytes() == bp[order][~side].tobytes()
+        assert prefix[0].tobytes() == np.concatenate(([0.0], weights[side].cumsum())).tobytes()
+        assert suffix[0].tobytes() == np.concatenate((weights[~side][::-1].cumsum()[::-1], [0.0])).tobytes()
 
     def test_zero_direction_everywhere_has_no_breakpoints(self):
         # identical group columns make d(x) = 0 on every row, so no row ever switches
         s = np.array([0.7, 0.4, 0.6, 0.2])
-        assert _Objective("blind", (s, s, s)).breakpoints.size == 0
+        assert _blind_objective(s, s, s).breakpoints().size == 0
         clf = calibrate_scores(s, s, marginal=s, mode="blind")
         assert clf.theta_hat == 0.0
 
@@ -455,7 +456,7 @@ def test_argmin_is_product_form_minimum_over_breakpoints(case):
     scores, S = case
     stats = group_statistics(scores, S)
     s1, s0 = scores[S == 1], scores[S == 0]
-    theta, value = _Objective("aware", (s1, s0), stats.joint).argmin()
+    theta, value = (float(v[0]) for v in _aware_objective(s1, s0, stats.joint).argmin())
     bps = breakpoints(s1, s0, stats)
     cands = np.concatenate([[-2.0, 0.0, 2.0], bps, 0.5 * (bps[:-1] + bps[1:])])
     assert value == pytest.approx(min(brute_unfairness(t, s1, s0, stats) for t in cands), abs=1e-12)
@@ -504,9 +505,10 @@ def test_unfairness_hat_is_the_objective_at_theta_hat(case, mode):
 
 
 def whole_argmin(objective, bps, probes):
-    """Reference argmin: every candidate evaluated at once, ties to the smallest |theta|, then the smaller."""
+    """Reference argmin of a one-row objective: every candidate evaluated at once, ties to the smallest
+    |theta|, then the smaller."""
     cands = np.concatenate([np.asarray(probes, dtype=np.float64), bps, 0.5 * (bps[:-1] + bps[1:])])
-    values = objective.value(cands)
+    values = objective.value(cands)[0]
     tied = cands[values == values.min()]
     return float(tied[np.lexsort((tied, np.abs(tied)))[0]]), float(values.min())
 
@@ -517,15 +519,15 @@ def test_blocked_argmin_equals_whole_candidate_argmin(case, mode, block):
     """The argmin walked in candidate blocks of any size returns the bits of the all-at-once argmin."""
     scores, S = case
     if mode == "aware":
-        objective = _Objective("aware", (scores[S == 1], scores[S == 0]), group_statistics(scores, S).joint)
+        objective = _aware_objective(scores[S == 1], scores[S == 0], group_statistics(scores, S).joint)
         probes = [-2.0, 0.0, 2.0]
     else:  # rows pair up the drawn values in three rotations, so the blind scores keep their ties
-        objective = _Objective("blind", (np.roll(scores, 1), np.roll(scores, 2), scores))
-        bps = objective.breakpoints
+        objective = _blind_objective(np.roll(scores, 1), np.roll(scores, 2), scores)
+        bps = objective.breakpoints()
         probes = [0.0, bps[0] - 1.0, bps[-1] + 1.0] if bps.size else [0.0]
     with mock.patch.object(calibration, "_CANDIDATE_BLOCK", block):
-        got = objective.argmin()
-    want = whole_argmin(objective, objective.breakpoints, probes)
+        got = [float(v[0]) for v in objective.argmin()]
+    want = whole_argmin(objective, objective.breakpoints(), probes)
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
@@ -609,24 +611,24 @@ def switch_point_cases(draw):
 @example(("aware", np.array([0.97, 0.497, np.nextafter(0.497, 2.0), 0.3, 0.6]), np.array([0, 0, 0, 1, 1])))
 @example(("blind", np.array([[0.5, 0.2, 0.7], [0.25, 0.5, 0.5], [0.25, 0.5, 0.5]]), None))
 def test_one_objective_and_decision_equal_the_per_mode_ones_bitwise(case):
-    """_Objective and _decide give the bits of the per-mode objectives and decision branches they replaced."""
+    """The objective and _decide give the bits of the per-mode objectives and decision branches they replaced."""
     mode, scores, S = case
     rows = scores if mode == "aware" else scores[[1, 2, 0]]  # blind rows in slot order (s0, s1, marginal)
     if mode == "aware":
         stats = group_statistics(scores, S)
         columns = (scores[S == 1], scores[S == 0])
-        new, old = _Objective(mode, columns, stats.joint), reference._AwareObjective(*columns, stats)
+        new, old = _aware_objective(*columns, stats.joint), reference._AwareObjective(*columns, stats)
         means, probes = None, [-2.0, 0.0, 2.0]
     else:
-        stats, new, old = None, _Objective(mode, rows), reference._BlindObjective(*scores)
+        stats, new, old = None, _blind_objective(*rows), reference._BlindObjective(*scores)
         means, bps = old.means, old.breakpoints
         probes = [0.0, bps[0] - 1.0, bps[-1] + 1.0] if bps.size else [0.0]
-        assert np.array(new.constants).tobytes() == np.array(means).tobytes()
+        assert np.array(calibration._blind_sides(list(rows))[0]).tobytes() == np.array(means).tobytes()
     bps = old.breakpoints
-    assert new.breakpoints.tobytes() == bps.tobytes()
+    assert new.breakpoints().tobytes() == bps.tobytes()
     cands = np.concatenate([probes, bps, 0.5 * (bps[:-1] + bps[1:])])
-    assert new.value(cands).tobytes() == old.value(cands).tobytes()
-    assert np.array(new.argmin()).tobytes() == np.array(old.argmin()).tobytes()
+    assert new.value(cands)[0].tobytes() == old.value(cands).tobytes()
+    assert np.concatenate(new.argmin()).tobytes() == np.array(old.argmin()).tobytes()
     for theta in cands:
         clf = FairClassifier(external_score_model(mode=mode), float(theta), stats, blind_means=means)
         assert clf._decide(rows, S).tobytes() == reference.decide(clf, scores, S).tobytes()
@@ -671,27 +673,101 @@ def walk_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(walk_cases())
 def test_walk_across_blocks_equals_the_candidate_argmin_and_searchsorted_bitwise(case):
-    """At the block size the walk's counts at every distinct switch point are searchsorted's, and its argmin
-    gives the bits of the all-candidates-at-once argmin and of the per-mode objectives."""
+    """At the block size the walk's counts at every distinct switch point within the bound are searchsorted's,
+    and its argmin gives the bits of the all-candidates-at-once argmin and of the per-mode objectives."""
     mode, scores, S = case
     if mode == "aware":
         stats = group_statistics(scores, S)
         columns = (scores[S == 1], scores[S == 0])
-        new, old = _Objective(mode, columns, stats.joint), reference._AwareObjective(*columns, stats)
-        probes = [0.0, -2.0, 2.0]
+        new, old = _aware_objective(*columns, stats.joint), reference._AwareObjective(*columns, stats)
+        probes, (low, high) = [0.0, -2.0, 2.0], calibration._AWARE_SPAN
     else:
-        new, old = _Objective(mode, scores[[1, 2, 0]]), reference._BlindObjective(*scores)
-        bps = new.breakpoints
-        probes = [0.0, bps[0] - 1.0, bps[-1] + 1.0] if bps.size else [0.0]
-    runs = list(new._runs())
-    for points, after, rising, falling in runs:
-        assert (rising == new.bp_rising.searchsorted(points, "right")).all()
-        assert (falling[:-1] == new.bp_falling.searchsorted(points, "left")).all()
-        assert (falling[1:] == new.bp_falling.searchsorted(points, "right")).all()
-    points = np.concatenate([r[0] for r in runs]) if runs else np.array([])
-    after = np.concatenate([r[1] for r in runs]) if runs else np.array([])
-    np.testing.assert_array_equal(points, new.breakpoints)
-    np.testing.assert_array_equal(after, np.append(points[1:], np.nan)[: points.size])  # NaN past the last
-    got = np.array(new.argmin()).tobytes()
-    assert got == np.array(whole_argmin(new, new.breakpoints, probes)).tobytes()
+        new, old = _blind_objective(*scores[[1, 2, 0]]), reference._BlindObjective(*scores)
+        bps = new.breakpoints()
+        probes, (low, high) = [0.0, bps[0] - 1.0, bps[-1] + 1.0] if bps.size else [0.0], calibration._BLIND_SPAN
+    bp_rising, bp_falling = new.bp_rising[0], new.bp_falling[0]  # one sample, so no padding
+    runs = list(new._runs(low, high))
+    for rows, starts, points, after, rising, below, falling in runs:
+        assert (rows == 0).all() and starts.tolist() == [0]
+        assert (rising == bp_rising.searchsorted(points, "right")).all()
+        assert (below == bp_falling.searchsorted(points[:1], "left")).all()
+        assert (falling == bp_falling.searchsorted(points, "right")).all()
+    points = np.concatenate([r[2] for r in runs]) if runs else np.array([])
+    after = np.concatenate([r[3] for r in runs]) if runs else np.array([])
+    every = _distinct(np.concatenate((bp_rising, bp_falling)))
+    inside = (every >= low) & (every < high)
+    np.testing.assert_array_equal(points, every[inside])
+    np.testing.assert_array_equal(after, np.append(every[1:], np.nan)[inside])  # NaN past the last
+    got = np.concatenate(new.argmin()).tobytes()
+    assert got == np.array(whole_argmin(new, new.breakpoints(), probes)).tobytes()
     assert got == np.array(old.argmin()).tobytes()
+
+
+def _classifier_bits(clf):
+    """theta_hat, unfairness_hat, the statistics and the blind means of a classifier, floats as hex."""
+    stats = [] if clf.stats is None else [v for field in (clf.stats.p, clf.stats.mean_score, clf.stats.joint)
+                                           for v in field]
+    values = [clf.theta_hat, clf.unfairness_hat, *stats, *(clf.blind_means or ())]
+    return clf.mode, clf.stats is None, clf.blind_means is None, [float(v).hex() for v in values]
+
+
+@hst.composite
+def calibration_batches(draw):
+    """The samples of one call of the calibration core, each (floor, scores, sensitive) with its own size and
+    group split: 1 to 10 of K in {1, 2, 30} rows, or first one of 20,000 rows, so its walk crosses blocks.
+
+    Scores lie on 1/k lattices (ties within and across rows) or are free draws, some below, at and just
+    below the floor and at 1; the floor is the sample's own or a low one, and aware samples may score
+    one group far below the other, so that the unbounded minimum lies beyond the bound.  Blind samples
+    may pair s0 with a rotation of it as s1 on values above the floor, so both means are equal and every
+    row with s0 == s1 has d = 0 and never switches.
+    """
+    mode = draw(hst.sampled_from(["aware", "blind"]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    large = draw(hst.integers(0, 7)) == 0
+    samples = []
+    for i in range(draw(hst.integers(1, 10))):
+        n, grid = (20_000, draw(hst.sampled_from([1, 2]))) if large and i == 0 else (int(rng.integers(16, 80)),
+                                                                                    draw(hst.sampled_from([1, 2, 30])))
+        # the floor of a sample of n rows, or a low one, so that some switch points lie beyond the bound of 2
+        c, k = draw(hst.sampled_from([floor_value(n), 1e-3])), draw(hst.sampled_from([1, 2, 5, 11, 51, None]))
+        shape = (grid, n) if mode == "aware" else (grid, 3, n)
+        scores = rng.random(shape) if k is None else rng.integers(0, k + 1, shape) / k
+        picks = rng.random(shape) < draw(hst.sampled_from([0.0, 0.3]))
+        scores[picks] = rng.choice([0.0, np.nextafter(c, 0.0), c, 1.0], size=int(picks.sum()))
+        if mode == "blind" and draw(hst.booleans()):
+            scores[:, 0] = rng.integers(4, 9, (grid, n)) / 8
+            scores[:, 1] = scores[:, 0]
+            m = int(rng.integers(0, n + 1))
+            scores[:, 1, :m] = np.roll(scores[:, 0, :m], 1, axis=-1)
+        S = rng.integers(0, 2, n)
+        S[:2] = (0, 1)
+        if mode == "aware" and draw(hst.booleans()):  # group 1 scored far below group 0: theta runs into its bound
+            scores[..., S == 1] *= 0.05
+        samples.append((c, scores, S if mode == "aware" else None))
+    return mode, samples
+
+
+@settings(max_examples=100, deadline=None)
+@given(calibration_batches(), hst.sampled_from([None, 1, 3, 64]), hst.sampled_from([None, 1, 500]))
+def test_batched_core_equals_per_row_reference_bitwise(case, block, budget):
+    """One call of the calibration core gives every row of every sample the theta_hat, unfairness_hat, group
+    statistics and blind means of the per-row objective and core it replaced, bit for bit, also with walk
+    blocks of a few merged points (runs of many rows crossing them) and batches of a few scores (samples
+    split across objectives)."""
+    mode, samples = case
+    models = [external_score_model(floor=c, mode=mode) for c, _, _ in samples]
+    patches = [mock.patch.object(calibration, name, value) for name, value in
+               (("_CANDIDATE_BLOCK", block), ("_BATCH_ENTRIES", budget)) if value is not None]
+    for patch in patches:
+        patch.start()
+    try:
+        got = calibration._calibrate([(m, scores.copy(), S) for m, (_, scores, S) in zip(models, samples)])
+    finally:
+        for patch in patches:
+            patch.stop()
+    assert len(got) == len(samples)
+    for classifiers, model, (c, scores, S) in zip(got, models, samples):
+        want = reference._calibrate(model, np.maximum(scores, c), S)
+        assert [_classifier_bits(clf) for clf in classifiers] == [_classifier_bits(clf) for clf in want]
+        assert all(clf.model is model for clf in classifiers)
