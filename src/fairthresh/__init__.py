@@ -11,7 +11,6 @@ from .calibration import (
     empirical_unfairness,
     fit_theta,
     fit_theta_blind,
-    group_statistics,
 )
 from .data import (
     LabeledDataset,

@@ -51,7 +51,7 @@ per usable CPU, with the same report for any worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
@@ -68,6 +68,7 @@ from .metrics import deo as deo_report
 LOGISTIC_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-4, 4, 30))
 KNN_K_GRID = tuple(range(1, 52, 2))
 METHODS = ("plugin", "bayes")
+_SPLIT_FALLBACK = ("split_stratified_by_sensitive_only",)  # the outcomes' flag of a split stratified by S alone
 # the type of each scalar config field; bools are neither counts nor fractions
 _FIELD_TYPES = {
     **dict.fromkeys(("sensitive_col", "label_col", "estimator", "mode"), str),
@@ -212,15 +213,15 @@ def _score_members(models: list, queries) -> list[np.ndarray]:
 def _evaluate(cals, tests, mode, methods) -> list[dict]:
     """Calibrate every grid row of every cal = (score block, S) in one calibrate_scores call, then predict
     each sample's test = (score block, labels, S) with each method arm, a sample's rows and arms in one
-    decision and one DEO pass: per sample, {method: [(report, classifier) per grid row]}.  The calibration
-    blocks are the caller's own: they are floored in place."""
+    decision and one DEO pass: per sample, {method: [(report, theta) per grid row]}, theta the row's
+    theta_hat for "plugin" and 0.0 for "bayes".  The calibration blocks are the caller's own: they are
+    floored in place."""
     out = []
     for classifiers, (scores, labels, sensitive) in zip(calibration.calibrate_scores(samples=cals, mode=mode), tests):
-        arms = [[clf if m == "plugin" else replace(clf, theta_hat=0.0) for clf in classifiers] for m in methods]
-        thetas = [[clf.theta_hat for clf in row] for row in arms]
+        thetas = [[clf.theta_hat if m == "plugin" else 0.0 for clf in classifiers] for m in methods]
         pred = calibration._predict_grid(classifiers, thetas, scores, sensitive)
         reports = iter(deo_report(pred.reshape(-1, pred.shape[-1]), labels, sensitive))
-        out.append({m: [(next(reports), clf) for clf in row] for m, row in zip(methods, arms)})
+        out.append({m: [(next(reports), theta) for theta in row] for m, row in zip(methods, thetas)})
     return out
 
 
@@ -342,7 +343,7 @@ def cross_validate(train: LabeledDataset, config: BenchmarkConfig, seed) -> dict
         scored = _knn_cv_scores(train, parts, grid, config.mode, skipped)
     else:
         scored = _fitted_cv_scores(parts, grid, config.mode, skipped)
-    done = [[] for _ in grid]  # per grid point: (fold, {method: (report, clf)})
+    done = [[] for _ in grid]  # per grid point: (fold, {method: (report, theta)})
     for batch in _batches(scored, lambda fold: fold[4].size):  # the folds whose calibration scores fill a batch
         cals = [(cal_scores, cal.sensitive) for _, cal, _, _, cal_scores, _ in batch]
         tests = [(held_scores, held.labels, held.sensitive) for _, _, held, _, _, held_scores in batch]
@@ -390,12 +391,13 @@ def _summarize(method: str, rows: list[RepeatOutcome], with_std: bool) -> Method
     )
 
 
-def _run_repeat(train, fit_part, queries, targets, config: BenchmarkConfig, repeat: int) -> list[dict]:
+def _run_repeat(train, fit_part, queries, targets, config: BenchmarkConfig, repeat: int, flags) -> list[dict]:
     """One repeat: CV on train once, select per method arm, then one fit on
     fit_part per distinct chosen grid point, which scores each query dataset once.
 
     A target names its calibration and test rows as (query index, rows) pairs,
-    rows None for all of them; returns one {method: RepeatOutcome} per target.
+    rows None for all of them; returns one {method: RepeatOutcome} per target,
+    each carrying flags after its evaluation's own.
     """
     grid = config.grid()
     if len(grid) == 1:
@@ -414,9 +416,9 @@ def _run_repeat(train, fit_part, queries, targets, config: BenchmarkConfig, repe
     for evaluated in _evaluate(cals, tests, config.mode, config.methods):
         outcomes.append({})
         for m in config.methods:
-            report, clf = evaluated[m][members.index(chosen[m])]
+            report, theta = evaluated[m][members.index(chosen[m])]
             outcomes[-1][m] = RepeatOutcome(repeat=repeat, method=m, param=grid[chosen[m]][0], acc=report.accuracy,
-                                            deo=report.deo, theta_hat=clf.theta_hat, flags=tuple(report.flags),
+                                            deo=report.deo, theta_hat=theta, flags=tuple(report.flags) + flags,
                                             cv_table=cv[m])
     return outcomes
 
@@ -438,19 +440,19 @@ def run_benchmark(
     if carve and unlabeled_ds is not None:
         raise ConfigError("give one unlabeled source: an unlabeled dataset or an unlabeled fraction, not both")
     if test is not None:
-        pairs = [(ds, test)]
+        pairs = [(ds, test, ())]
         meta_splits = "fixed-test"
     else:
         splits = split(ds, SplitPlan(config.train_fraction, config.n_repeats, config.seed))
-        pairs = [(sp.train, sp.test) for sp in splits]
+        pairs = [(sp.train, sp.test, _SPLIT_FALLBACK * sp.stratified_by_sensitive_only) for sp in splits]
         meta_splits = f"{config.n_repeats} stratified splits at {config.train_fraction:g}"
 
     def repeat(r):
-        train, held = pairs[r]
+        train, held, flags = pairs[r]
         fit_part, cal = train, unlabeled_ds if unlabeled_ds is not None else train
         if carve:  # the same carve for every arm
             fit_part, cal = _carve_unlabeled(train, config.unlabeled, np.random.default_rng([config.seed, r, 7]))
-        return _run_repeat(train, fit_part, [cal, held], [((0, None), (1, None))], config, r)[0]
+        return _run_repeat(train, fit_part, [cal, held], [((0, None), (1, None))], config, r, flags)[0]
 
     rows = map_ordered(repeat, range(len(pairs)))
     summaries = [_summarize(m, [row[m] for row in rows], with_std=test is None) for m in config.methods]
@@ -521,7 +523,8 @@ def run_unlabeled_sweep(
                 targets.append(((1, cal), (1, perm[n_unl:])))
             else:
                 targets.append(((0, None), (1, None)))
-        return _run_repeat(sp.train, sp.train, [sp.train, rest], targets, config, r)
+        flags = _SPLIT_FALLBACK * sp.stratified_by_sensitive_only
+        return _run_repeat(sp.train, sp.train, [sp.train, rest], targets, config, r, flags)
 
     per_repeat = map_ordered(repeat, range(len(splits)))
     points = [

@@ -27,16 +27,17 @@ One objective class, _Objective, holds R calibration rows at once, each with
 its own sides: the switch points of each side in ascending order, with the
 rising rows' weights as prefix sums and the falling ones' as suffix sums,
 padded to one width by points that never switch at a finite theta.  It
-exposes .breakpoints(row), .value(thetas) and .argmin() -> (theta, value)
-per row; the modes differ only in the constants, weights and bound the side
-builders (_aware_sides, _blind_batch) set up.  value() looks each theta up in
-both sides by binary search; argmin() counts the probes against each side,
-merges each row's two sides in one stable sort and reads every breakpoint's
-and midpoint's counts off one walk along all rows' merges (_runs), a block
-at a time, so it needs no search per candidate and no loop over the rows.
-fit_theta, fit_theta_blind, empirical_unfairness, blind_unfairness and
-breakpoints are one-liners over a one-row objective.  _distinct dedups the
-switch points without numpy.ma, which numpy's set routines import.
+exposes .breakpoints(row) and .value(thetas, row) of one row and .argmin()
+of every row; the modes differ only in the constants, weights and bound the
+side builders (_aware_sides, _blind_batch) set up.  value() looks each theta
+up in both sides by binary search; argmin() counts the probes against each
+side, merges each row's two sides in one stable sort and reads every
+breakpoint's and midpoint's counts off one walk along all rows' merges
+(_runs), a block at a time, and reduces each row's candidates once, so it
+needs no search per candidate and no loop over the rows.  fit_theta,
+fit_theta_blind, empirical_unfairness, blind_unfairness and breakpoints are
+one-liners over a one-row objective.  _distinct dedups the switch points
+without numpy.ma, which numpy's set routines import.
 
 calibrate scores the calibration sample with the fitted estimator;
 calibrate_scores takes score columns, which one adapter (_column_scores)
@@ -50,10 +51,10 @@ of all samples into batches of about _BATCH_ENTRIES scores, and each batch
 is one objective and one argmin.  The benchmark hands it, through
 calibrate_scores(samples=...), all folds of a repeat's cross-validation in
 one call (as many as that budget holds) and all of a repeat's final refits
-in another; a single calibration is one sample of one row.  _predict_grid
-decides a sample's test block at a theta per (arm, row) in one switch-point
-pass, through the decision rule (_decisions) FairClassifier._decide applies
-to one classifier.
+in another; a single calibration, and so each consistency cell of the
+oracle, is one sample of one row.  _predict_grid decides a sample's test
+block at a theta per (arm, row) in one switch-point pass, through the
+decision rule (_decisions) FairClassifier._decide applies to one classifier.
 """
 
 from __future__ import annotations
@@ -108,15 +109,6 @@ def _positive(values, field: str) -> tuple[float, ...]:
     if not all(0.0 < v < np.inf for v in out):
         raise SchemaError(f"{field} must be finite and > 0, got {list(out)}")
     return out
-
-
-def group_statistics(scores: np.ndarray, sensitive: np.ndarray) -> GroupStatistics:
-    """Group statistics of floored row scores eta_hat(x_i, s_i) over a sample."""
-    scores = np.asarray(scores, dtype=np.float64)
-    sensitive = np.asarray(sensitive)
-    if scores.shape != sensitive.shape:
-        raise SchemaError(f"scores ({scores.shape}) and sensitive ({sensitive.shape}) misaligned")
-    return _group_blocks(scores[None], sensitive)[1][0]
 
 
 def _group_blocks(scores: np.ndarray, sensitive) -> tuple[list[np.ndarray], list[GroupStatistics]]:
@@ -268,9 +260,9 @@ def _blind_batch(blocks) -> tuple[tuple, list[tuple[float, float]]]:
 
 
 def _padded(blocks: list[np.ndarray], fill) -> np.ndarray:
-    """Row blocks of different widths as one array at least one column wide, each row padded on the right
-    with fill, or with its own last entry where fill is None."""
-    width = max(1, max(block.shape[-1] for block in blocks))
+    """Row blocks of different widths as one array, each row padded on the right with fill, or with its own
+    last entry where fill is None."""
+    width = max(block.shape[-1] for block in blocks)
     if len(blocks) == 1 and blocks[0].shape[-1] == width:
         return blocks[0]
     out = np.full((sum(len(block) for block in blocks), width), np.nan if fill is None else fill)
@@ -283,16 +275,16 @@ def _padded(blocks: list[np.ndarray], fill) -> np.ndarray:
     return out
 
 
-def _lexmin(values: np.ndarray, thetas: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The least (value, |theta|, theta) of each segment of flat candidates, the segments beginning at
-    starts, as a (3, segments) array, each segment's least value finite."""
+def _lexmin(values: np.ndarray, thetas: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value and theta of the least (value, |theta|, theta) of each segment of flat candidates, the
+    segments beginning at starts, none empty and no value NaN; of equal candidates the earlier."""
     low = np.minimum.reduceat(values, starts)
     tied = np.flatnonzero(values == low.repeat(np.diff(starts, append=values.size)))
     if tied.size > starts.size:  # some segment's least value is tied: its candidates by |theta|, then theta
         segment = starts.searchsorted(tied, "right") - 1
         order = np.lexsort((thetas[tied], np.abs(thetas[tied]), segment))
         tied = tied[order[np.flatnonzero(np.diff(segment[order], prepend=-1))]]
-    return np.stack((low, np.abs(thetas[tied]), thetas[tied]))
+    return low, thetas[tied]
 
 
 class _Objective:
@@ -317,26 +309,23 @@ class _Objective:
         t = t[np.isfinite(t)]  # without the pads
         return _distinct(t[(t >= -self.bound) & (t <= self.bound)])
 
-    def value(self, thetas) -> np.ndarray:
-        """(R, T): every row's objective at each of the thetas, by binary search on each side."""
+    def value(self, thetas, row: int = 0) -> np.ndarray:
+        """A row's objective at each of the thetas, by binary search on each side."""
         thetas = np.asarray(thetas, dtype=np.float64)
-        out = np.empty((len(self.prefix), thetas.size))
-        for row, (bp_rising, prefix, bp_falling, suffix) in enumerate(
-            zip(self.bp_rising, self.prefix, self.bp_falling, self.suffix)
-        ):
-            rising = prefix[bp_rising.searchsorted(thetas, "right")]
-            out[row] = np.abs(suffix[bp_falling.searchsorted(thetas, "left")] - rising)
-        return out
+        rising = self.prefix[row][self.bp_rising[row].searchsorted(thetas, "right")]
+        return np.abs(self.suffix[row][self.bp_falling[row].searchsorted(thetas, "left")] - rising)
 
     def _probes(self) -> np.ndarray:
         """(R, 3): each row's probes, 0 first: 0 and both bounds, or, unbounded, one unit past both extreme
         switch points of the row (pads excluded), or only 0 (three times) for a row that never switches."""
         if self.bound < np.inf:
             return np.broadcast_to(_BOUNDED_PROBES, (len(self.prefix), 3))
-        # blind sides are padded at the back with +inf alone, so a row's first point is its lowest or a pad
-        low = np.minimum(self.bp_rising[:, 0], self.bp_falling[:, 0])
-        high = np.maximum(*(np.where(np.isfinite(side), side, -np.inf).max(axis=1)
-                            for side in (self.bp_rising, self.bp_falling)))
+        # blind sides are padded at the back with +inf alone, so a row's first point is its lowest or a pad,
+        # and a side that every row leaves empty has no column
+        sides = (self.bp_rising, self.bp_falling)
+        low = np.minimum(*(side[:, :1].min(axis=1, initial=np.inf) for side in sides))
+        high = np.maximum(*(np.where(np.isfinite(side), side, -np.inf).max(axis=1, initial=-np.inf)
+                            for side in sides))
         probes = np.stack((np.zeros(low.size), low - 1.0, high + 1.0), axis=1)
         probes[~np.isfinite(low)] = 0.0
         return probes
@@ -391,16 +380,17 @@ class _Objective:
         block at a time, so memory stays bounded.  A midpoint takes the counts of the breakpoint below it,
         as no switch point lies strictly between the two; one that rounds onto a breakpoint is left out,
         as that breakpoint is a candidate itself, and so is one past the last breakpoint within the bound.
+        Each row's probes and each block's least breakpoint and midpoint of the row, in that order, are
+        reduced once, so of equal candidates the earlier wins and zero is the probe's +0.0.
         """
         rows = np.arange(len(self.prefix))[:, None]
         probes = self._probes()
         # each row's points against its probes along the rows, where numpy counts fastest
         rising = np.count_nonzero(self.bp_rising[:, None, :] <= probes[:, :, None], axis=-1)
         falling = np.count_nonzero(self.bp_falling[:, None, :] < probes[:, :, None], axis=-1)
-        values = np.abs(self.suffix[rows, falling] - self.prefix[rows, rising])
-        # (value, |theta|, theta) of each row's best candidate so far; of equal ones the earlier, so zero is the
-        # probe's +0.0
-        best = _lexmin(values.ravel(), probes.ravel(), np.arange(0, probes.size, 3))
+        # every row's candidates with their rows: its probes, then each block's least breakpoint and midpoint
+        owners, kept_values = [rows.repeat(3)], [np.abs(self.suffix[rows, falling] - self.prefix[rows, rising]).ravel()]
+        kept_thetas = [probes.ravel()]
         low, high = _AWARE_SPAN if self.bound < np.inf else _BLIND_SPAN
         prefix, suffix = self.prefix.reshape(-1), self.suffix.reshape(-1)  # read at flat indices, the fastest
         for row, starts, points, after, rising, below, falling in self._runs(low, high):
@@ -419,13 +409,14 @@ class _Objective:
             np.abs(values, out=values)
             values[n:][~((points < mids) & (mids < after) & (after < high))] = np.inf
             found = _lexmin(values, thetas, np.concatenate((starts, starts + n)))
-            # each row's least of its breakpoints and of its midpoints, then against its best so far
-            for found in found[:, : starts.size], found[:, starts.size :]:
-                was = best[:, rows_in]
-                better = (found[0] < was[0]) | (found[0] == was[0]) & (
-                    (found[1] < was[1]) | (found[1] == was[1]) & (found[2] < was[2]))
-                best[:, rows_in[better]] = found[:, better]
-        return best[2], best[0]
+            owners.append(np.tile(rows_in, 2))
+            kept_values.append(found[0])
+            kept_thetas.append(found[1])
+        owner = np.concatenate(owners)
+        order, counts = owner.argsort(kind="stable"), np.bincount(owner, minlength=rows.size)
+        value, theta = _lexmin(np.concatenate(kept_values)[order], np.concatenate(kept_thetas)[order],
+                               counts.cumsum() - counts)
+        return theta, value
 
 
 def _aware_objective(scores1, scores0, joint) -> _Objective:
@@ -450,7 +441,7 @@ def empirical_unfairness(theta: float, scores1, scores0, stats: GroupStatistics)
     Any real theta is accepted; values outside [-2, 2] simply evaluate the
     same formula.
     """
-    return float(_aware_objective(scores1, scores0, stats.joint).value([theta])[0, 0])
+    return float(_aware_objective(scores1, scores0, stats.joint).value([theta])[0])
 
 
 def fit_theta(scores1, scores0, stats: GroupStatistics) -> float:
@@ -463,7 +454,7 @@ def fit_theta(scores1, scores0, stats: GroupStatistics) -> float:
 
 def blind_unfairness(theta: float, marginal, scores_s0, scores_s1) -> float:
     """Blind-mode unfairness surrogate at a given theta (pooled expectations)."""
-    return float(_blind_objective(scores_s0, scores_s1, marginal).value([theta])[0, 0])
+    return float(_blind_objective(scores_s0, scores_s1, marginal).value([theta])[0])
 
 
 def fit_theta_blind(marginal, scores_s0, scores_s1) -> float:
@@ -505,9 +496,8 @@ def _column_scores(mode: str, scores_s0=None, scores_s1=None, sensitive=None, ma
     if s0.ndim != 1 or s1.shape != s0.shape or third.shape != s0.shape:
         shapes = ", ".join(f"{n} {c.shape}" for n, c in zip(names, columns))
         raise SchemaError(f"score columns must be one-dimensional and row-aligned, got {shapes}")
-    # each distinct score column once (one array may be passed as both aware columns); a NaN fails both
-    # comparisons, and the initial values let an empty column pass
-    for name, c in zip(names, columns if mode == "blind" else columns[: 1 if s0 is s1 else 2]):
+    # a NaN fails both comparisons, and the initial values let an empty column pass
+    for name, c in zip(names, columns if mode == "blind" else columns[:2]):
         if not (c.min(initial=0.0) >= 0.0 and c.max(initial=1.0) <= 1.0):
             bad = c[~((c >= 0.0) & (c <= 1.0))][0]
             raise SchemaError(f"{name} must hold scores in [0, 1], got {float(bad)}")

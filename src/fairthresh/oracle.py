@@ -304,12 +304,13 @@ def consistency_run(
     Otherwise a LogisticConfig or KnnConfig fits on a fresh labeled sample of
     size n and its row scores are the scores.  Every cell draws its own
     calibration sample of size N, which needs two rows per group, and a fresh
-    labeled test sample; either score source feeds calibrate_scores and
-    predict_from_scores, and the cell records the test DEO and the risk
-    excess over the exact optimum, averaged over the repeats.  Each
-    (n, N, repeat) cell draws from its own seed [seed, i_n, i_N, rep, ...], so
-    the cells run through _parallel.map_ordered, in forked workers on Linux,
-    and the table is the same for any worker count.
+    labeled test sample; either score source feeds calibrate_scores (its
+    samples= form, one sample of one row) and predict_from_scores, and the
+    cell records the test DEO and the risk excess over the exact optimum,
+    averaged over the repeats.  Each (n, N, repeat) cell draws from its own
+    seed [seed, i_n, i_N, rep, ...], so the cells run through
+    _parallel.map_ordered, in forked workers on Linux, and the table is the
+    same for any worker count.
     """
     n_grid, N_grid = list(n_grid), list(N_grid)
     if not n_grid or not N_grid or repeats < 1:
@@ -329,8 +330,8 @@ def consistency_run(
         else:
             score = _fit_estimator(sample(dist, n_grid[i_n], base + [0]), estimator, "aware").score_rowwise
         cal_scores, test_scores = score(cal.features, cal.sensitive), score(test.features, test.sensitive)
+        clf = calibrate_scores(samples=[(cal_scores[None], cal.sensitive)])[0][0]
         # each row reads its own group's column, so one score column serves as both
-        clf = calibrate_scores(cal_scores, cal_scores, sensitive=cal.sensitive)
         pred = clf.predict_from_scores(test_scores, test_scores, sensitive=test.sensitive)
         report = deo_report(pred, test.labels, test.sensitive)
         deo = report.deo if report.deo is not None else 0.0

@@ -293,6 +293,33 @@ class TestSweep:
             assert len(p.rows) == 3
 
 
+class TestSplitFallback:
+    """A (group, label) cell of fewer than two rows makes the split stratify by the sensitive column alone,
+    and every outcome of such a repeat says so."""
+
+    FLAG = "split_stratified_by_sensitive_only"
+
+    @staticmethod
+    def one_negative_in_group_1(ds):
+        labels = np.where(ds.sensitive == 1, 1, ds.labels)
+        labels[np.flatnonzero(ds.sensitive == 1)[0]] = 0
+        return LabeledDataset(ds.features, ds.sensitive, labels)
+
+    def test_benchmark_flags_every_outcome(self, ds):
+        cfg = small_config(estimator="knn", knn_grid=(5, 15))
+        report = run_benchmark(self.one_negative_in_group_1(ds), cfg)
+        rows = [r for m in report.methods for r in m.rows]
+        assert len(rows) == 2 * cfg.n_repeats and all(self.FLAG in r.flags for r in rows)
+        assert all(self.FLAG not in r.flags for m in run_benchmark(ds, cfg).methods for r in m.rows)
+
+    def test_sweep_flags_every_outcome(self, ds):
+        cfg = small_config(estimator="knn", knn_grid=(5, 15))
+        sweep = run_unlabeled_sweep(self.one_negative_in_group_1(ds), cfg, labeled_fraction=0.2,
+                                    unlabeled_fractions=(0.0, 0.2))
+        rows = [r for p in sweep.points for r in p.rows]
+        assert len(rows) == 4 * cfg.n_repeats and all(self.FLAG in r.flags for r in rows)
+
+
 def _two_feature_sample(n, seed):
     """DIST's feature plus a noise feature, both rounded so k-NN distances tie."""
     ds = sample(DIST, n, seed)
@@ -514,8 +541,9 @@ def _classifier_bits(clf):
 def test_fold_evaluation_equals_per_column_reference_bitwise(seed, mode, grid, n_cal, n_held, folds, lattice,
                                                              at_floor, undefined):
     """One evaluation of a batch of folds, each with its whole grid, gives, for every fold, grid row and
-    method arm, the bits of the per-column evaluation it replaced: theta_hat, unfairness_hat, statistics,
-    accuracy, DEO and flags.  The first fold has n_cal calibration rows, the others from 2 to 80."""
+    method arm, the bits of the per-column evaluation it replaced: the arm's theta, accuracy, DEO and flags.
+    The first fold has n_cal calibration rows, the others from 2 to 80.  Each row's statistics, blind means
+    and unfairness_hat are test_batched_core_equals_per_row_reference_bitwise's."""
     rng = np.random.default_rng(seed)
     cals, tests = [], []
     for f in range(folds):
@@ -541,9 +569,9 @@ def test_fold_evaluation_equals_per_column_reference_bitwise(seed, mode, grid, n
         for k in range(grid):
             expected = reference.evaluate((cal[0][k], cal[1]), (test[0][k], *test[1:]), mode, methods)
             for m in methods:
-                (report, clf), (ref_report, ref_clf) = evaluated[m][k], expected[m]
+                (report, theta), (ref_report, ref_clf) = evaluated[m][k], expected[m]
                 assert _bits(asdict(report)) == _bits(asdict(ref_report))
-                assert _classifier_bits(clf) == _classifier_bits(ref_clf)
+                assert _bits(theta) == _bits(ref_clf.theta_hat)
     # the public one-column call is the K=1 case of the same routine
     columns = reference.columns(cals[0][0][0], cals[0][1], mode)
     one = calibrate_scores(**columns, mode=mode)

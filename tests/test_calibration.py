@@ -21,11 +21,15 @@ from fairthresh.calibration import (
     empirical_unfairness,
     fit_theta,
     fit_theta_blind,
-    group_statistics,
 )
 from fairthresh.data import LabeledDataset, UnlabeledDataset
 from fairthresh.errors import ConfigError, GroupCoverageError, SchemaError
 from fairthresh.estimators import KnnConfig, LogisticConfig, external_score_model, floor_value
+
+
+def group_statistics(scores, sensitive) -> GroupStatistics:
+    """The group statistics of one row of floored aware scores, as the calibration core computes them."""
+    return calibration._group_blocks(np.asarray(scores, dtype=np.float64)[None], np.asarray(sensitive))[1][0]
 
 
 def brute_unfairness(theta, scores1, scores0, stats):
@@ -321,6 +325,26 @@ class TestBlind:
         clf = calibrate_scores(s, s, marginal=s, mode="blind")
         assert clf.theta_hat == 0.0
 
+    @pytest.mark.parametrize(
+        "s0, scale",
+        [([0.2, 0.4, 0.6, 0.8], 1.0), ([0.28, 0.05, 0.03, 0.82], 0.93), ([0.74, 0.19, 0.87, 0.55], 0.51)],
+        ids=["both_sides_empty", "rising_side_empty", "falling_side_empty"],
+    )
+    def test_a_side_without_switch_points(self, s0, scale):
+        """With s1 a multiple of s0 every d(x) is 0 up to rounding, so one side or both have no switch
+        point: the objective still reads at 0 and at +-inf, and the argmin is the least of its probes."""
+        s0 = np.array(s0)
+        s1, m = s0 * scale, np.array([0.2, 0.4, 0.6, 0.8])
+        d = s0 / s0.mean() - s1 / s1.mean()
+        assert (d[d != 0.0] > 0.0).all() or (d[d != 0.0] < 0.0).all()  # rows with d = 0 never switch
+        values = []
+        for theta in (0.0, np.inf, -np.inf):
+            g = np.where(d == 0.0, 1.0 <= 2.0 * m, np.sign(d) * np.sign(theta) >= 0.0) if theta else 1.0 <= 2.0 * m
+            values.append(blind_unfairness(theta, m, s0, s1))
+            assert values[-1] == pytest.approx(abs((s1 * g).sum() / s1.sum() - (s0 * g).sum() / s0.sum()), abs=1e-12)
+        theta = fit_theta_blind(m, s0, s1)
+        assert np.isfinite(theta) and blind_unfairness(theta, m, s0, s1) <= min(values)
+
     def test_matches_product_form(self):
         rng = np.random.default_rng(6)
         n = 100
@@ -508,7 +532,7 @@ def whole_argmin(objective, bps, probes):
     """Reference argmin of a one-row objective: every candidate evaluated at once, ties to the smallest
     |theta|, then the smaller."""
     cands = np.concatenate([np.asarray(probes, dtype=np.float64), bps, 0.5 * (bps[:-1] + bps[1:])])
-    values = objective.value(cands)[0]
+    values = objective.value(cands)
     tied = cands[values == values.min()]
     return float(tied[np.lexsort((tied, np.abs(tied)))[0]]), float(values.min())
 
@@ -627,7 +651,7 @@ def test_one_objective_and_decision_equal_the_per_mode_ones_bitwise(case):
     bps = old.breakpoints
     assert new.breakpoints().tobytes() == bps.tobytes()
     cands = np.concatenate([probes, bps, 0.5 * (bps[:-1] + bps[1:])])
-    assert new.value(cands)[0].tobytes() == old.value(cands).tobytes()
+    assert new.value(cands).tobytes() == old.value(cands).tobytes()
     assert np.concatenate(new.argmin()).tobytes() == np.array(old.argmin()).tobytes()
     for theta in cands:
         clf = FairClassifier(external_score_model(mode=mode), float(theta), stats, blind_means=means)
@@ -771,3 +795,26 @@ def test_batched_core_equals_per_row_reference_bitwise(case, block, budget):
         want = reference._calibrate(model, np.maximum(scores, c), S)
         assert [_classifier_bits(clf) for clf in classifiers] == [_classifier_bits(clf) for clf in want]
         assert all(clf.model is model for clf in classifiers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(calibration_batches())
+def test_a_row_of_a_batched_objective_reads_as_its_own_objective(case):
+    """value(thetas, row) and breakpoints(row) of an objective holding the rows of many samples, padded to
+    one width, give the bits of each row's one-row objective, at its candidates and at 0, +-2 and +-inf."""
+    mode, samples = case
+    blocks = [np.maximum(scores, c) for c, scores, _ in samples]
+    if mode == "aware":
+        sides, stats = calibration._aware_batch([(block, S) for block, (_, _, S) in zip(blocks, samples)])
+        batch = calibration._Objective(sides, calibration.THETA_BOUND)
+        rows = [(row, S) for block, (_, _, S) in zip(blocks, samples) for row in block]
+        ones = [_aware_objective(row[S == 1], row[S == 0], st.joint) for (row, S), st in zip(rows, stats)]
+    else:
+        batch = calibration._Objective(calibration._blind_batch(blocks)[0], np.inf)
+        ones = [_blind_objective(*rows) for block in blocks for rows in block]
+    assert len(batch.prefix) == len(ones)
+    for row, one in enumerate(ones):
+        bps = one.breakpoints()
+        thetas = np.concatenate(([0.0, -2.0, 2.0, -np.inf, np.inf], bps, 0.5 * (bps[:-1] + bps[1:])))
+        assert batch.breakpoints(row).tobytes() == bps.tobytes()
+        assert batch.value(thetas, row).tobytes() == one.value(thetas).tobytes()

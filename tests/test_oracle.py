@@ -1,3 +1,4 @@
+import functools
 import json
 from dataclasses import asdict
 
@@ -12,7 +13,7 @@ from oracle_reference import (
     sample_scatter,
 )
 
-from fairthresh.calibration import calibrate, calibrate_scores
+from fairthresh.calibration import FairClassifier, _fit_estimator, calibrate, calibrate_scores
 from fairthresh.data import UnlabeledDataset, read_json
 from fairthresh.errors import ConfigError, NumericError, SchemaError
 from fairthresh.estimators import KnnConfig, LogisticConfig
@@ -285,6 +286,37 @@ class TestConsistencyRun:
     def test_cells_match_the_two_branch_reference(self, estimator):
         args = (ASYM, [60, 150], [40, 300], 2, 4, estimator, 3000)
         assert [repr(c) for c in consistency_run(*args)] == [repr(c) for c in _two_branch_reference(*args)]
+
+    @pytest.mark.parametrize("estimator", ["exact", LogisticConfig(l2_lambda=1e-4)], ids=["exact", "logistic"])
+    def test_cells_calibrate_and_predict_as_the_public_column_path(self, estimator, monkeypatch, cpus):
+        """Every cell's classifier (theta_hat, unfairness_hat, statistics, floor) and test predictions are
+        those of calibrate_scores(s, s, sensitive=S) and predict_from_scores on the cell's own scores."""
+        seen, real = [], FairClassifier.predict_from_scores
+
+        def predict_from_scores(clf, *args, **kwargs):
+            seen.append((clf, real(clf, *args, **kwargs)))
+            return seen[-1][1]
+
+        cpus(1)  # every cell runs in this process, where the spy sees it
+        monkeypatch.setattr(FairClassifier, "predict_from_scores", predict_from_scores)
+        n, N_grid, repeats, seed, test_size = 150, [40, 300], 2, 4, 3000
+        consistency_run(ASYM, [n], N_grid, repeats, seed, estimator, test_size)
+        monkeypatch.undo()
+        assert len(seen) == len(N_grid) * repeats
+        for (i_N, rep), (clf, pred) in zip(((i, r) for i in range(len(N_grid)) for r in range(repeats)), seen):
+            base = [seed, 0, i_N, rep]
+            unl, test = sample(ASYM, N_grid[i_N], base + [1]), sample(ASYM, test_size, base + [2])
+            if estimator == "exact":
+                score = functools.partial(exact_scores, ASYM)
+            else:
+                score = _fit_estimator(sample(ASYM, n, base + [0]), estimator, "aware").score_rowwise
+            cal_scores, test_scores = score(unl.features, unl.sensitive), score(test.features, test.sensitive)
+            want = calibrate_scores(cal_scores, cal_scores, sensitive=unl.sensitive)
+            assert [float(v).hex() for v in (clf.theta_hat, clf.unfairness_hat, clf.model.floor)] == [
+                float(v).hex() for v in (want.theta_hat, want.unfairness_hat, want.model.floor)]
+            assert clf.stats == want.stats
+            want_pred = want.predict_from_scores(test_scores, test_scores, sensitive=test.sensitive)
+            assert pred.dtype == want_pred.dtype and pred.tobytes() == want_pred.tobytes()
 
 
 def _two_branch_reference(dist, n_grid, N_grid, repeats, seed, estimator, test_size):
